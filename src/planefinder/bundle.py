@@ -105,11 +105,15 @@ def load_bundle(path):
         raise BundleError("no bundle.manifest under %s" % path)
     meta = {}
     with open(mpath, "r") as fh:
-        for line in fh:
-            key, val = line.rstrip("\n").split("=", 1)
+        for lineno, line in enumerate(fh, 1):
+            key, sep, val = line.rstrip("\n").partition("=")
+            if not sep:
+                raise BundleError("%s line %d: expected key=value" % (mpath, lineno))
             meta.setdefault(key, []).append(val)
 
     def one(key):
+        if key not in meta:
+            raise BundleError("%s lacks key %r" % (mpath, key))
         return meta[key][0]
 
     def mat(name, flat=False):

@@ -82,6 +82,7 @@ class VolumeFeatureCache:
     def __init__(self, cfg):
         self.cfg = cfg
         self._volumes = {}
+        self._cands = {}
         self._descs = {}
 
     def volume(self, path):
@@ -90,7 +91,9 @@ class VolumeFeatureCache:
         return self._volumes[path]
 
     def candidates(self, path):
-        return candidate_planes(self.volume(path), self.cfg)
+        if path not in self._cands:
+            self._cands[path] = candidate_planes(self.volume(path), self.cfg)
+        return self._cands[path]
 
     def descriptors(self, path, cand_index):
         key = (path, cand_index)
@@ -277,7 +280,6 @@ def _f1(predicted, truth):
 
 def _representations(td, cfg):
     """Feature matrices per method, shared across train and test."""
-    from .embedding import EmbeddingModel  # noqa: F401  (type reference only)
     s_sup = build_similarity_matrix(td.labels)
     s_id = np.eye(len(td.labels))
     eps = None if cfg.embed_epsilon < 0 else cfg.embed_epsilon

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import fft2, ifft2
+from numpy.fft import irfft2, rfft2
 
 from .volume import PlaneSequence
 
@@ -32,15 +32,16 @@ class SmoothingConfig:
 
 
 def forward_diff(img):
-    """Periodic forward differences (dx, dy) matching the Fourier solve."""
-    dx = np.roll(img, -1, axis=1) - img
-    dy = np.roll(img, -1, axis=0) - img
+    """Periodic forward differences (dx, dy) over the last two axes, matching
+    the Fourier solve."""
+    dx = np.roll(img, -1, axis=-1) - img
+    dy = np.roll(img, -1, axis=-2) - img
     return dx, dy
 
 
 def divergence(h, v):
     """Adjoint of forward_diff: dx^T h + dy^T v under periodic wrap."""
-    return (np.roll(h, 1, axis=1) - h) + (np.roll(v, 1, axis=0) - v)
+    return (np.roll(h, 1, axis=-1) - h) + (np.roll(v, 1, axis=-2) - v)
 
 
 def gradient_count(img, tol=1e-6):
@@ -54,19 +55,29 @@ def l0_smooth(image, config=None):
 
     Minimizes sum_p (S_p - I_p)^2 + lam * #{p : |dxS_p| + |dyS_p| != 0}.
     """
-    if config is None:
-        config = SmoothingConfig()
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise SmoothingError("expected a 2D grayscale image")
-    if not np.all(np.isfinite(img)):
-        raise SmoothingError("non-finite input pixels")
+    return _l0_smooth_stack(img[None], config)[0]
 
-    s = img.copy()
+
+def _l0_smooth_stack(imgs, config):
+    """L0-smooth every (H, W) image of a (T, H, W) stack in one beta loop.
+
+    rfft2(I) and the Laplacian symbol are loop invariants, so each beta step
+    costs one rfft2 and one irfft2 over the whole stack.
+    """
+    if config is None:
+        config = SmoothingConfig()
+    if not np.all(np.isfinite(imgs)):
+        raise SmoothingError("non-finite input pixels")
+    f_img = rfft2(imgs)
+    lap = _laplacian_symbol(*imgs.shape[-2:])
+    s = imgs
     beta = config.beta0
     while beta <= config.beta_max:
         h, v = threshold_gradients(s, config.lam, beta)
-        s = solve_screened_poisson(img, h, v, beta)
+        s = _poisson_solve(f_img, h, v, beta, lap)
         beta *= config.kappa
     return s
 
@@ -83,26 +94,24 @@ def threshold_gradients(s, lam, beta):
 
 def solve_screened_poisson(img, h, v, beta):
     """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
-    ny, nx = img.shape
-    otf_dx = fft2(_diff_kernel(ny, nx, axis=1))
-    otf_dy = fft2(_diff_kernel(ny, nx, axis=0))
-    denom = 1.0 + beta * (np.abs(otf_dx) ** 2 + np.abs(otf_dy) ** 2)
-    numer = fft2(img) + beta * (np.conj(otf_dx) * fft2(h) + np.conj(otf_dy) * fft2(v))
-    return np.real(ifft2(numer / denom))
+    return _poisson_solve(rfft2(img), h, v, beta, _laplacian_symbol(*img.shape[-2:]))
 
 
-def _diff_kernel(ny, nx, axis):
-    # circular-convolution kernel whose application equals forward_diff
-    k = np.zeros((ny, nx))
-    k[0, 0] = -1.0
-    if axis == 1:
-        k[0, nx - 1] = 1.0
-    else:
-        k[ny - 1, 0] = 1.0
-    return k
+def _poisson_solve(f_img, h, v, beta, lap):
+    # conj(F dx) F h + conj(F dy) F v is the transform of divergence(h, v)
+    numer = f_img + beta * rfft2(divergence(h, v))
+    return irfft2(numer / (1.0 + beta * lap), s=h.shape[-2:])
+
+
+def _laplacian_symbol(ny, nx):
+    """|F dx|^2 + |F dy|^2 on the rfft2 grid: the eigenvalues of the periodic
+    Laplacian dx^T dx + dy^T dy."""
+    wy = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(ny) / ny)
+    wx = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(nx // 2 + 1) / nx)
+    return wy[:, None] + wx[None, :]
 
 
 def smooth_sequence(seq, config=None):
     """Filter every frame of a plane sequence independently."""
-    frames = np.stack([l0_smooth(f, config) for f in seq.frames])
+    frames = _l0_smooth_stack(seq.frames, config)
     return PlaneSequence(params=seq.params, frames=frames)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
                                   FeatureError, KeyPoint2D, SpaceTimePoint,
-                                  describe_spacetime, describe_static,
-                                  detect_spacetime_points, detect_static_keypoints)
+                                  _gaussian_nearest, describe_spacetime,
+                                  describe_static, detect_spacetime_points,
+                                  detect_static_keypoints)
 from planefinder.volume import PlaneParams, PlaneSequence
 
 
@@ -22,6 +24,23 @@ def _sequence(frames):
     p = PlaneParams(origin=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     width=frames.shape[2], height=frames.shape[1])
     return PlaneSequence(params=p, frames=frames)
+
+
+@pytest.mark.parametrize("shape, sigmas", [
+    ((5, 24, 20), (4.0, 2.0, 2.0)),
+    ((6, 24, 24), (4.0, 4.0, 4.0)),
+    ((8, 64, 64), (4.0, 2.0, 2.0)),
+    ((2, 8, 16, 16), (2.0, 4.0, 4.0)),
+    ((16, 16), (5.08, 5.08)),
+    ((16, 12), (1.6, 3.2)),
+])
+def test_gaussian_operator_matches_ndimage(shape, sigmas):
+    # on time axes shorter than the 4-sigma kernel radius, and on a 16 px
+    # octave, most of each kernel falls on the replicated edge values
+    arr = np.random.default_rng(3).random(shape)
+    full = (0.0,) * (arr.ndim - len(sigmas)) + sigmas
+    expected = ndimage.gaussian_filter(arr, full, mode="nearest")
+    assert np.abs(_gaussian_nearest(arr, sigmas) - expected).max() <= 1e-12
 
 
 def test_small_image_rejected():

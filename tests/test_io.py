@@ -1,8 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 
 from planefinder import matio, pgm
+from planefinder.bundle import BundleError, ModelBundle, load_bundle, save_bundle
+from planefinder.classifier import FeatureScaler, MulticlassModel, SvmModel
+from planefinder.codebook import Codebook
 from planefinder.config import ConfigError, PipelineConfig, load_config, save_config
+from planefinder.embedding import EmbeddingModel
 from planefinder.manifest import (DatasetManifest, ManifestError, ManifestRecord,
                                   read_manifest, write_manifest)
 
@@ -168,3 +174,47 @@ def test_manifest_malformed_line(tmp_path):
     path.write_text("only\tthree\tfields\n")
     with pytest.raises(ManifestError, match="5 tab-separated"):
         read_manifest(str(path))
+
+
+def _saved_bundle(tmp_path):
+    """A tiny hand-built two-class bundle written to disk; returns its dir."""
+    rng = np.random.default_rng(7)
+    scaler = FeatureScaler(mins=np.zeros(2), maxs=np.ones(2))
+    machines = {cid: SvmModel(support_vectors=rng.random((3, 2)),
+                              dual_coefs=rng.normal(size=3), bias=0.1 * cid, c=1.0,
+                              class_weights=(1.0, 1.0), kernel="hik", scaler=scaler)
+                for cid in (0, 1)}
+    bundle = ModelBundle(
+        config=PipelineConfig(),
+        cb_static=Codebook(centroids=rng.random((4, 3)), descriptor_kind="static"),
+        cb_spacetime=Codebook(centroids=rng.random((3, 3)), descriptor_kind="spacetime"),
+        embedding=EmbeddingModel(w_x=rng.random((4, 2)), w_y=rng.random((3, 2)),
+                                 mean_x=np.zeros(4), mean_y=np.zeros(3), c=2,
+                                 epsilon=0.5, train_n=6),
+        classifier=MulticlassModel(class_ids=(0, 1), machines=machines))
+    out = str(tmp_path / "bundle")
+    save_bundle(bundle, out)
+    assert load_bundle(out).content_hash == bundle.with_hash().content_hash
+    return out
+
+
+def _rewrite_manifest(out, edit):
+    path = os.path.join(out, "bundle.manifest")
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(edit(lines)) + "\n")
+
+
+def test_bundle_manifest_line_without_equals(tmp_path):
+    out = _saved_bundle(tmp_path)
+    _rewrite_manifest(out, lambda lines: lines[:2] + ["no separator"] + lines[2:])
+    with pytest.raises(BundleError, match="line 3"):
+        load_bundle(out)
+
+
+def test_bundle_manifest_missing_key(tmp_path):
+    out = _saved_bundle(tmp_path)
+    _rewrite_manifest(out, lambda lines: [l for l in lines if not l.startswith("embed_c=")])
+    with pytest.raises(BundleError, match="embed_c"):
+        load_bundle(out)
