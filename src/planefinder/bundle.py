@@ -99,6 +99,10 @@ def save_bundle(bundle, out_dir):
     return bundle
 
 
+def _csv(parse):
+    return lambda text: tuple(parse(v) for v in text.split(","))
+
+
 def load_bundle(path):
     mpath = os.path.join(path, "bundle.manifest")
     if not os.path.exists(mpath):
@@ -111,36 +115,42 @@ def load_bundle(path):
                 raise BundleError("%s line %d: expected key=value" % (mpath, lineno))
             meta.setdefault(key, []).append(val)
 
-    def one(key):
+    def one(key, parse=str):
         if key not in meta:
             raise BundleError("%s lacks key %r" % (mpath, key))
-        return meta[key][0]
+        try:
+            return parse(meta[key][0])
+        except ValueError as exc:
+            raise BundleError("%s key %r: %s" % (mpath, key, exc)) from exc
 
     def mat(name, flat=False):
-        arr = matio.read_matrix(os.path.join(path, name + ".mat"))
+        try:
+            arr = matio.read_matrix(os.path.join(path, name + ".mat"))
+        except matio.MatIOError as exc:
+            raise BundleError("bundle matrix %s: %s" % (name, exc)) from exc
         return arr.ravel() if flat else arr
 
     cfg = load_config(os.path.join(path, "config.txt"))
     scaler = FeatureScaler(mins=mat("scaler_mins", flat=True),
                            maxs=mat("scaler_maxs", flat=True),
-                           passthrough=bool(int(one("scaler_passthrough"))))
-    class_ids = tuple(int(c) for c in one("classes").split(","))
+                           passthrough=bool(one("scaler_passthrough", int)))
+    class_ids = one("classes", _csv(int))
     machines = {}
     for cid in class_ids:
-        weights = tuple(float(w) for w in one("svm_%d_weights" % cid).split(","))
+        weights = one("svm_%d_weights" % cid, _csv(float))
         machines[cid] = SvmModel(
             support_vectors=mat("svm_%d_sv" % cid),
             dual_coefs=mat("svm_%d_coef" % cid, flat=True),
-            bias=float(one("svm_%d_bias" % cid)),
-            c=float(one("svm_%d_c" % cid)),
+            bias=one("svm_%d_bias" % cid, float),
+            c=one("svm_%d_c" % cid, float),
             class_weights=weights,
             kernel=one("svm_%d_kernel" % cid),
             scaler=scaler)
     emb = EmbeddingModel(
         w_x=mat("embed_wx"), w_y=mat("embed_wy"),
         mean_x=mat("embed_mean_x", flat=True), mean_y=mat("embed_mean_y", flat=True),
-        c=int(one("embed_c")), epsilon=float(one("embed_epsilon")),
-        train_n=int(one("embed_train_n")))
+        c=one("embed_c", int), epsilon=one("embed_epsilon", float),
+        train_n=one("embed_train_n", int))
     bundle = ModelBundle(
         config=cfg,
         cb_static=Codebook(centroids=mat("codebook_static"), descriptor_kind="static"),

@@ -9,9 +9,8 @@ from . import pgm
 from .bundle import load_bundle, save_bundle
 from .config import PipelineConfig, load_config
 from .manifest import read_manifest
-from .pipeline import (VolumeFeatureCache, benchmark, dump_keypoint_overlays,
-                       evaluate_synthetic, evaluate_volumes,
-                       locate_standard_planes, train_pipeline)
+from .pipeline import (VolumeFeatureCache, dump_keypoint_overlays, evaluate_synthetic,
+                       evaluate_volumes, locate_standard_planes, train_pipeline)
 from .smoothing import SmoothingConfig, l0_smooth
 from .synth import build_phantom_dataset
 from .volume import load_volume
@@ -82,16 +81,6 @@ def cmd_eval(args):
     _write_report(rows, args.report_out)
 
 
-def cmd_bench(args):
-    bundle = load_bundle(args.bundle)
-    manifest = read_manifest(args.manifest)
-    table = benchmark(bundle, manifest)
-    rows = [("method", "phase", "seconds")]
-    for (method, phase), secs in sorted(table.items()):
-        rows.append((method, phase, "%.4f" % secs))
-    _write_report(rows, args.report_out)
-
-
 def cmd_keypoints(args):
     vol = load_volume(args.volume)
     bundle = load_bundle(args.bundle) if args.bundle else None
@@ -145,12 +134,6 @@ def build_parser():
     p.add_argument("--mode", choices=("synthetic", "volume"), default="synthetic")
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("bench", help="timing comparison across representations")
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--report-out")
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("keypoints", help="dump keypoint overlay frames")
     p.add_argument("--volume", required=True)

@@ -4,6 +4,7 @@ Layout: 8-byte magic 'PFMAT001', u32 rows, u32 cols (little-endian), then
 row-major little-endian f64 payload.
 """
 
+import os
 import struct
 
 import numpy as np
@@ -28,12 +29,24 @@ def write_matrix(path, arr):
 
 
 def read_matrix(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise MatIOError("cannot open matrix file %s: %s" % (path, exc)) from exc
+    with fh:
+        header = fh.read(16)
+        if header[:8] != MAGIC:
             raise MatIOError("bad magic in %s" % path)
-        rows, cols = struct.unpack("<II", fh.read(8))
-        payload = fh.read(rows * cols * 8)
-    if len(payload) != rows * cols * 8:
+        if len(header) < 16:
+            raise MatIOError("truncated header in %s" % path)
+        rows, cols = struct.unpack("<II", header[8:])
+        nbytes = rows * cols * 8
+        # checked before reading, so a forged shape cannot ask for more memory
+        # than the file holds
+        if nbytes > os.fstat(fh.fileno()).st_size - 16:
+            raise MatIOError("truncated matrix file %s: header says %d x %d"
+                             % (path, rows, cols))
+        payload = fh.read(nbytes)
+    if len(payload) != nbytes:
         raise MatIOError("truncated matrix file %s" % path)
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import pgm
 from .bundle import ModelBundle, save_bundle
-from .classifier import (classify, decision_values, fit_scaler, identity_scaler,
-                         train_multiclass)
+from .classifier import decision_values, fit_scaler, identity_scaler, train_multiclass
 from .codebook import quantize, train_codebook
 from .config import PipelineConfig
 from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
@@ -28,7 +27,6 @@ class PipelineError(Exception):
 class EvaluationReport:
     accuracy: dict = field(default_factory=dict)  # (class_id, condition) -> value
     f1: dict = field(default_factory=dict)        # class_id -> mean F1 over volumes
-    timings: dict = field(default_factory=dict)   # label -> seconds
 
     def mean_accuracy(self):
         return float(np.mean(list(self.accuracy.values()))) if self.accuracy else 0.0
@@ -185,12 +183,15 @@ def train_pipeline(manifest, cfg, cache=None):
 
 
 def candidate_codes(vol, bundle, cache_descs=None):
+    """Codes of every candidate plane of `vol`, one row per candidate. The
+    candidates are generated and described only when `cache_descs` (one
+    descriptor pair per candidate) is not given."""
     cfg = bundle.config
-    cands = candidate_planes(vol, cfg)
     if cache_descs is None:
-        cache_descs = [sequence_descriptors(vol, p, cfg) for p in cands]
+        cache_descs = [sequence_descriptors(vol, p, cfg)
+                       for p in candidate_planes(vol, cfg)]
     x, y = bow_features(cache_descs, bundle.cb_static, bundle.cb_spacetime)
-    return cands, compute_codes(x, y, bundle.embedding, cfg.view)
+    return compute_codes(x, y, bundle.embedding, cfg.view)
 
 
 def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
@@ -202,7 +203,7 @@ def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
         raise PipelineError("top_k must be >= 1")
     if plane_class not in bundle.classifier.class_ids:
         raise PipelineError("no machine for plane class %r" % plane_class)
-    _, codes = candidate_codes(vol, bundle, cache_descs=cache_descs)
+    codes = candidate_codes(vol, bundle, cache_descs=cache_descs)
     scores = decision_values(bundle.classifier.machines[plane_class], codes)
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(i), float(scores[i])) for i in order[:min(top_k, len(scores))]]
@@ -212,55 +213,68 @@ def _machine_scores(clf, codes):
     return {cid: decision_values(clf.machines[cid], codes) for cid in clf.class_ids}
 
 
+def _record_features(manifest, cache, cb_s, cb_t):
+    """BoW (X, Y) of the manifest's labeled candidates, one row per record."""
+    descs = [cache.descriptors(r.volume, r.cand_index) for r in manifest.records]
+    return bow_features(descs, cb_s, cb_t)
+
+
+def _score(clf, manifest, record_codes=None, volume_codes=None):
+    """The one scoring path of product evaluation and the baselines.
+
+    `record_codes` (one row per manifest record) gives the per-class,
+    per-condition binary accuracy; `volume_codes` ({volume path: one row per
+    candidate}) gives the per-class retrieval F1 against the manifest's
+    ground truth, averaged over volumes.
+    """
+    report = EvaluationReport()
+    if record_codes is not None:
+        scores = _machine_scores(clf, record_codes)
+        plane = np.array([r.plane_class for r in manifest.records])
+        cond = np.array([r.condition for r in manifest.records])
+        for cid in clf.class_ids:
+            pred_pos = scores[cid] > 0
+            true_pos = plane == cid
+            for condition in ("normal", "abnormal"):
+                sel = cond == condition
+                if sel.any():
+                    report.accuracy[(cid, condition)] = float(
+                        np.mean(pred_pos[sel] == true_pos[sel]))
+    if volume_codes is not None:
+        per_class = {cid: [] for cid in clf.class_ids}
+        for vol_path, codes in volume_codes.items():
+            scores = _machine_scores(clf, codes)
+            for cid in clf.class_ids:
+                truth = set(manifest.ground_truth(vol_path, cid))
+                if not truth:
+                    raise PipelineError(
+                        "volume %s lacks ground truth for class %d" % (vol_path, cid))
+                predicted = set(np.nonzero(scores[cid] > 0)[0].tolist())
+                per_class[cid].append(_f1(predicted, truth))
+        for cid, values in per_class.items():
+            report.f1[cid] = float(np.mean(values))
+    return report
+
+
 def evaluate_synthetic(bundle, manifest, cache=None):
     """Per-class, per-condition binary accuracy over labeled candidates."""
-    t0 = time.perf_counter()
     manifest.validate(candidate_count=bundle.config.candidates_n)
     cache = cache or VolumeFeatureCache(bundle.config)
-    descs = [cache.descriptors(r.volume, r.cand_index) for r in manifest.records]
-    x, y = bow_features(descs, bundle.cb_static, bundle.cb_spacetime)
+    x, y = _record_features(manifest, cache, bundle.cb_static, bundle.cb_spacetime)
     codes = compute_codes(x, y, bundle.embedding, bundle.config.view)
-    plane = np.array([r.plane_class for r in manifest.records])
-    cond = np.array([r.condition for r in manifest.records])
-    scores = _machine_scores(bundle.classifier, codes)
-    report = EvaluationReport()
-    for cid in bundle.classifier.class_ids:
-        pred_pos = scores[cid] > 0
-        true_pos = plane == cid
-        for condition in ("normal", "abnormal"):
-            sel = cond == condition
-            if sel.any():
-                report.accuracy[(cid, condition)] = float(
-                    np.mean(pred_pos[sel] == true_pos[sel]))
-    report.timings["evaluate_synthetic"] = time.perf_counter() - t0
-    return report
+    return _score(bundle.classifier, manifest, record_codes=codes)
 
 
 def evaluate_volumes(bundle, manifest, cache=None):
     """Retrieval F1 per class: positives among all candidates of each volume
     against the manifest's ground-truth candidate indices, averaged over
     volumes."""
-    t0 = time.perf_counter()
     manifest.validate(candidate_count=bundle.config.candidates_n)
     cache = cache or VolumeFeatureCache(bundle.config)
-    per_class = {cid: [] for cid in bundle.classifier.class_ids}
-    for vol_path in manifest.volumes:
-        vol = cache.volume(vol_path)
-        descs = cache.all_descriptors(vol_path)
-        _, codes = candidate_codes(vol, bundle, cache_descs=descs)
-        scores = _machine_scores(bundle.classifier, codes)
-        for cid in bundle.classifier.class_ids:
-            truth = set(manifest.ground_truth(vol_path, cid))
-            if not truth:
-                raise PipelineError(
-                    "volume %s lacks ground truth for class %d" % (vol_path, cid))
-            predicted = set(np.nonzero(scores[cid] > 0)[0].tolist())
-            per_class[cid].append(_f1(predicted, truth))
-    report = EvaluationReport()
-    for cid, values in per_class.items():
-        report.f1[cid] = float(np.mean(values))
-    report.timings["evaluate_volumes"] = time.perf_counter() - t0
-    return report
+    codes = {v: candidate_codes(cache.volume(v), bundle,
+                                cache_descs=cache.all_descriptors(v))
+             for v in manifest.volumes}
+    return _score(bundle.classifier, manifest, volume_codes=codes)
 
 
 def _f1(predicted, truth):
@@ -299,87 +313,39 @@ def _representations(td, cfg):
             return compute_codes(x, y, emb_sup, cfg.view)
         raise PipelineError("unknown method %r" % method)
 
-    return make, {"cca": emb_cca, "proposed": emb_sup}
+    return make
 
 
 BASELINE_METHODS = ("static", "spacetime", "concat", "cca", "proposed")
 
 
 def run_baselines(train_manifest, test_manifest, cfg, methods=BASELINE_METHODS,
-                  cache=None, with_volume_f1=True):
+                  cache=None):
     """Train and evaluate every method on identical features and SVM settings.
 
     Returns {method: EvaluationReport}.
     """
     cache = cache or VolumeFeatureCache(cfg)
     td = prepare_training_data(train_manifest, cfg, cache=cache)
-    make, embeddings = _representations(td, cfg)
+    make = _representations(td, cfg)
 
     test_manifest.validate(candidate_count=cfg.candidates_n)
-    test_descs = [cache.descriptors(r.volume, r.cand_index)
-                  for r in test_manifest.records]
-    tx, ty = bow_features(test_descs, td.cb_static, td.cb_spacetime)
-    test_plane = np.array([r.plane_class for r in test_manifest.records])
-    test_cond = np.array([r.condition for r in test_manifest.records])
-
-    vol_feats = {}
-    if with_volume_f1:
-        for vol_path in test_manifest.volumes:
-            descs = cache.all_descriptors(vol_path)
-            vol_feats[vol_path] = bow_features(descs, td.cb_static, td.cb_spacetime)
+    tx, ty = _record_features(test_manifest, cache, td.cb_static, td.cb_spacetime)
+    vol_feats = {v: bow_features(cache.all_descriptors(v), td.cb_static, td.cb_spacetime)
+                 for v in test_manifest.volumes}
 
     results = {}
     for method in methods:
         z_train = make(td.x, td.y, method)
-        t0 = time.perf_counter()
         scaler = (identity_scaler(z_train.shape[1])
                   if method in ("static", "spacetime", "concat")
                   else fit_scaler(z_train))
         clf = train_multiclass(z_train, td.plane_classes, c=cfg.svm_c,
                                kernel=cfg.kernel, scaler=scaler)
-        train_time = time.perf_counter() - t0
-        report = EvaluationReport()
-        report.timings["train"] = train_time
-
-        z_test = make(tx, ty, method)
-        t0 = time.perf_counter()
-        scores = _machine_scores(clf, z_test)
-        report.timings["test"] = time.perf_counter() - t0
-        for cid in clf.class_ids:
-            pred_pos = scores[cid] > 0
-            true_pos = test_plane == cid
-            for condition in ("normal", "abnormal"):
-                sel = test_cond == condition
-                if sel.any():
-                    report.accuracy[(cid, condition)] = float(
-                        np.mean(pred_pos[sel] == true_pos[sel]))
-        if with_volume_f1:
-            for cid in clf.class_ids:
-                f1s = []
-                for vol_path, (vx, vy) in vol_feats.items():
-                    vz = make(vx, vy, method)
-                    truth = set(test_manifest.ground_truth(vol_path, cid))
-                    pred = set(np.nonzero(
-                        decision_values(clf.machines[cid], vz) > 0)[0].tolist())
-                    f1s.append(_f1(pred, truth))
-                report.f1[cid] = float(np.mean(f1s))
-        results[method] = report
+        results[method] = _score(
+            clf, test_manifest, record_codes=make(tx, ty, method),
+            volume_codes={v: make(vx, vy, method) for v, (vx, vy) in vol_feats.items()})
     return results
-
-
-def benchmark(bundle, manifest, cfg=None, cache=None):
-    """Timing table mirroring the train/test comparison across the four
-    representations, measured on this manifest's precomputed features."""
-    cfg = cfg or bundle.config
-    cache = cache or VolumeFeatureCache(cfg)
-    results = run_baselines(manifest, manifest, cfg, cache=cache,
-                            methods=("static", "spacetime", "concat", "proposed"),
-                            with_volume_f1=False)
-    table = {}
-    for method, report in results.items():
-        table[(method, "train")] = report.timings["train"]
-        table[(method, "test")] = report.timings["test"]
-    return table
 
 
 def benchmark_representations(n_train=200, n_test=2000, d_static=5000,

@@ -75,6 +75,24 @@ def test_eval_synthetic_report(cli_workspace, tmp_path):
     assert len(lines) >= 3
 
 
+def test_eval_volume_report(cli_workspace, tmp_path):
+    report = str(tmp_path / "eval.tsv")
+    rc = main(["eval", "--bundle", cli_workspace["bundle"],
+               "--manifest", os.path.join(cli_workspace["data"], "test_manifest.tsv"),
+               "--mode", "volume", "--report-out", report])
+    assert rc == 0
+    lines = [l.split("\t") for l in open(report).read().strip().splitlines()]
+    assert lines[0] == ["class", "mean_f1"]
+    assert [row[0] for row in lines[1:]] == ["0", "1"]
+    assert all(0.0 <= float(row[1]) <= 1.0 for row in lines[1:])
+
+
+def test_bench_command_removed(capsys):
+    with pytest.raises(SystemExit):
+        main(["bench", "--bundle", "b", "--manifest", "m.tsv"])
+    assert "invalid choice" in capsys.readouterr().err
+
+
 def test_smooth_command(tmp_path):
     rng = np.random.default_rng(0)
     img = np.clip(0.5 + 0.2 * rng.normal(size=(40, 40)), 0, 1)

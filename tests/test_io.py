@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -218,3 +219,45 @@ def test_bundle_manifest_missing_key(tmp_path):
     _rewrite_manifest(out, lambda lines: [l for l in lines if not l.startswith("embed_c=")])
     with pytest.raises(BundleError, match="embed_c"):
         load_bundle(out)
+
+
+def test_bundle_manifest_non_numeric_value(tmp_path):
+    out = _saved_bundle(tmp_path)
+    _rewrite_manifest(out, lambda lines: [("embed_c=two" if l.startswith("embed_c=") else l)
+                                          for l in lines])
+    with pytest.raises(BundleError, match="embed_c") as info:
+        load_bundle(out)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("damage", ["missing", "corrupt"])
+def test_bundle_matrix_file_unreadable(tmp_path, damage):
+    out = _saved_bundle(tmp_path)
+    path = os.path.join(out, "embed_wx.mat")
+    if damage == "missing":
+        os.remove(path)
+    else:
+        with open(path, "r+b") as fh:
+            fh.write(b"GARBAGE!")
+    with pytest.raises(BundleError, match="embed_wx") as info:
+        load_bundle(out)
+    assert isinstance(info.value.__cause__, matio.MatIOError)
+
+
+def test_matrix_missing_file(tmp_path):
+    with pytest.raises(matio.MatIOError, match="cannot open"):
+        matio.read_matrix(str(tmp_path / "absent.mat"))
+
+
+def test_matrix_short_header(tmp_path):
+    (tmp_path / "s.mat").write_bytes(b"PFMAT001" + bytes(3))
+    with pytest.raises(matio.MatIOError, match="truncated header"):
+        matio.read_matrix(str(tmp_path / "s.mat"))
+
+
+def test_matrix_forged_shape_checked_before_reading(tmp_path):
+    # 2^20 x 2^20 doubles would be 8 TiB; the file holds one row
+    (tmp_path / "f.mat").write_bytes(b"PFMAT001" + struct.pack("<II", 1 << 20, 1 << 20)
+                                     + bytes(8))
+    with pytest.raises(matio.MatIOError, match="truncated"):
+        matio.read_matrix(str(tmp_path / "f.mat"))

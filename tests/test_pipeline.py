@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from planefinder import pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.config import PipelineConfig
@@ -12,8 +13,8 @@ from planefinder.pipeline import (PipelineError, VolumeFeatureCache,
                                   candidate_codes, compute_codes,
                                   dump_keypoint_overlays, evaluate_synthetic,
                                   evaluate_volumes, locate_standard_planes,
-                                  prepare_training_data, train_from_data,
-                                  train_pipeline, _f1)
+                                  prepare_training_data, run_baselines,
+                                  train_from_data, train_pipeline, _f1)
 from planefinder.synth import build_phantom_dataset
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
@@ -131,6 +132,18 @@ def test_evaluate_volumes_report(workspace):
         assert 0.0 <= v <= 1.0
 
 
+def test_baseline_proposed_scores_like_product_evaluation(workspace):
+    # the baseline comparison and product evaluation share one scoring path,
+    # so the proposed method reproduces the trained bundle's reports exactly
+    cache = workspace["cache"]
+    proposed = run_baselines(workspace["train"], workspace["test"], workspace["cfg"],
+                             methods=("proposed",), cache=cache)["proposed"]
+    bundle = workspace["bundle"]
+    assert proposed.accuracy == evaluate_synthetic(bundle, workspace["test"],
+                                                   cache=cache).accuracy
+    assert proposed.f1 == evaluate_volumes(bundle, workspace["test"], cache=cache).f1
+
+
 def test_f1_definition():
     assert _f1(set(), {1}) == 0.0
     assert _f1({1}, {1}) == 1.0
@@ -162,12 +175,17 @@ def test_bow_feature_shapes(workspace):
     assert np.all((np.abs(sums - 1.0) <= 1e-9) | (sums == 0.0))
 
 
-def test_candidate_codes_cover_all_candidates(workspace):
+def test_candidate_codes_cover_all_candidates(workspace, monkeypatch):
     vol_path = workspace["test"].volumes[1]
     cache = workspace["cache"]
-    cands, codes = candidate_codes(cache.volume(vol_path), workspace["bundle"],
-                                   cache_descs=cache.all_descriptors(vol_path))
-    assert len(cands) == 15
+    descs = cache.all_descriptors(vol_path)
+
+    def no_candidates(*args, **kwargs):
+        raise AssertionError("cached descriptors need no candidate generation")
+
+    monkeypatch.setattr(pipeline, "generate_candidates", no_candidates)
+    codes = candidate_codes(cache.volume(vol_path), workspace["bundle"], cache_descs=descs)
+    assert codes.shape[0] == 15
     assert codes.shape == (15, workspace["bundle"].embedding.c)
 
 
