@@ -9,7 +9,7 @@ import numpy as np
 from . import matio
 from .classifier import FeatureScaler, MulticlassModel, SvmModel
 from .codebook import Codebook
-from .config import PipelineConfig, config_text, load_config, save_config
+from .config import ConfigError, PipelineConfig, config_text, load_config, save_config
 from .embedding import EmbeddingModel
 
 
@@ -130,7 +130,10 @@ def load_bundle(path):
             raise BundleError("bundle matrix %s: %s" % (name, exc)) from exc
         return arr.ravel() if flat else arr
 
-    cfg = load_config(os.path.join(path, "config.txt"))
+    try:
+        cfg = load_config(os.path.join(path, "config.txt"))
+    except ConfigError as exc:
+        raise BundleError("bundle config: %s" % exc) from exc
     scaler = FeatureScaler(mins=mat("scaler_mins", flat=True),
                            maxs=mat("scaler_maxs", flat=True),
                            passthrough=bool(one("scaler_passthrough", int)))

@@ -72,15 +72,25 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     assign = np.full(data.shape[0], -1)
     for _ in range(max_iter):
         new_assign, min_d2 = _assign(data, centroids)
-        for j in range(k):
-            members = data[new_assign == j]
-            if members.shape[0] == 0:
-                far = int(np.argmax(min_d2))
-                centroids[j] = data[far]
-                new_assign[far] = j
-                min_d2[far] = 0.0
-            else:
-                centroids[j] = members.mean(axis=0)
+        counts = np.bincount(new_assign, minlength=k)
+        # each empty cluster, in ascending index, takes the current farthest
+        # point; a cluster that this leaves empty is re-seeded in turn. A
+        # re-seeded point is never taken again, so each cluster is re-seeded
+        # at most once and the loop ends.
+        empty = list(np.flatnonzero(counts == 0))
+        while empty:
+            j = empty.pop(0)
+            far = int(np.argmax(min_d2))
+            old = new_assign[far]
+            counts[old] -= 1
+            if counts[old] == 0:
+                empty.append(old)
+            new_assign[far] = j
+            counts[j] = 1
+            min_d2[far] = -np.inf
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, new_assign, data)
+        centroids = sums / counts[:, None]
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
@@ -89,17 +99,23 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
 
 def _kmeanspp_seed(data, k, rng):
     n = data.shape[0]
+    x2 = (data ** 2).sum(axis=1)
     centroids = np.empty((k, data.shape[1]))
-    centroids[0] = data[rng.integers(n)]
-    d2 = ((data - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            idx = int(rng.integers(n))
-        else:
-            idx = int(rng.choice(n, p=d2 / total))
+    d2 = np.full(n, np.inf)
+    idx = int(rng.integers(n))
+    for j in range(k):
+        if j:
+            total = d2.sum()
+            if total <= 0:
+                idx = int(rng.integers(n))
+            else:
+                idx = int(rng.choice(n, p=d2 / total))
         centroids[j] = data[idx]
-        d2 = np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1))
+        # squared distance to the new centroid by the expansion _assign uses
+        dj = x2 - 2.0 * (data @ centroids[j]) + x2[idx]
+        np.maximum(dj, 0.0, out=dj)
+        dj[idx] = 0.0
+        np.minimum(d2, dj, out=d2)
     return centroids
 
 

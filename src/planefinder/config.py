@@ -48,21 +48,27 @@ class PipelineConfig:
 
 
 def load_config(path, base=None):
-    """Parse a key=value config file; unknown keys are an error."""
+    """Parse a key=value config file; unknown keys are an error. A file that
+    cannot be read, is not UTF-8 or holds a bad value raises ConfigError."""
     cfg = base or PipelineConfig()
     known = {f.name: f.type for f in fields(PipelineConfig)}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     overrides = {}
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-            key, val = (s.strip() for s in line.split("=", 1))
-            if key not in known:
-                raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
-            current = getattr(cfg, key)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError("%s:%d: expected key=value" % (path, lineno))
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key not in known:
+            raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+        current = getattr(cfg, key)
+        try:
             if isinstance(current, bool):
                 overrides[key] = val.lower() in ("1", "true", "yes")
             elif isinstance(current, int):
@@ -71,6 +77,8 @@ def load_config(path, base=None):
                 overrides[key] = float(val)
             else:
                 overrides[key] = val
+        except ValueError as exc:
+            raise ConfigError("%s:%d: key %r: %s" % (path, lineno, key, exc)) from exc
     return replace(cfg, **overrides).validate()
 
 

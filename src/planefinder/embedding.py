@@ -63,23 +63,36 @@ def build_similarity_matrix(labels):
     return s
 
 
-def _inv_sqrt(c_mat, c, epsilon):
-    evals, evecs = np.linalg.eigh(c_mat)
-    rank = int(np.sum(evals > 1e-10 * max(evals.max(), 1e-300)))
-    if epsilon == 0.0 and rank < c:
-        raise EmbeddingError(
-            "covariance rank %d below c=%d with epsilon=0; supply epsilon > 0"
-            % (rank, c)
-        )
-    evals = np.maximum(evals, 1e-15 * max(evals.max(), 1e-300))
-    return (evecs / np.sqrt(evals)) @ evecs.T
+def _whitener(xc, c, epsilon):
+    """Thin SVD xc = U diag(s) V^T of one centered view, and the weights a
+    with (C + eps*I)^(-1/2) = V diag(a) V^T on span(V), C = xc^T xc / n.
+
+    V has min(n, d) columns, so no d x d matrix is formed when d > n.
+    Returns (U diag(s), a, V).
+    """
+    n = xc.shape[0]
+    u, sv, vt = np.linalg.svd(xc, full_matrices=False)
+    evals = sv ** 2 / n + epsilon
+    top = max(evals.max(), 1e-300)
+    if epsilon == 0.0:
+        rank = int(np.sum(evals > 1e-10 * top))
+        if rank < c:
+            raise EmbeddingError(
+                "covariance rank %d below c=%d with epsilon=0; supply epsilon > 0"
+                % (rank, c)
+            )
+    a = 1.0 / np.sqrt(np.maximum(evals, 1e-15 * top))
+    return u * sv, a, vt.T
 
 
 def fit_embedding(x, y, s, c, epsilon=None):
     """Closed-form solve of the supervised trace maximization.
 
     Centers both views, whitens with C + eps*I, and takes the top-c singular
-    directions of the whitened cross matrix X^T S Y / n.
+    directions of the whitened cross matrix X^T S Y / n. That matrix lies in
+    span(V_x) x span(V_y) of the two views' thin SVDs, so its SVD is taken
+    from the min(n, d_x) x min(n, d_y) matrix of its coordinates there (the
+    sample-space form of CCA when d > n; the primal form when n > d).
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -97,27 +110,20 @@ def fit_embedding(x, y, s, c, epsilon=None):
     yc = y - mean_y
 
     if epsilon is None:
-        cxx0 = xc.T @ xc / n
-        cyy0 = yc.T @ yc / n
-        epsilon = 1e-6 * 0.5 * (np.trace(cxx0) / d_x + np.trace(cyy0) / d_y)
+        # 1e-6 times the mean of trace(C)/d over the two views
+        epsilon = 1e-6 * 0.5 * ((xc ** 2).sum() / (n * d_x) + (yc ** 2).sum() / (n * d_y))
 
-    cxx = xc.T @ xc / n + epsilon * np.eye(d_x)
-    cyy = yc.T @ yc / n + epsilon * np.eye(d_y)
-    isx = _inv_sqrt(cxx, c, epsilon)
-    isy = _inv_sqrt(cyy, c, epsilon)
-
-    m = xc.T @ s @ yc / n
-    u, sv, vt = np.linalg.svd(isx @ m @ isy, full_matrices=False)
-    u = u[:, :c].copy()
-    v = vt[:c].T.copy()
+    usx, a_x, v_x = _whitener(xc, c, epsilon)
+    usy, a_y, v_y = _whitener(yc, c, epsilon)
+    u, _, vt = np.linalg.svd((usx * a_x).T @ s @ (usy * a_y) / n, full_matrices=False)
+    u = u[:, :c]
+    v = vt[:c].T
     # sign convention: largest-magnitude entry of each whitened basis column
-    # positive; the paired Y column flips with it
-    for j in range(c):
-        if u[np.argmax(np.abs(u[:, j])), j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    w_x = isx @ u
-    w_y = isy @ v
+    # V_x u positive; the paired Y column flips with it
+    basis = v_x @ u
+    sign = np.where(basis[np.argmax(np.abs(basis), axis=0), np.arange(c)] < 0, -1.0, 1.0)
+    w_x = v_x @ (a_x[:, None] * u * sign)
+    w_y = v_y @ (a_y[:, None] * v * sign)
     return EmbeddingModel(w_x=w_x, w_y=w_y, mean_x=mean_x, mean_y=mean_y,
                           c=c, epsilon=float(epsilon), train_n=n)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from planefinder import codebook
 from planefinder.codebook import (BoWHistogram, Codebook, CodebookError,
                                   kmeans_inertia, quantize, train_codebook)
 
@@ -52,6 +53,63 @@ def test_centroids_are_member_means():
         members = data[assign == j]
         assert members.shape[0] > 0
         assert np.abs(members.mean(axis=0) - cb.centroids[j]).max() <= 1e-9
+
+
+def _kmeanspp_direct(data, k, rng):
+    """k-means++ seeding with distances from explicit differences."""
+    n = data.shape[0]
+    centroids = np.empty((k, data.shape[1]))
+    centroids[0] = data[rng.integers(n)]
+    d2 = ((data - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centroids[j] = data[idx]
+        d2 = np.minimum(d2, ((data - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeanspp_seed_picks_rows_of_direct_formula(seed):
+    data = np.random.default_rng(20 + seed).random((600, 32))
+    got = codebook._kmeanspp_seed(data, 100, np.random.default_rng(seed))
+    want = _kmeanspp_direct(data, 100, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+def _seeded_with(monkeypatch, rows):
+    monkeypatch.setattr(codebook, "_kmeanspp_seed",
+                        lambda data, k, rng: np.array(rows, dtype=np.float64))
+
+
+def test_empty_cluster_takes_farthest_point(monkeypatch):
+    rng = np.random.default_rng(8)
+    data = rng.random((200, 4))
+    seeds = data[[0, 0, 1, 2, 3, 4, 5, 6]]  # cluster 1 starts empty
+    _seeded_with(monkeypatch, seeds)
+    far = int(cdist(data, seeds).min(axis=1).argmax())
+    once = train_codebook(data, k=8, max_iter=1)
+    assert np.array_equal(once.centroids[1], data[far])
+    cb = train_codebook(data, k=8)
+    assign = cdist(data, cb.centroids).argmin(axis=1)
+    for j in range(cb.k):
+        members = data[assign == j]
+        assert members.shape[0] > 0
+        assert np.abs(members.mean(axis=0) - cb.centroids[j]).max() <= 1e-9
+
+
+def test_reseed_that_empties_a_cluster_reseeds_it(monkeypatch):
+    # the farthest point is the only member of cluster 2; moving it into the
+    # empty cluster 1 empties cluster 2, which takes the next farthest point
+    data = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.3], [10.0, 10.0]])
+    _seeded_with(monkeypatch, [[0.0, 0.0], [0.0, 0.0], [6.0, 6.0]])
+    cb = train_codebook(data, k=3, max_iter=1)
+    assert np.array_equal(cb.centroids[1], data[3])
+    assert np.array_equal(cb.centroids[2], data[2])
+    assert np.allclose(cb.centroids[0], data[:2].mean(axis=0))
 
 
 def test_inertia_beats_random_codebooks():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import inv, sqrtm
+from scipy.linalg import inv, sqrtm, subspace_angles
 
 from planefinder.embedding import (EmbeddingError, SemanticLabels,
                                    build_similarity_matrix, embed, embed_fused,
@@ -113,6 +113,33 @@ def test_matches_independent_whitened_svd():
     assert t_fit == pytest.approx(n * sv[:c].sum(), rel=1e-9)
 
 
+@pytest.mark.parametrize("similarity, c", [("identity", 10), ("labels", 12)])
+def test_more_features_than_samples_matches_primal_oracle(similarity, c):
+    # d > n, as in training on real codebooks; the labels' S has rank 8 < c,
+    # so only the directions with non-zero singular values are determined
+    rng = np.random.default_rng(12)
+    n, d_x, d_y, eps = 30, 120, 40, 1e-3
+    x, y, s = random_problem(rng, n=n, d_x=d_x, d_y=d_y)
+    if similarity == "identity":
+        s = np.eye(n)
+    m = fit_embedding(x, y, s, c=c, epsilon=eps)
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
+    cxx = xc.T @ xc / n + eps * np.eye(d_x)
+    cyy = yc.T @ yc / n + eps * np.eye(d_y)
+    isx = np.real(sqrtm(inv(cxx)))
+    isy = np.real(sqrtm(inv(cyy)))
+    u, sv, vt = np.linalg.svd(isx @ (xc.T @ s @ yc / n) @ isy)
+    assert np.abs(m.w_x.T @ cxx @ m.w_x - np.eye(c)).max() <= 1e-8
+    assert np.abs(m.w_y.T @ cyy @ m.w_y - np.eye(c)).max() <= 1e-8
+    assert trace_objective(xc, yc, m.w_x, m.w_y, s) == pytest.approx(n * sv[:c].sum(),
+                                                                     rel=1e-9)
+    live = sv[:c] > 1e-9 * sv[0]
+    assert live.sum() == (c if similarity == "identity" else 7)
+    assert subspace_angles(m.w_x[:, live], (isx @ u[:, :c])[:, live]).max() <= 1e-6
+    assert subspace_angles(m.w_y[:, live], (isy @ vt[:c].T)[:, live]).max() <= 1e-6
+
+
 def test_trace_objective_is_maximal_over_random_feasible():
     rng = np.random.default_rng(5)
     x, y, s = random_problem(rng, n=25, d_x=6, d_y=5)
@@ -155,6 +182,14 @@ def test_rank_deficient_epsilon_zero_raises():
     s = build_similarity_matrix(labs)
     with pytest.raises(EmbeddingError, match="rank"):
         fit_embedding(x, y, s, c=5, epsilon=0.0)
+
+
+def test_more_features_than_samples_epsilon_zero_raises():
+    # centered, 30 samples span at most 29 directions of the 120 features
+    rng = np.random.default_rng(13)
+    x, y, s = random_problem(rng, n=30, d_x=120, d_y=40)
+    with pytest.raises(EmbeddingError, match="rank 29 below c=30"):
+        fit_embedding(x, y, s, c=30, epsilon=0.0)
 
 
 def test_epsilon_auto_value():

@@ -1,8 +1,12 @@
 import os
 import struct
+import tempfile
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planefinder import matio, pgm
 from planefinder.bundle import BundleError, ModelBundle, load_bundle, save_bundle
@@ -100,6 +104,49 @@ def test_config_partial_overrides_defaults(tmp_path):
     assert cfg.k_static == 10
     assert cfg.svm_c == 0.5
     assert cfg.k_spacetime == PipelineConfig().k_spacetime
+
+
+def test_config_non_numeric_value(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("k_static=ten\n")
+    with pytest.raises(ConfigError, match="k_static") as info:
+        load_config(str(path))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_config_missing_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read") as info:
+        load_config(str(tmp_path / "absent.txt"))
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+def test_config_not_utf8(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_bytes(b"kernel=\xff\xfe\n")
+    with pytest.raises(ConfigError, match="cannot read") as info:
+        load_config(str(path))
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
+
+
+_CONFIG_KEYS = [f.name for f in fields(PipelineConfig)] + ["bogus"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = ", ""]),
+                       st.text(max_size=12)), max_size=6).map(
+        lambda items: "\n".join(k + sep + v for k, sep, v in items).encode("utf-8"))))
+def test_config_any_bytes_value_or_config_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            cfg = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(cfg, PipelineConfig)
 
 
 def test_config_validate_rejects_bad_values():
@@ -228,6 +275,15 @@ def test_bundle_manifest_non_numeric_value(tmp_path):
     with pytest.raises(BundleError, match="embed_c") as info:
         load_bundle(out)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_bundle_config_unreadable(tmp_path):
+    out = _saved_bundle(tmp_path)
+    with open(os.path.join(out, "config.txt"), "a") as fh:
+        fh.write("k_static=ten\n")
+    with pytest.raises(BundleError, match="k_static") as info:
+        load_bundle(out)
+    assert isinstance(info.value.__cause__, ConfigError)
 
 
 @pytest.mark.parametrize("damage", ["missing", "corrupt"])
