@@ -9,7 +9,8 @@ import numpy as np
 from . import matio
 from .classifier import FeatureScaler, MulticlassModel, SvmModel
 from .codebook import Codebook
-from .config import ConfigError, PipelineConfig, config_text, load_config, save_config
+from .config import (ConfigError, PipelineConfig, config_text, load_config, read_lines,
+                     save_config)
 from .embedding import EmbeddingModel
 
 
@@ -108,12 +109,11 @@ def load_bundle(path):
     if not os.path.exists(mpath):
         raise BundleError("no bundle.manifest under %s" % path)
     meta = {}
-    with open(mpath, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            key, sep, val = line.rstrip("\n").partition("=")
-            if not sep:
-                raise BundleError("%s line %d: expected key=value" % (mpath, lineno))
-            meta.setdefault(key, []).append(val)
+    for lineno, line in enumerate(read_lines(mpath, BundleError, "bundle manifest"), 1):
+        key, sep, val = line.rstrip("\n").partition("=")
+        if not sep:
+            raise BundleError("%s line %d: expected key=value" % (mpath, lineno))
+        meta.setdefault(key, []).append(val)
 
     def one(key, parse=str):
         if key not in meta:
@@ -141,6 +141,9 @@ def load_bundle(path):
     machines = {}
     for cid in class_ids:
         weights = one("svm_%d_weights" % cid, _csv(float))
+        if len(weights) != 2:
+            raise BundleError("%s key 'svm_%d_weights': expected two class weights"
+                              % (mpath, cid))
         machines[cid] = SvmModel(
             support_vectors=mat("svm_%d_sv" % cid),
             dual_coefs=mat("svm_%d_coef" % cid, flat=True),

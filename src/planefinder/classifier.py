@@ -7,6 +7,8 @@ import numpy as np
 
 KKT_TOL = 1e-4
 ALPHA_KEEP = 1e-12
+# bytes of n x m x d temporaries one hik_matrix block may allocate
+HIK_BLOCK_BYTES = 32 << 20
 
 
 class ClassifierError(Exception):
@@ -24,13 +26,15 @@ def hik(a, b):
     return float(np.minimum(a, b).sum())
 
 
-def hik_matrix(a, b, chunk=256):
-    """HIK Gram block between row sets a (n x d) and b (m x d)."""
+def hik_matrix(a, b):
+    """HIK Gram block between row sets a (n x d) and b (m x d), in blocks of
+    rows of a whose temporaries stay within HIK_BLOCK_BYTES."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise ClassifierError("HIK requires nonnegative inputs")
     out = np.empty((a.shape[0], b.shape[0]))
+    chunk = max(1, HIK_BLOCK_BYTES // max(1, 8 * b.size))
     for lo in range(0, a.shape[0], chunk):
         block = a[lo:lo + chunk]
         out[lo:lo + chunk] = np.minimum(block[:, None, :], b[None, :, :]).sum(axis=2)
@@ -95,12 +99,13 @@ class MulticlassModel:
 
 
 def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
-    """Maximal-violating-pair SMO for the dual soft-margin problem."""
+    """Maximal-violating-pair SMO for the dual soft-margin problem; raises
+    ClassifierError if the KKT gap is still above tol after max_iter steps."""
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - e'a with Q = yy' * K
     q_diag = np.diag(gram) * 1.0
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):
         ygrad = -y * grad
         up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
         low = ((y < 0) & (alpha < box)) | ((y > 0) & (alpha > 0))
@@ -108,8 +113,12 @@ def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
             break
         i = int(np.argmax(np.where(up, ygrad, -np.inf)))
         j = int(np.argmin(np.where(low, ygrad, np.inf)))
-        if ygrad[i] - ygrad[j] <= tol:
+        gap = ygrad[i] - ygrad[j]
+        if gap <= tol:
             break
+        if it == max_iter:
+            raise ClassifierError("SMO reached its cap of %d iterations with KKT gap "
+                                  "%.3g > tol %.3g" % (max_iter, gap, tol))
         qi = y[i] * y * gram[i]
         qj = y[j] * y * gram[j]
         quad = max(q_diag[i] + q_diag[j] - 2.0 * gram[i, j], 1e-12)

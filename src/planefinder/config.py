@@ -47,18 +47,23 @@ class PipelineConfig:
         return self
 
 
+def read_lines(path, error, what):
+    """Lines of a UTF-8 text file, for every text loader: a file that cannot
+    be read or is not UTF-8 raises `error`, chained from the cause."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error("cannot read %s %s: %s" % (what, path, exc)) from exc
+
+
 def load_config(path, base=None):
     """Parse a key=value config file; unknown keys are an error. A file that
     cannot be read, is not UTF-8 or holds a bad value raises ConfigError."""
     cfg = base or PipelineConfig()
     known = {f.name: f.type for f in fields(PipelineConfig)}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc)) from exc
     overrides = {}
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_lines(path, ConfigError, "config"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

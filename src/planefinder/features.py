@@ -167,20 +167,6 @@ def describe_static(image, keypoints):
     return out
 
 
-def _bilinear(field, x, y):
-    ny, nx = field.shape
-    x0 = np.clip(np.floor(x).astype(int), 0, nx - 2)
-    y0 = np.clip(np.floor(y).astype(int), 0, ny - 2)
-    fx = np.clip(x - x0, 0.0, 1.0)
-    fy = np.clip(y - y0, 0.0, 1.0)
-    v00 = field[y0, x0]
-    v01 = field[y0, x0 + 1]
-    v10 = field[y0 + 1, x0]
-    v11 = field[y0 + 1, x0 + 1]
-    return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
-            + v10 * (1 - fx) * fy + v11 * fx * fy)
-
-
 def _static_descriptor(img, gx, gy, kp, n_samples=16):
     ny, nx = img.shape
     half_width = 8.0 * kp.scale
@@ -194,8 +180,8 @@ def _static_descriptor(img, gx, gy, kp, n_samples=16):
     inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
     if not inside.any():
         raise FeatureError("keypoint patch fully outside image")
-    vx = np.where(inside, _bilinear(gx, np.clip(px, 0, nx - 1), np.clip(py, 0, ny - 1)), 0.0)
-    vy = np.where(inside, _bilinear(gy, np.clip(px, 0, nx - 1), np.clip(py, 0, ny - 1)), 0.0)
+    vx = np.where(inside, ndimage.map_coordinates(gx, (py, px), order=1, mode="nearest"), 0.0)
+    vy = np.where(inside, ndimage.map_coordinates(gy, (py, px), order=1, mode="nearest"), 0.0)
     mag = np.hypot(vx, vy)
     if float((mag ** 2).sum()) < DEGENERATE_ENERGY:
         return Descriptor(values=np.zeros(STATIC_DESCRIPTOR_DIM), degenerate=True)

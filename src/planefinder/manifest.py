@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import read_lines
 from .embedding import SemanticLabels
 
 
@@ -59,7 +60,8 @@ class DatasetManifest:
         for r in self.records:
             if not os.path.exists(r.volume):
                 raise ManifestError("missing volume file %s" % r.volume)
-            if candidate_count is not None and r.cand_index >= candidate_count:
+            if r.cand_index < 0 or (candidate_count is not None
+                                    and r.cand_index >= candidate_count):
                 raise ManifestError(
                     "candidate index %d out of range for %s" % (r.cand_index, r.volume)
                 )
@@ -85,25 +87,25 @@ def write_manifest(manifest, path):
 
 
 def read_manifest(path):
-    if not os.path.exists(path):
-        raise ManifestError("no such manifest: %s" % path)
     base = os.path.dirname(os.path.abspath(path))
     records = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ManifestError("%s:%d: expected 5 tab-separated fields" % (path, lineno))
-            vol = parts[0]
-            if not os.path.isabs(vol):
-                vol = os.path.join(base, vol)
+    for lineno, line in enumerate(read_lines(path, ManifestError, "manifest"), 1):
+        line = line.rstrip("\n")
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 5:
+            raise ManifestError("%s:%d: expected 5 tab-separated fields" % (path, lineno))
+        vol = parts[0]
+        if not os.path.isabs(vol):
+            vol = os.path.join(base, vol)
+        try:
             records.append(ManifestRecord(
                 volume=vol,
                 cand_index=int(parts[1]),
                 plane_onehot=tuple(int(v) for v in parts[2].split(",")),
                 diag_onehot=tuple(int(v) for v in parts[3].split(",")),
                 condition=parts[4]))
+        except ValueError as exc:
+            raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from exc
     return DatasetManifest(records=tuple(records))

@@ -8,8 +8,11 @@ class PgmError(Exception):
 
 
 def read_pgm(path):
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise PgmError("cannot read PGM %s: %s" % (path, exc)) from exc
     tokens = []
     i = 0
     while len(tokens) < 4 and i < len(data):
@@ -27,7 +30,12 @@ def read_pgm(path):
         i = j
     if len(tokens) < 4 or tokens[0] != b"P5":
         raise PgmError("not a binary P5 PGM: %s" % path)
-    width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    try:
+        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    except ValueError as exc:
+        raise PgmError("bad PGM header in %s: %s" % (path, exc)) from exc
+    if width < 1 or height < 1:
+        raise PgmError("PGM dimensions must be positive in %s" % path)
     if maxval != 255:
         raise PgmError("only 8-bit PGM supported")
     pixels = np.frombuffer(data[i + 1:i + 1 + width * height], dtype=np.uint8)

@@ -114,7 +114,8 @@ def synth_phantom(spec):
     Returns (Volume4D, {class_id: PlaneParams}) with the exact ground-truth
     plane of each class's pattern. Identical spec + seed reproduce the volume
     bit-exactly; the abnormal flag only alters the perturbed primitive's
-    neighborhood.
+    neighborhood. Each mark is a fixed field scaled per frame by its class's
+    pulse.
     """
     rng = np.random.default_rng(spec.seed)
     gt = dict(spec.gt_planes) if spec.gt_planes else _default_gt_planes(spec, rng)
@@ -126,17 +127,17 @@ def synth_phantom(spec):
         plane = gt[k]
         phase = rng.uniform(0.0, 2.0 * math.pi)
         jitter = rng.uniform(-0.25, 0.25, size=2)
-        shift = _class_shift(k)
         # one slow pulse cycle per sequence: faster cycles are averaged out by
         # the space-time detector's temporal scales and leave no interest
-        # points; class identity is carried by mark shape, not pulse rate
-        freq = 1
+        # points; class identity is carried by mark shape, not pulse rate.
+        # math.sin, not np.sin, whose last ulp can differ
+        pulse = np.array([0.7 + 0.3 * math.sin(2.0 * math.pi * t / t_count + phase)
+                          for t in range(t_count)])[:, None, None, None]
+        box, pu, pv, pn = _pattern_coords(vox.shape[1:], plane, _class_shift(k), jitter)
         for b, primitive in enumerate(PATTERN_TEMPLATES[k]):
             if spec.abnormal and b == 0:
                 primitive = _perturb(primitive, k)
-            for t in range(t_count):
-                pulse = 0.7 + 0.3 * math.sin(2.0 * math.pi * freq * t / t_count + phase)
-                _add_primitive(vox[t], plane, primitive, jitter, pulse, shift)
+            vox[(slice(None),) + box] += pulse * _primitive_field(primitive, pu, pv, pn)
 
     if spec.noise_sigma > 0:
         vox += rng.normal(0.0, spec.noise_sigma, size=vox.shape)
@@ -144,9 +145,10 @@ def synth_phantom(spec):
     return Volume4D(voxels=vox, spacing=(1.0, 1.0, 1.0)), gt
 
 
-def _pattern_region(grid, plane, shift):
-    """Axis-aligned bounding box (with coordinate grids) around the pattern."""
-    nz, ny, nx = grid.shape
+def _pattern_coords(shape, plane, shift, jitter):
+    """Axis-aligned bounding box around the pattern, and the in-plane (pu, pv)
+    and out-of-plane (pn) coordinates of its voxels."""
+    nz, ny, nx = shape
     c = (np.asarray(plane.center) + shift[0] * np.asarray(plane.axis_u)
          + shift[1] * np.asarray(plane.axis_v))
     r = PATTERN_EXTENT + 4.0 * NORMAL_SIGMA
@@ -156,33 +158,27 @@ def _pattern_region(grid, plane, shift):
     zz, yy, xx = np.meshgrid(np.arange(z0, z1), np.arange(y0, y1), np.arange(x0, x1),
                              indexing="ij")
     rel = np.stack([xx - c[0], yy - c[1], zz - c[2]], axis=-1)
-    return (slice(z0, z1), slice(y0, y1), slice(x0, x1)), rel
+    box = (slice(z0, z1), slice(y0, y1), slice(x0, x1))
+    return (box, rel @ np.asarray(plane.axis_u) - jitter[0],
+            rel @ np.asarray(plane.axis_v) - jitter[1], rel @ plane.normal)
 
 
-def _add_primitive(grid, plane, primitive, jitter, pulse, shift=(0.0, 0.0)):
-    region, rel = _pattern_region(grid, plane, shift)
-    u = np.asarray(plane.axis_u)
-    v = np.asarray(plane.axis_v)
-    n = plane.normal
-    pu = rel @ u - jitter[0]
-    pv = rel @ v - jitter[1]
-    pn = rel @ n
+def _primitive_field(primitive, pu, pv, pn):
+    """One mark's intensity at the given plane coordinates."""
     kind = primitive[0]
     if kind == "blob":
         _, du, dv, sigma, amp = primitive
-        val = amp * np.exp(-(((pu - du) ** 2 + (pv - dv) ** 2) / (2 * sigma ** 2)
-                             + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    elif kind == "bar":
+        return amp * np.exp(-(((pu - du) ** 2 + (pv - dv) ** 2) / (2 * sigma ** 2)
+                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
+    if kind == "bar":
         _, du, dv, ls, ts, ang, amp = primitive
         a = (pu - du) * math.cos(ang) + (pv - dv) * math.sin(ang)
         b = -(pu - du) * math.sin(ang) + (pv - dv) * math.cos(ang)
-        val = amp * np.exp(-(a ** 2 / (2 * ls ** 2) + b ** 2 / (2 * ts ** 2)
-                             + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    elif kind == "ring":
+        return amp * np.exp(-(a ** 2 / (2 * ls ** 2) + b ** 2 / (2 * ts ** 2)
+                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
+    if kind == "ring":
         _, radius, rs, amp, du, dv = primitive
         r = np.sqrt((pu - du) ** 2 + (pv - dv) ** 2)
-        val = amp * np.exp(-((r - radius) ** 2 / (2 * rs ** 2)
-                             + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    else:
-        raise VolumeError("unknown primitive %r" % kind)
-    grid[region] += pulse * val
+        return amp * np.exp(-((r - radius) ** 2 / (2 * rs ** 2)
+                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
+    raise VolumeError("unknown primitive %r" % kind)

@@ -15,7 +15,7 @@ GT_ANGLE_GUARD = math.radians(10.0)
 GT_OFFSET_GUARD = 5.0
 
 
-def _reference_candidates(dims, n_frames, cfg):
+def _reference_candidates(dims, cfg):
     probe = Volume4D(voxels=np.zeros((1,) + tuple(reversed(dims))))
     return candidate_planes(probe, cfg)
 
@@ -61,7 +61,7 @@ def build_phantom_dataset(out_dir, n_volumes, seed, cfg, class_count=3,
     Returns (train_manifest_path, test_manifest_path).
     """
     os.makedirs(out_dir, exist_ok=True)
-    cands = _reference_candidates(dims, n_frames, cfg)
+    cands = _reference_candidates(dims, cfg)
     n_plane = class_count + 1
     train_records = []
     test_records = []

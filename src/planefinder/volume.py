@@ -2,9 +2,12 @@
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
+
+from .config import read_lines
 
 DTYPE_CODES = {"u8": np.uint8, "f32": np.float32}
 
@@ -113,15 +116,14 @@ class PlaneSequence:
 
 def _parse_header(path):
     fields = {}
-    with open(path, "r") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise VolumeError("malformed header line %r in %s" % (line, path))
-            key, val = line.split("=", 1)
-            fields[key.strip()] = val.strip()
+    for line in read_lines(path, VolumeError, "volume header"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise VolumeError("malformed header line %r in %s" % (line, path))
+        key, val = line.split("=", 1)
+        fields[key.strip()] = val.strip()
     for key in ("dims", "spacing", "frames", "dtype", "data"):
         if key not in fields:
             raise VolumeError("header %s missing field %r" % (path, key))
@@ -130,18 +132,22 @@ def _parse_header(path):
 
 def load_volume(path):
     """Load a `.vol4` header + raw data pair, rescaling intensities to [0,1]."""
-    if not os.path.exists(path):
-        raise VolumeError("no such volume header: %s" % path)
     fields = _parse_header(path)
-    nx, ny, nz = (int(s) for s in fields["dims"].split())
-    spacing = tuple(float(s) for s in fields["spacing"].split())
-    t = int(fields["frames"])
+    try:
+        nx, ny, nz = (int(s) for s in fields["dims"].split())
+        spacing = tuple(float(s) for s in fields["spacing"].split())
+        t = int(fields["frames"])
+    except ValueError as exc:
+        raise VolumeError("bad header value in %s: %s" % (path, exc)) from exc
+    if min(nx, ny, nz, t) < 1 or len(spacing) != 3:
+        raise VolumeError("header %s: dims and frames must be positive and spacing "
+                          "three numbers" % path)
     dtype_code = fields["dtype"]
     if dtype_code not in DTYPE_CODES:
         raise VolumeError("unsupported dtype %r" % dtype_code)
     dtype = DTYPE_CODES[dtype_code]
     raw_path = os.path.join(os.path.dirname(os.path.abspath(path)), fields["data"])
-    if not os.path.exists(raw_path):
+    if not os.path.isfile(raw_path):
         raise VolumeError("missing raw data file: %s" % raw_path)
     expected = t * nz * ny * nx * np.dtype(dtype).itemsize
     actual = os.path.getsize(raw_path)
@@ -182,58 +188,40 @@ def save_volume(vol, path, dtype="u8"):
         raise VolumeError("cannot write volume %s: %s" % (path, exc)) from exc
 
 
+def _plane_coords(params):
+    """(3, height, width) voxel coordinates (z, y, x) of the plane's pixel grid."""
+    o, u, v = (np.asarray(a)[::-1, None, None]
+               for a in (params.origin, params.axis_u, params.axis_v))
+    cols = np.arange(params.width) * params.pixel_step
+    rows = np.arange(params.height)[:, None] * params.pixel_step
+    return o + cols * u + rows * v
+
+
 def sample_plane(vol, params, frame):
     """Resample one frame on the plane's pixel grid by trilinear interpolation.
 
-    Coordinates outside the voxel grid contribute zero.
+    Coordinates outside the voxel grid contribute zero: "grid-constant" pads
+    the volume with cval and interpolates toward it.
     """
     if frame < 0 or frame >= vol.n_frames:
         raise VolumeError("frame %d out of range [0, %d)" % (frame, vol.n_frames))
-    o = np.asarray(params.origin)
-    u = np.asarray(params.axis_u)
-    v = np.asarray(params.axis_v)
-    cols = np.arange(params.width) * params.pixel_step
-    rows = np.arange(params.height) * params.pixel_step
-    pts = (o[None, None, :]
-           + cols[None, :, None] * u[None, None, :]
-           + rows[:, None, None] * v[None, None, :])
-    return _trilinear(vol.voxels[frame], pts[..., 0], pts[..., 1], pts[..., 2])
-
-
-def _trilinear(grid, x, y, z):
-    """Zero-padded trilinear interpolation of grid[z, y, x] at real coordinates."""
-    nz, ny, nx = grid.shape
-    x0 = np.floor(x).astype(np.int64)
-    y0 = np.floor(y).astype(np.int64)
-    z0 = np.floor(z).astype(np.int64)
-    fx = x - x0
-    fy = y - y0
-    fz = z - z0
-    out = np.zeros(x.shape, dtype=np.float64)
-    for dz in (0, 1):
-        wz = np.where(dz == 1, fz, 1.0 - fz)
-        zi = z0 + dz
-        for dy in (0, 1):
-            wy = np.where(dy == 1, fy, 1.0 - fy)
-            yi = y0 + dy
-            for dx in (0, 1):
-                wx = np.where(dx == 1, fx, 1.0 - fx)
-                xi = x0 + dx
-                inside = ((xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
-                          & (zi >= 0) & (zi < nz))
-                val = np.zeros(x.shape, dtype=np.float64)
-                val[inside] = grid[zi[inside], yi[inside], xi[inside]]
-                out += wx * wy * wz * val
-    return out
+    return ndimage.map_coordinates(vol.voxels[frame], _plane_coords(params), order=1,
+                                   mode="grid-constant", cval=0.0)
 
 
 def extract_plane_sequence(vol, params):
-    """Resample every frame of the volume on one plane."""
-    frames = np.stack([sample_plane(vol, params, t) for t in range(vol.n_frames)])
+    """Resample every frame of the volume on one plane, as sample_plane does.
+
+    Each frame is its own 3-D interpolation: one 4-D call would interpolate
+    in t as well (16 taps, not 8) and measured slower.
+    """
+    coords = _plane_coords(params)
+    frames = np.stack([ndimage.map_coordinates(grid, coords, order=1, mode="grid-constant",
+                                               cval=0.0) for grid in vol.voxels])
     return PlaneSequence(params=params, frames=frames)
 
 
-def _orthobasis(normal, rng=None, roll=0.0):
+def _orthobasis(normal, roll=0.0):
     """Deterministic in-plane basis for a normal, optionally rolled."""
     n = np.asarray(normal, dtype=np.float64)
     n = n / np.linalg.norm(n)
@@ -279,10 +267,7 @@ def generate_candidates(vol, n, seed, width=128, height=128, pixel_step=1.0):
     rot = _random_rotation(rng)
     rolls = rng.uniform(0.0, 2.0 * math.pi, size=n_orient)
 
-    if OFFSETS_PER_ORIENTATION == 1:
-        offsets = np.array([0.0])
-    else:
-        offsets = np.linspace(-half, half, OFFSETS_PER_ORIENTATION)
+    offsets = np.linspace(-half, half, OFFSETS_PER_ORIENTATION)
 
     planes = []
     for i in range(n_orient):
@@ -290,13 +275,9 @@ def generate_candidates(vol, n, seed, width=128, height=128, pixel_step=1.0):
         r = math.sqrt(max(0.0, 1.0 - zc * zc))
         theta = GOLDEN_ANGLE * i
         normal = rot @ np.array([r * math.cos(theta), r * math.sin(theta), zc])
-        u, v = _orthobasis(normal, roll=rolls[i])
         for off in offsets:
-            c = center + off * normal
-            origin = c - 0.5 * pixel_step * ((width - 1) * u + (height - 1) * v)
-            planes.append(PlaneParams(origin=tuple(origin), axis_u=tuple(u),
-                                      axis_v=tuple(v), width=width, height=height,
-                                      pixel_step=pixel_step))
+            planes.append(plane_from_center(center + off * normal, normal, width, height,
+                                            pixel_step, roll=rolls[i]))
             if len(planes) == n:
                 return planes
     return planes

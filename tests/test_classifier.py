@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from planefinder import classifier
 from planefinder.classifier import (ClassifierError, FeatureScaler, MulticlassModel,
                                     SvmModel, apply_scaler, classify,
                                     decision_value, decision_values, dual_objective,
                                     fit_scaler, hik, hik_matrix, identity_scaler,
-                                    kernel_matrix, predict, train_multiclass,
+                                    _smo, kernel_matrix, predict, train_multiclass,
                                     train_svm)
 
 
@@ -235,3 +236,26 @@ def test_multiclass_needs_two_classes():
     with pytest.raises(ClassifierError):
         train_multiclass(np.random.default_rng(0).random((6, 2)),
                          np.array([0, 0, 0, -1, -1, -1]))
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 7 * 5 * 3 + 1])
+def test_hik_matrix_blocks_do_not_change_values(monkeypatch, budget):
+    # one row per block, then three rows per block, against one block for all
+    rng = np.random.default_rng(13)
+    a = rng.random((10, 5))
+    b = rng.random((7, 5))
+    whole = hik_matrix(a, b)
+    monkeypatch.setattr(classifier, "HIK_BLOCK_BYTES", budget)
+    assert np.array_equal(hik_matrix(a, b), whole)
+
+
+def test_smo_iteration_cap_raises():
+    rng = np.random.default_rng(14)
+    z = rng.random((20, 3))
+    y = np.where(z[:, 0] > 0.5, 1.0, -1.0)
+    gram = kernel_matrix(z, z, "hik")
+    box = np.ones(20)
+    alpha, _ = _smo(gram, y, box)
+    assert np.count_nonzero(alpha) > 2  # one step moves only two alphas
+    with pytest.raises(ClassifierError, match=r"cap of 1 iterations with KKT gap \S+ > tol"):
+        _smo(gram, y, box, max_iter=1)

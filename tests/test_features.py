@@ -201,3 +201,60 @@ def test_spacetime_temporal_gradient_hits_top_elevation():
     hist = d.values.reshape(8, 24)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert all(b >= 2 * 8 for b in nz)
+
+
+def _reference_bilinear(field, x, y):
+    """The hand-written bilinear sampler static descriptors used to call."""
+    ny, nx = field.shape
+    x0 = np.clip(np.floor(x).astype(int), 0, nx - 2)
+    y0 = np.clip(np.floor(y).astype(int), 0, ny - 2)
+    fx = np.clip(x - x0, 0.0, 1.0)
+    fy = np.clip(y - y0, 0.0, 1.0)
+    v00 = field[y0, x0]
+    v01 = field[y0, x0 + 1]
+    v10 = field[y0 + 1, x0]
+    v11 = field[y0 + 1, x0 + 1]
+    return (v00 * (1 - fx) * (1 - fy) + v01 * fx * (1 - fy)
+            + v10 * (1 - fx) * fy + v11 * fx * fy)
+
+
+def _reference_static_descriptor(img, kp, n_samples=16):
+    """describe_static's descriptor for one keypoint, sampling the gradients
+    with _reference_bilinear at clipped coordinates."""
+    gy, gx = np.gradient(img)
+    ny, nx = img.shape
+    half_width = 8.0 * kp.scale
+    lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * kp.scale
+    su, sv = np.meshgrid(lin, lin)
+    px = kp.x + su * math.cos(kp.orientation) - sv * math.sin(kp.orientation)
+    py = kp.y + su * math.sin(kp.orientation) + sv * math.cos(kp.orientation)
+    inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
+    cx, cy = np.clip(px, 0, nx - 1), np.clip(py, 0, ny - 1)
+    vx = np.where(inside, _reference_bilinear(gx, cx, cy), 0.0)
+    vy = np.where(inside, _reference_bilinear(gy, cx, cy), 0.0)
+    mag = np.hypot(vx, vy)
+    ang = np.mod(np.arctan2(vy, vx) - kp.orientation, 2.0 * math.pi)
+    obin = np.minimum((ang / (2.0 * math.pi) * 8).astype(int), 7)
+    cell_r = np.minimum(np.arange(n_samples) * 4 // n_samples, 3)
+    cell = cell_r[:, None] * 4 + cell_r[None, :]
+    weight = mag * np.exp(-(su ** 2 + sv ** 2) / (2.0 * half_width ** 2))
+    hist = np.zeros((16, 8))
+    np.add.at(hist, (cell.ravel(), obin.ravel()), weight.ravel())
+    vec = hist.ravel() / np.linalg.norm(hist)
+    vec = np.minimum(vec, 0.2)
+    return vec / np.linalg.norm(vec)
+
+
+def test_static_descriptor_matches_bilinear_reference():
+    rng = np.random.default_rng(11)
+    img = blob_image([(20, 30), (45, 12), (50, 50)]) + 0.05 * rng.random((64, 64))
+    # orientation 0 at scale 1 puts samples on half-integer offsets, so the
+    # first two patches have rows and columns at exactly 0 and at exactly 63
+    kps = [KeyPoint2D(x=7.5, y=7.5, scale=1.0, orientation=0.0),
+           KeyPoint2D(x=55.5, y=55.5, scale=1.0, orientation=0.0)]
+    kps += [KeyPoint2D(x=x, y=y, scale=s, orientation=o)
+            for x, y, s, o in zip(rng.uniform(0, 63, 12), rng.uniform(0, 63, 12),
+                                  rng.uniform(1.0, 4.0, 12), rng.uniform(0, 2 * math.pi, 12))]
+    for kp, d in zip(kps, describe_static(img, kps)):
+        assert not d.degenerate
+        assert np.abs(d.values - _reference_static_descriptor(img, kp)).max() <= 1e-15

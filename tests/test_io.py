@@ -1,4 +1,5 @@
 import os
+import pathlib
 import struct
 import tempfile
 from dataclasses import fields
@@ -16,6 +17,7 @@ from planefinder.config import ConfigError, PipelineConfig, load_config, save_co
 from planefinder.embedding import EmbeddingModel
 from planefinder.manifest import (DatasetManifest, ManifestError, ManifestRecord,
                                   read_manifest, write_manifest)
+from planefinder.volume import Volume4D, VolumeError, load_volume
 
 
 def test_matrix_roundtrip_2d(tmp_path):
@@ -81,6 +83,26 @@ def test_pgm_comment_and_errors(tmp_path):
     (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n")
     with pytest.raises(pgm.PgmError):
         pgm.read_pgm(str(tmp_path / "bad.pgm"))
+
+
+def test_pgm_missing_file(tmp_path):
+    with pytest.raises(pgm.PgmError, match="cannot read") as info:
+        pgm.read_pgm(str(tmp_path / "absent.pgm"))
+    assert isinstance(info.value.__cause__, FileNotFoundError)
+
+
+def test_pgm_non_integer_header(tmp_path):
+    (tmp_path / "x.pgm").write_bytes(b"P5\nx 4\n255")
+    with pytest.raises(pgm.PgmError, match="bad PGM header") as info:
+        pgm.read_pgm(str(tmp_path / "x.pgm"))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_pgm_negative_dimensions(tmp_path):
+    # -2 x -2 asks for 4 pixels, which the payload holds
+    (tmp_path / "n.pgm").write_bytes(b"P5\n-2 -2\n255\n" + bytes(4))
+    with pytest.raises(pgm.PgmError, match="positive"):
+        pgm.read_pgm(str(tmp_path / "n.pgm"))
 
 
 def test_config_roundtrip(tmp_path):
@@ -210,6 +232,16 @@ def test_manifest_validate_errors(tmp_path):
         DatasetManifest(records=missing).validate()
 
 
+def test_manifest_negative_index_out_of_range(tmp_path):
+    # a negative index would pick a candidate from the end of the list
+    vol = tmp_path / "v.vol4"
+    vol.write_text("")
+    recs = (ManifestRecord(volume=str(vol), cand_index=-1, plane_onehot=(1, 0),
+                           diag_onehot=(0, 1), condition="normal"),)
+    with pytest.raises(ManifestError, match="out of range"):
+        DatasetManifest(records=recs).validate(candidate_count=3)
+
+
 def test_manifest_ground_truth_lookup(tmp_path):
     m = DatasetManifest(records=_records("v"))
     assert m.ground_truth("v", 0) == [0]
@@ -222,6 +254,22 @@ def test_manifest_malformed_line(tmp_path):
     path.write_text("only\tthree\tfields\n")
     with pytest.raises(ManifestError, match="5 tab-separated"):
         read_manifest(str(path))
+
+
+def test_manifest_non_integer_field(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text("a.vol4\tx\t1,0\t0,1\tnormal\n")
+    with pytest.raises(ManifestError, match=":1:") as info:
+        read_manifest(str(path))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_manifest_not_utf8(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_bytes(b"a.vol4\t0\t1,0\t0,1\t\xff\xfe\n")
+    with pytest.raises(ManifestError, match="cannot read") as info:
+        read_manifest(str(path))
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 def _saved_bundle(tmp_path):
@@ -317,3 +365,118 @@ def test_matrix_forged_shape_checked_before_reading(tmp_path):
                                      + bytes(8))
     with pytest.raises(matio.MatIOError, match="truncated"):
         matio.read_matrix(str(tmp_path / "f.mat"))
+
+
+# Property tests: any bytes a loader is given yield its value or its module's
+# own error. Each mixes raw bytes with near-valid input, which reaches the
+# checks after the first line.
+
+def _write(directory, name, data):
+    path = os.path.join(directory, name)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+_FIELD = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1,0", "0,1", "normal", ""]),
+                   st.text(max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.lists(_FIELD, min_size=4, max_size=6), max_size=4).map(
+        lambda rows: "\n".join("\t".join(r) for r in rows).encode("utf-8"))))
+def test_manifest_any_bytes_value_or_manifest_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            manifest = read_manifest(_write(tmp, "m.tsv", data))
+        except ManifestError:
+            return
+    assert isinstance(manifest, DatasetManifest)
+
+
+_VOL4_LINES = st.lists(st.tuples(
+    st.sampled_from(["dims", "spacing", "frames", "dtype", "data", "bogus"]),
+    st.one_of(st.sampled_from(["2 2 2", "-2 -2 2", "2 2", "1 1 1", "0 2 2", "1", "2", "-1",
+                               "u8", "f32", "v.raw", "", "missing.raw"]),
+              st.text(max_size=8))), max_size=7).map(
+    lambda items: "\n".join(k + "=" + v for k, v in items).encode("utf-8"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=120), _VOL4_LINES), st.binary(max_size=80))
+def test_vol4_any_bytes_value_or_volume_error(header, payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        _write(tmp, "v.raw", payload)
+        try:
+            vol = load_volume(_write(tmp, "v.vol4", header))
+        except VolumeError:
+            return
+    assert isinstance(vol, Volume4D)
+
+
+def _matrix_bytes(max_dim):
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim),
+                     st.binary(max_size=80)).map(
+        lambda t: matio.MAGIC + struct.pack("<II", t[0], t[1]) + t[2])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=80), _matrix_bytes(4), _matrix_bytes(2 ** 32 - 1)))
+def test_matrix_any_bytes_value_or_matio_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            arr = matio.read_matrix(_write(tmp, "m.mat", data))
+        except matio.MatIOError:
+            return
+    assert isinstance(arr, np.ndarray) and arr.ndim == 2
+
+
+_PGM_DIM = st.one_of(st.integers(-3, 4).map(lambda v: b"%d" % v), st.binary(max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.binary(max_size=80),
+    st.tuples(st.sampled_from([b"P5", b"P2", b"P5 # c\n"]), _PGM_DIM, _PGM_DIM,
+              st.sampled_from([b"255", b"65535", b"x"]), st.binary(max_size=20)).map(
+        lambda t: b"%s\n%s %s\n%s\n%s" % t)))
+def test_pgm_any_bytes_value_or_pgm_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        try:
+            img = pgm.read_pgm(_write(tmp, "i.pgm", data))
+        except pgm.PgmError:
+            return
+    assert img.ndim == 2 and img.size > 0
+
+
+_BUNDLE_VALUE = st.sampled_from([b"", b"0", b"1", b"2", b"-1", b"0,1", b"1,1,1", b"1.5", b"x",
+                                 b"hik", b"linear", b"nan"]) | st.binary(max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bundle_manifest_any_bytes_bundle_or_bundle_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = _saved_bundle(pathlib.Path(tmp))
+        with open(os.path.join(out, "bundle.manifest"), "rb") as fh:
+            lines = fh.read().splitlines()
+        # raw bytes, or the saved lines with some values replaced or lines
+        # dropped; the matrix= lines are not read, so they are left alone
+        text = data.draw(st.binary(max_size=200) | st.just(None))
+        if text is None:
+            keyed = [i for i, line in enumerate(lines) if not line.startswith(b"matrix=")]
+            edits = data.draw(st.dictionaries(st.sampled_from(keyed),
+                                              st.none() | _BUNDLE_VALUE,
+                                              max_size=3))
+            for idx, value in edits.items():
+                key = lines[idx].partition(b"=")[0]
+                lines[idx] = None if value is None else key + b"=" + value
+            text = b"".join(line + b"\n" for line in lines if line is not None)
+        _write(out, "bundle.manifest", text)
+        try:
+            bundle = load_bundle(out)
+        except BundleError:
+            return
+    assert isinstance(bundle, ModelBundle)

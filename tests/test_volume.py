@@ -1,9 +1,11 @@
+import math
 import os
 import stat
 
 import numpy as np
 import pytest
 
+from planefinder import phantom
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.volume import (CANDIDATE_CAPACITY, PlaneParams, Volume4D,
                                 VolumeError, extract_plane_sequence,
@@ -36,6 +38,31 @@ def test_load_short_raw_errors(tmp_path):
     header = write_raw_volume(tmp_path, payload=bytes(127))
     with pytest.raises(VolumeError, match="mismatch"):
         load_volume(str(header))
+
+
+@pytest.mark.parametrize("dims", ["4 4", "4 4 x"])
+def test_load_bad_dims_value(tmp_path, dims):
+    header = write_raw_volume(tmp_path)
+    header.write_text(header.read_text().replace("dims=4 4 4", "dims=" + dims))
+    with pytest.raises(VolumeError, match="bad header value") as info:
+        load_volume(str(header))
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_load_negative_dims(tmp_path):
+    # -4 x -4 x 4 x 2 frames asks for 128 bytes, which the raw file holds
+    header = write_raw_volume(tmp_path)
+    header.write_text(header.read_text().replace("dims=4 4 4", "dims=-4 -4 4"))
+    with pytest.raises(VolumeError, match="positive"):
+        load_volume(str(header))
+
+
+def test_load_header_not_utf8(tmp_path):
+    header = write_raw_volume(tmp_path)
+    header.write_bytes(header.read_bytes() + b"# \xff\xfe\n")
+    with pytest.raises(VolumeError, match="cannot read") as info:
+        load_volume(str(header))
+    assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
 def test_load_all_zero_u8_rescales_to_zero(tmp_path):
@@ -171,6 +198,123 @@ def test_extract_sequence_identical_frames():
     seq = extract_plane_sequence(vol, p)
     assert np.array_equal(seq.frames[0], seq.frames[1])
     assert np.array_equal(seq.frames[0], seq.frames[2])
+
+
+def _reference_trilinear(grid, x, y, z):
+    """The hand-written zero-padded trilinear interpolator resampling used to
+    run: eight corners, each weighted and zero outside the grid."""
+    nz, ny, nx = grid.shape
+    x0 = np.floor(x).astype(np.int64)
+    y0 = np.floor(y).astype(np.int64)
+    z0 = np.floor(z).astype(np.int64)
+    fx = x - x0
+    fy = y - y0
+    fz = z - z0
+    out = np.zeros(x.shape, dtype=np.float64)
+    for dz in (0, 1):
+        wz = np.where(dz == 1, fz, 1.0 - fz)
+        zi = z0 + dz
+        for dy in (0, 1):
+            wy = np.where(dy == 1, fy, 1.0 - fy)
+            yi = y0 + dy
+            for dx in (0, 1):
+                wx = np.where(dx == 1, fx, 1.0 - fx)
+                xi = x0 + dx
+                inside = ((xi >= 0) & (xi < nx) & (yi >= 0) & (yi < ny)
+                          & (zi >= 0) & (zi < nz))
+                val = np.zeros(x.shape, dtype=np.float64)
+                val[inside] = grid[zi[inside], yi[inside], xi[inside]]
+                out += wx * wy * wz * val
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_resampling_matches_trilinear_reference(seed):
+    rng = np.random.default_rng(seed)
+    vol = Volume4D(voxels=rng.random((3, 9, 11, 13)))
+    # oblique planes wider than the volume, so part of each grid lies outside
+    # and part within one voxel of the boundary, where zero padding matters
+    p = plane_from_center(rng.uniform(3.0, 7.0, size=3), rng.normal(size=3), width=23,
+                          height=19, pixel_step=0.73, roll=rng.uniform(0, 2 * math.pi))
+    cols = np.arange(p.width) * p.pixel_step
+    rows = np.arange(p.height) * p.pixel_step
+    pts = (np.asarray(p.origin) + cols[None, :, None] * np.asarray(p.axis_u)
+           + rows[:, None, None] * np.asarray(p.axis_v))
+    x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
+    lo = np.minimum(np.minimum(x, y), z)
+    over = np.maximum(np.maximum(x - 12, y - 10), z - 8)
+    edge = ((lo > -1) & (lo < 0)) | ((over > 0) & (over < 1))
+    assert edge.any() and ((lo < -1) | (over > 1)).any()
+    ref = np.stack([_reference_trilinear(frame, x, y, z) for frame in vol.voxels])
+    seq = extract_plane_sequence(vol, p)
+    assert np.abs(seq.frames - ref).max() <= 1e-15
+    assert np.array_equal(sample_plane(vol, p, 1), seq.frames[1])
+
+
+def _reference_synth_phantom(spec):
+    """synth_phantom as it was first written: every mark's bounding box,
+    plane coordinates and field recomputed for every frame."""
+    rng = np.random.default_rng(spec.seed)
+    gt = dict(spec.gt_planes) if spec.gt_planes else phantom._default_gt_planes(spec, rng)
+    nx, ny, nz = spec.dims
+    t_count = spec.n_frames
+    vox = np.full((t_count, nz, ny, nx), phantom.BACKGROUND, dtype=np.float64)
+    for k in range(spec.class_count):
+        plane = gt[k]
+        phase = rng.uniform(0.0, 2.0 * math.pi)
+        jitter = rng.uniform(-0.25, 0.25, size=2)
+        shift = phantom._class_shift(k)
+        freq = 1
+        for b, primitive in enumerate(phantom.PATTERN_TEMPLATES[k]):
+            if spec.abnormal and b == 0:
+                primitive = phantom._perturb(primitive, k)
+            for t in range(t_count):
+                pulse = 0.7 + 0.3 * math.sin(2.0 * math.pi * freq * t / t_count + phase)
+                _reference_add_primitive(vox[t], plane, primitive, jitter, pulse, shift)
+    if spec.noise_sigma > 0:
+        vox += rng.normal(0.0, spec.noise_sigma, size=vox.shape)
+    np.clip(vox, 0.0, 1.0, out=vox)
+    return vox
+
+
+def _reference_add_primitive(grid, plane, primitive, jitter, pulse, shift):
+    nz, ny, nx = grid.shape
+    c = (np.asarray(plane.center) + shift[0] * np.asarray(plane.axis_u)
+         + shift[1] * np.asarray(plane.axis_v))
+    r = phantom.PATTERN_EXTENT + 4.0 * phantom.NORMAL_SIGMA
+    x0, x1 = max(0, int(c[0] - r)), min(nx, int(c[0] + r) + 1)
+    y0, y1 = max(0, int(c[1] - r)), min(ny, int(c[1] + r) + 1)
+    z0, z1 = max(0, int(c[2] - r)), min(nz, int(c[2] + r) + 1)
+    zz, yy, xx = np.meshgrid(np.arange(z0, z1), np.arange(y0, y1), np.arange(x0, x1),
+                             indexing="ij")
+    rel = np.stack([xx - c[0], yy - c[1], zz - c[2]], axis=-1)
+    pu = rel @ np.asarray(plane.axis_u) - jitter[0]
+    pv = rel @ np.asarray(plane.axis_v) - jitter[1]
+    pn = rel @ plane.normal
+    thick = pn ** 2 / (2 * phantom.NORMAL_SIGMA ** 2)
+    kind = primitive[0]
+    if kind == "blob":
+        _, du, dv, sigma, amp = primitive
+        val = amp * np.exp(-(((pu - du) ** 2 + (pv - dv) ** 2) / (2 * sigma ** 2) + thick))
+    elif kind == "bar":
+        _, du, dv, ls, ts, ang, amp = primitive
+        a = (pu - du) * math.cos(ang) + (pv - dv) * math.sin(ang)
+        b = -(pu - du) * math.sin(ang) + (pv - dv) * math.cos(ang)
+        val = amp * np.exp(-(a ** 2 / (2 * ls ** 2) + b ** 2 / (2 * ts ** 2) + thick))
+    else:
+        _, radius, rs, amp, du, dv = primitive
+        rad = np.sqrt((pu - du) ** 2 + (pv - dv) ** 2)
+        val = amp * np.exp(-((rad - radius) ** 2 / (2 * rs ** 2) + thick))
+    grid[z0:z1, y0:y1, x0:x1] += pulse * val
+
+
+@pytest.mark.parametrize("abnormal", [False, True])
+@pytest.mark.parametrize("dims, n_frames, seed", [((64, 64, 64), 8, 1), ((48, 48, 48), 6, 2)])
+def test_phantom_matches_per_frame_reference(dims, n_frames, seed, abnormal):
+    # the desk (64^3 x 8) and fit (48^3 x 6) benchmark sizes
+    spec = PhantomSpec(abnormal=abnormal, seed=seed, dims=dims, n_frames=n_frames)
+    vol, _ = synth_phantom(spec)
+    assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
 
 
 def test_phantom_sequence_pulsates():
