@@ -14,6 +14,9 @@ from .config import (ConfigError, PipelineConfig, config_text, load_config, read
 from .embedding import EmbeddingModel
 
 
+BUNDLE_FORMAT = "planefinder-bundle-2"
+
+
 class BundleError(Exception):
     pass
 
@@ -56,7 +59,7 @@ def _matrices(bundle):
 def _meta_lines(bundle):
     emb = bundle.embedding
     lines = [
-        "format=planefinder-bundle-1",
+        "format=" + BUNDLE_FORMAT,
         "classes=%s" % ",".join(str(c) for c in bundle.classifier.class_ids),
         "embed_c=%d" % emb.c,
         "embed_epsilon=%.17g" % emb.epsilon,
@@ -130,6 +133,9 @@ def load_bundle(path):
             raise BundleError("bundle matrix %s: %s" % (name, exc)) from exc
         return arr.ravel() if flat else arr
 
+    fmt = one("format")
+    if fmt != BUNDLE_FORMAT:
+        raise BundleError("%s: format %r, expected %r" % (mpath, fmt, BUNDLE_FORMAT))
     try:
         cfg = load_config(os.path.join(path, "config.txt"))
     except ConfigError as exc:

@@ -1,6 +1,8 @@
-"""Pipeline configuration: every tunable default, plus key=value file I/O."""
+"""Pipeline configuration: the settings a caller chooses, plus key=value file
+I/O. Every other hyper-parameter has one owner in its stage's module."""
 
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, fields
 
 
 class ConfigError(Exception):
@@ -9,33 +11,19 @@ class ConfigError(Exception):
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    # smoothing
-    smooth_lambda: float = 0.02
-    smooth_kappa: float = 2.0
-    smooth_beta_max: float = 1e5
-    # static features
-    contrast_threshold: float = 0.03
-    # spatio-temporal features
-    harris_k: float = 0.005
     # codebooks
     k_static: int = 5000
     k_spacetime: int = 1000
-    kmeans_seed: int = 7
     kmeans_max_iter: int = 100
-    descriptor_cap: int = 200000
-    pool_seed: int = 11
     # embedding
     embed_c: int = 32
-    embed_epsilon: float = -1.0  # negative -> auto (1e-6 * trace(C)/d)
     # classifier
     svm_c: float = 1.0
     kernel: str = "hik"
     view: str = "fused"  # static | spacetime | fused
     # candidate planes
     candidates_n: int = 400
-    candidate_seed: int = 0
     plane_size: int = 128
-    pixel_step: float = 1.0
 
     def validate(self):
         if self.kernel not in ("hik", "linear"):
@@ -44,6 +32,11 @@ class PipelineConfig:
             raise ConfigError("view must be static, spacetime or fused")
         if self.candidates_n < 1 or self.plane_size < 32:
             raise ConfigError("invalid candidate plane settings")
+        if min(self.k_static, self.k_spacetime, self.kmeans_max_iter, self.embed_c) < 1:
+            raise ConfigError("k_static, k_spacetime, kmeans_max_iter and embed_c "
+                              "must be >= 1")
+        if not 0.0 < self.svm_c < math.inf:
+            raise ConfigError("svm_c must be positive and finite")
         return self
 
 
@@ -57,10 +50,10 @@ def read_lines(path, error, what):
         raise error("cannot read %s %s: %s" % (what, path, exc)) from exc
 
 
-def load_config(path, base=None):
-    """Parse a key=value config file; unknown keys are an error. A file that
-    cannot be read, is not UTF-8 or holds a bad value raises ConfigError."""
-    cfg = base or PipelineConfig()
+def load_config(path):
+    """Parse a key=value config file over the defaults; unknown keys are an
+    error. A file that cannot be read, is not UTF-8 or holds a bad value
+    raises ConfigError."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     overrides = {}
     for lineno, line in enumerate(read_lines(path, ConfigError, "config"), 1):
@@ -72,19 +65,11 @@ def load_config(path, base=None):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
-        current = getattr(cfg, key)
         try:
-            if isinstance(current, bool):
-                overrides[key] = val.lower() in ("1", "true", "yes")
-            elif isinstance(current, int):
-                overrides[key] = int(val)
-            elif isinstance(current, float):
-                overrides[key] = float(val)
-            else:
-                overrides[key] = val
+            overrides[key] = known[key](val)
         except ValueError as exc:
             raise ConfigError("%s:%d: key %r: %s" % (path, lineno, key, exc)) from exc
-    return replace(cfg, **overrides).validate()
+    return PipelineConfig(**overrides).validate()
 
 
 def save_config(cfg, path):

@@ -133,12 +133,11 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
 
 
 def _dominant_orientation(img, x, y, sigma, n_bins=36):
+    # _octave_extrema clears a 2-pixel border, so the window spans >= 3 pixels
     radius = max(2, int(round(3.0 * 1.5 * sigma)))
     ny, nx = img.shape
     y0, y1 = max(1, y - radius), min(ny - 1, y + radius + 1)
     x0, x1 = max(1, x - radius), min(nx - 1, x + radius + 1)
-    if y1 - y0 < 3 or x1 - x0 < 3:
-        return None
     patch = img[y0 - 1:y1 + 1, x0 - 1:x1 + 1]
     gy, gx = np.gradient(patch)
     gy = gy[1:-1, 1:-1]

@@ -15,8 +15,13 @@ from .config import PipelineConfig
 from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
 from .features import (describe_spacetime, describe_static, detect_spacetime_points,
                        detect_static_keypoints)
-from .smoothing import SmoothingConfig, smooth_sequence
+from .smoothing import smooth_sequence
 from .volume import (extract_plane_sequence, generate_candidates, load_volume)
+
+KMEANS_SEED = 7
+POOL_SEED = 11  # the space-time pool draws with POOL_SEED + 1
+DESCRIPTOR_CAP = 200000  # descriptors per codebook pool
+CANDIDATE_SEED = 0
 
 
 class PipelineError(Exception):
@@ -35,28 +40,22 @@ class EvaluationReport:
         return float(np.mean(list(self.f1.values()))) if self.f1 else 0.0
 
 
-def smoothing_config(cfg):
-    return SmoothingConfig(lam=cfg.smooth_lambda, kappa=cfg.smooth_kappa,
-                           beta_max=cfg.smooth_beta_max)
-
-
 def candidate_planes(vol, cfg):
-    return generate_candidates(vol, cfg.candidates_n, cfg.candidate_seed,
-                               width=cfg.plane_size, height=cfg.plane_size,
-                               pixel_step=cfg.pixel_step)
+    return generate_candidates(vol, cfg.candidates_n, CANDIDATE_SEED,
+                               width=cfg.plane_size, height=cfg.plane_size)
 
 
 def sequence_descriptors(vol, params, cfg):
     """Full feature path for one candidate plane: resample, smooth, detect and
     describe both feature kinds. Degenerate descriptors are dropped."""
     seq = extract_plane_sequence(vol, params)
-    seq = smooth_sequence(seq, smoothing_config(cfg))
+    seq = smooth_sequence(seq)
     static = []
     for frame in seq.frames:
-        kps = detect_static_keypoints(frame, contrast_threshold=cfg.contrast_threshold)
+        kps = detect_static_keypoints(frame)
         static.extend(d for d in describe_static(frame, kps) if not d.degenerate)
     if seq.n_frames >= 5:
-        pts = detect_spacetime_points(seq, k=cfg.harris_k)
+        pts = detect_spacetime_points(seq)
         spacetime = [d for d in describe_spacetime(seq, pts) if not d.degenerate]
     else:
         spacetime = []
@@ -129,11 +128,11 @@ def prepare_training_data(manifest, cfg, cache=None):
             raise PipelineError(
                 "feature extraction failed for volume %s candidate %d: %s"
                 % (rec.volume, rec.cand_index, exc)) from exc
-    pool_s = _pool([d for s, _ in descs for d in s], cfg.descriptor_cap, cfg.pool_seed)
-    pool_t = _pool([d for _, t in descs for d in t], cfg.descriptor_cap, cfg.pool_seed + 1)
-    cb_s = train_codebook(pool_s, cfg.k_static, seed=cfg.kmeans_seed,
+    pool_s = _pool([d for s, _ in descs for d in s], POOL_SEED)
+    pool_t = _pool([d for _, t in descs for d in t], POOL_SEED + 1)
+    cb_s = train_codebook(pool_s, cfg.k_static, seed=KMEANS_SEED,
                           max_iter=cfg.kmeans_max_iter, descriptor_kind="static")
-    cb_t = train_codebook(pool_t, cfg.k_spacetime, seed=cfg.kmeans_seed,
+    cb_t = train_codebook(pool_t, cfg.k_spacetime, seed=KMEANS_SEED,
                           max_iter=cfg.kmeans_max_iter, descriptor_kind="spacetime")
     x, y = bow_features(descs, cb_s, cb_t)
     return TrainData(
@@ -144,11 +143,11 @@ def prepare_training_data(manifest, cfg, cache=None):
         cb_static=cb_s, cb_spacetime=cb_t)
 
 
-def _pool(descriptors, cap, seed):
-    if len(descriptors) <= cap:
+def _pool(descriptors, seed):
+    if len(descriptors) <= DESCRIPTOR_CAP:
         return descriptors
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(descriptors), size=cap, replace=False)
+    idx = rng.choice(len(descriptors), size=DESCRIPTOR_CAP, replace=False)
     return [descriptors[i] for i in sorted(idx)]
 
 
@@ -164,8 +163,7 @@ def compute_codes(x, y, emb, view):
 
 def train_from_data(td, cfg):
     s = build_similarity_matrix(td.labels)
-    eps = None if cfg.embed_epsilon < 0 else cfg.embed_epsilon
-    emb = fit_embedding(td.x, td.y, s, cfg.embed_c, epsilon=eps)
+    emb = fit_embedding(td.x, td.y, s, cfg.embed_c)
     codes = compute_codes(td.x, td.y, emb, cfg.view)
     scaler = fit_scaler(codes)
     clf = train_multiclass(codes, td.plane_classes, c=cfg.svm_c,
@@ -296,9 +294,8 @@ def _representations(td, cfg):
     """Feature matrices per method, shared across train and test."""
     s_sup = build_similarity_matrix(td.labels)
     s_id = np.eye(len(td.labels))
-    eps = None if cfg.embed_epsilon < 0 else cfg.embed_epsilon
-    emb_sup = fit_embedding(td.x, td.y, s_sup, cfg.embed_c, epsilon=eps)
-    emb_cca = fit_embedding(td.x, td.y, s_id, cfg.embed_c, epsilon=eps)
+    emb_sup = fit_embedding(td.x, td.y, s_sup, cfg.embed_c)
+    emb_cca = fit_embedding(td.x, td.y, s_id, cfg.embed_c)
 
     def make(x, y, method):
         if method == "static":
@@ -394,14 +391,14 @@ def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):
         nx, ny, nz = vol.dims
         plane = plane_from_center(((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2),
                                   (0.0, 0.0, 1.0), width=cfg.plane_size,
-                                  height=cfg.plane_size, pixel_step=cfg.pixel_step)
+                                  height=cfg.plane_size)
     seq = extract_plane_sequence(vol, plane)
-    smoothed = smooth_sequence(seq, smoothing_config(cfg))
+    smoothed = smooth_sequence(seq)
     written = []
     counts = {"original": 0, "smoothed": 0}
     for label, frames in (("original", seq.frames), ("smoothed", smoothed.frames)):
         for t, frame in enumerate(frames):
-            kps = detect_static_keypoints(frame, contrast_threshold=cfg.contrast_threshold)
+            kps = detect_static_keypoints(frame)
             counts[label] += len(kps)
             overlay = frame.copy()
             for kp in kps:

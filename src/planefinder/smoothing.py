@@ -17,14 +17,15 @@ class SmoothingError(Exception):
 class SmoothingConfig:
     lam: float = 0.02
     kappa: float = 2.0
-    beta0: float = None
     beta_max: float = 1e5
 
     def __post_init__(self):
-        if self.beta0 is None:
-            object.__setattr__(self, "beta0", 2.0 * self.lam)
-        if self.lam <= 0 or self.kappa <= 1 or self.beta0 <= 0 or self.beta_max <= self.beta0:
+        if self.lam <= 0 or self.kappa <= 1 or self.beta_max <= self.beta0:
             raise SmoothingError("invalid smoothing parameters")
+
+    @property
+    def beta0(self):
+        return 2.0 * self.lam
 
     @property
     def n_iterations(self):

@@ -165,7 +165,9 @@ def load_volume(path):
 
 
 def save_volume(vol, path, dtype="u8"):
-    """Write the `.vol4` header and raw payload; round-trips bit-exactly."""
+    """Write the `.vol4` header and raw payload. Spacing round-trips exactly;
+    voxels do under `u8` only when they are multiples of 1/255, and under
+    `f32` only when they are float32 values."""
     if dtype not in DTYPE_CODES:
         raise VolumeError("unsupported dtype %r" % dtype)
     base = os.path.splitext(os.path.basename(path))[0]
@@ -179,7 +181,7 @@ def save_volume(vol, path, dtype="u8"):
     try:
         with open(path, "w") as fh:
             fh.write("dims=%d %d %d\n" % (nx, ny, nz))
-            fh.write("spacing=%g %g %g\n" % vol.spacing)
+            fh.write("spacing=%.17g %.17g %.17g\n" % vol.spacing)
             fh.write("frames=%d\n" % vol.n_frames)
             fh.write("dtype=%s\n" % dtype)
             fh.write("data=%s\n" % raw_name)

@@ -171,13 +171,21 @@ def test_config_any_bytes_value_or_config_error(data):
     assert isinstance(cfg, PipelineConfig)
 
 
+def test_readme_config_table_matches_config():
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    rows = [line.split("|")[1:3] for line in readme.read_text().splitlines()
+            if line.startswith("| `")]
+    table = {key.strip().strip("`"): default.strip().strip("`") for key, default in rows}
+    assert table == {f.name: str(f.default) for f in fields(PipelineConfig)}
+
+
 def test_config_validate_rejects_bad_values():
-    with pytest.raises(ConfigError):
-        PipelineConfig(kernel="rbf").validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(view="both").validate()
-    with pytest.raises(ConfigError):
-        PipelineConfig(plane_size=8).validate()
+    for bad in (dict(kernel="rbf"), dict(view="both"), dict(plane_size=8),
+                dict(k_static=0), dict(k_spacetime=0), dict(kmeans_max_iter=0),
+                dict(embed_c=0), dict(svm_c=0.0), dict(svm_c=float("nan")),
+                dict(svm_c=float("inf"))):
+        with pytest.raises(ConfigError):
+            PipelineConfig(**bad).validate()
 
 
 def _records(vol):
@@ -323,6 +331,17 @@ def test_bundle_manifest_non_numeric_value(tmp_path):
     with pytest.raises(BundleError, match="embed_c") as info:
         load_bundle(out)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_bundle_format_checked_before_config(tmp_path):
+    out = _saved_bundle(tmp_path)
+    # a bundle saved in the older format: its config.txt held more keys
+    _rewrite_manifest(out, lambda lines: ["format=planefinder-bundle-1"] + lines[1:])
+    with open(os.path.join(out, "config.txt"), "a") as fh:
+        fh.write("smooth_lambda=0.02\n")
+    with pytest.raises(BundleError, match="'planefinder-bundle-1', expected "
+                                          "'planefinder-bundle-2'"):
+        load_bundle(out)
 
 
 def test_bundle_config_unreadable(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ def step_image(rng, sigma=0.05):
 
 def test_config_iteration_count():
     cfg = SmoothingConfig(lam=0.02, kappa=2.0, beta_max=1e5)
+    assert [f.name for f in fields(SmoothingConfig)] == ["lam", "kappa", "beta_max"]
     assert cfg.beta0 == pytest.approx(0.04)
     assert cfg.n_iterations == math.ceil(math.log(1e5 / 0.04) / math.log(2.0))
     assert cfg.n_iterations >= 1

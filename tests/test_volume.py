@@ -79,7 +79,7 @@ def test_load_missing_header():
 def test_roundtrip_u8_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     vox = rng.integers(0, 256, size=(3, 4, 5, 6)).astype(np.float64) / 255.0
-    vol = Volume4D(voxels=vox)
+    vol = Volume4D(voxels=vox, spacing=(0.1234567, 1.0, 2.5e-7))
     path = str(tmp_path / "rt.vol4")
     save_volume(vol, path, dtype="u8")
     back = load_volume(path)
