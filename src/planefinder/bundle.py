@@ -121,6 +121,8 @@ def load_bundle(path):
     def one(key, parse=str):
         if key not in meta:
             raise BundleError("%s lacks key %r" % (mpath, key))
+        if len(meta[key]) > 1:
+            raise BundleError("%s key %r appears %d times" % (mpath, key, len(meta[key])))
         try:
             return parse(meta[key][0])
         except ValueError as exc:

@@ -51,9 +51,9 @@ def read_lines(path, error, what):
 
 
 def load_config(path):
-    """Parse a key=value config file over the defaults; unknown keys are an
-    error. A file that cannot be read, is not UTF-8 or holds a bad value
-    raises ConfigError."""
+    """Parse a key=value config file over the defaults; unknown and repeated
+    keys are an error. A file that cannot be read, is not UTF-8 or holds a
+    bad value raises ConfigError."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     overrides = {}
     for lineno, line in enumerate(read_lines(path, ConfigError, "config"), 1):
@@ -65,6 +65,8 @@ def load_config(path):
         key, val = (s.strip() for s in line.split("=", 1))
         if key not in known:
             raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
+        if key in overrides:
+            raise ConfigError("%s:%d: config key %r given twice" % (path, lineno, key))
         try:
             overrides[key] = known[key](val)
         except ValueError as exc:

@@ -22,6 +22,9 @@ HARRIS_K = 0.005
 SPACETIME_SCALES = ((2.0, 2.0), (2.0, 4.0), (4.0, 2.0), (4.0, 4.0))
 
 DEGENERATE_ENERGY = 1e-9
+# bytes of gathered gradients one describe_spacetime block may hold; the
+# block's other temporaries bring its peak to about 2.6 times this
+SPACETIME_BLOCK_BYTES = 12 << 20
 
 
 class FeatureError(Exception):
@@ -100,106 +103,127 @@ def _gaussian_nearest(arr, sigmas):
     return out
 
 
+# (level or t, y, x) offsets of a point's 3x3x3 neighbourhood, itself included
+_NEIGHBOURS = np.mgrid[-1:2, -1:2, -1:2].reshape(3, 27)
+
+
 def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
+    """Keypoints of one octave, level by level in row-major order.
+
+    Only pixels with |d| >= contrast_threshold off the 2-pixel border can be
+    kept, so just their 27 neighbours are gathered; they all lie inside the
+    stack, so the max/min comparisons are those of a size-3 filter with
+    mode="nearest", ties included."""
     factor = 2.0 ** octave
-    maxf = ndimage.maximum_filter(dogs, size=3, mode="nearest")
-    minf = ndimage.minimum_filter(dogs, size=3, mode="nearest")
+    ls, ys, xs = np.nonzero(np.abs(dogs[1:-1, 2:-2, 2:-2]) >= contrast_threshold)
+    ls, ys, xs = ls + 1, ys + 2, xs + 2
+    near = dogs[(ls[:, None] + _NEIGHBOURS[0], ys[:, None] + _NEIGHBOURS[1],
+                 xs[:, None] + _NEIGHBOURS[2])]
+    d = near[:, 13]
+    keep = (d == near.max(axis=1)) | (d == near.min(axis=1))
+    ls, ys, xs = ls[keep], ys[keep], xs[keep]
+    c = near[keep, 9:18].reshape(-1, 3, 3)  # own level, indexed [dy + 1, dx + 1]
+    d = c[:, 1, 1]
+    dxx = c[:, 1, 2] + c[:, 1, 0] - 2 * d
+    dyy = c[:, 2, 1] + c[:, 0, 1] - 2 * d
+    dxy = 0.25 * (c[:, 2, 2] - c[:, 2, 0] - c[:, 0, 2] + c[:, 0, 0])
+    tr = dxx + dyy
+    det = dxx * dyy - dxy * dxy
+    edge_ok = (det > 0) & (tr * tr / np.where(det > 0, det, 1.0)
+                           < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO)
     found = []
     for level in range(1, SCALES_PER_OCTAVE + 1):
-        d = dogs[level]
-        is_ext = ((d == maxf[level]) | (d == minf[level])) & (np.abs(d) >= contrast_threshold)
-        is_ext[:2, :] = is_ext[-2:, :] = False
-        is_ext[:, :2] = is_ext[:, -2:] = False
-        ys, xs = np.nonzero(is_ext)
-        if ys.size == 0:
+        at_level = edge_ok & (ls == level)
+        if not at_level.any():
             continue
-        dxx = d[ys, xs + 1] + d[ys, xs - 1] - 2 * d[ys, xs]
-        dyy = d[ys + 1, xs] + d[ys - 1, xs] - 2 * d[ys, xs]
-        dxy = 0.25 * (d[ys + 1, xs + 1] - d[ys + 1, xs - 1]
-                      - d[ys - 1, xs + 1] + d[ys - 1, xs - 1])
-        tr = dxx + dyy
-        det = dxx * dyy - dxy * dxy
-        edge_ok = (det > 0) & (tr * tr / np.where(det > 0, det, 1.0)
-                               < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO)
+        y, x = ys[at_level], xs[at_level]
+        ori, ok = _orientations(gaussians[level], y, x,
+                                SIGMA0 * 2.0 ** (level / SCALES_PER_OCTAVE))
         sigma = SIGMA0 * 2.0 ** (octave + level / SCALES_PER_OCTAVE)
-        grad_img = gaussians[level]
-        for y, x in zip(ys[edge_ok], xs[edge_ok]):
-            ori = _dominant_orientation(grad_img, x, y, SIGMA0 * 2.0 ** (level / SCALES_PER_OCTAVE))
-            if ori is None:
-                continue
-            found.append(KeyPoint2D(x=float(x) * factor, y=float(y) * factor,
-                                    scale=sigma, orientation=ori))
+        found.extend(KeyPoint2D(x=float(xi) * factor, y=float(yi) * factor,
+                                scale=sigma, orientation=float(oi))
+                     for xi, yi, oi in zip(x[ok], y[ok], ori[ok]))
     return found
 
 
-def _dominant_orientation(img, x, y, sigma, n_bins=36):
-    # _octave_extrema clears a 2-pixel border, so the window spans >= 3 pixels
+def _orientations(img, ys, xs, sigma, n_bins=36):
+    """Dominant gradient orientation at each (ys, xs) of img, and whether its
+    window holds any gradient: the peak of a Gaussian-weighted n_bins-bin
+    histogram of central differences over a window clipped to [1, n - 1).
+
+    _octave_extrema clears a 2-pixel border, so every window spans >= 3 pixels.
+    """
     radius = max(2, int(round(3.0 * 1.5 * sigma)))
     ny, nx = img.shape
-    y0, y1 = max(1, y - radius), min(ny - 1, y + radius + 1)
-    x0, x1 = max(1, x - radius), min(nx - 1, x + radius + 1)
-    patch = img[y0 - 1:y1 + 1, x0 - 1:x1 + 1]
-    gy, gx = np.gradient(patch)
-    gy = gy[1:-1, 1:-1]
-    gx = gx[1:-1, 1:-1]
-    mag = np.hypot(gx, gy)
-    if mag.sum() < DEGENERATE_ENERGY:
-        return None
-    ang = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-    yy, xx = np.mgrid[y0:y1, x0:x1]
-    w = np.exp(-((xx - x) ** 2 + (yy - y) ** 2) / (2.0 * (1.5 * sigma) ** 2))
-    hist = np.zeros(n_bins)
+    gy, gx = np.gradient(img)
+    off = np.arange(-radius, radius + 1)
+    wy = ys[:, None, None] + off[:, None]
+    wx = xs[:, None, None] + off
+    inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
+    pick = (wy * nx + wx)[inside]
+    point = np.broadcast_to(np.arange(ys.size)[:, None, None], inside.shape)[inside]
+    vy, vx = gy.ravel()[pick], gx.ravel()[pick]
+    mag = np.hypot(vx, vy)
+    ok = ~(np.bincount(point, weights=mag, minlength=ys.size) < DEGENERATE_ENERGY)
+    ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
     bins = np.minimum((ang / (2.0 * math.pi) * n_bins).astype(int), n_bins - 1)
-    np.add.at(hist, bins.ravel(), (mag * w).ravel())
-    best = int(np.argmax(hist))
-    return (best + 0.5) * 2.0 * math.pi / n_bins
+    w = np.exp(-(off[None, :] ** 2 + off[:, None] ** 2) / (2.0 * (1.5 * sigma) ** 2))
+    weight = mag * np.broadcast_to(w, inside.shape)[inside]
+    hist = np.bincount(point * n_bins + bins, weights=weight, minlength=ys.size * n_bins)
+    best = hist.reshape(ys.size, n_bins).argmax(axis=1)
+    return (best + 0.5) * 2.0 * math.pi / n_bins, ok
+
+
+def _unit_rows(rows):
+    """rows scaled to unit length, each norm the BLAS dot np.linalg.norm takes
+    of one vector (a stacked 1 x d @ d x 1 matmul is one dot per row)."""
+    return rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
 def describe_static(image, keypoints):
     """128-D gradient-orientation descriptors: 4x4 grid x 8 bins, rotated to
     the keypoint orientation, clamped at 0.2 and re-normalized."""
     img = np.asarray(image, dtype=np.float64)
+    if not keypoints:
+        return []
     gy, gx = np.gradient(img)
-    out = []
-    for kp in keypoints:
-        out.append(_static_descriptor(img, gx, gy, kp))
-    return out
-
-
-def _static_descriptor(img, gx, gy, kp, n_samples=16):
     ny, nx = img.shape
-    half_width = 8.0 * kp.scale
-    cos_o = math.cos(kp.orientation)
-    sin_o = math.sin(kp.orientation)
+    n, n_samples = len(keypoints), 16
+    kx, ky, scale, ori, cos_o, sin_o = np.array(
+        [(kp.x, kp.y, kp.scale, kp.orientation, math.cos(kp.orientation),
+          math.sin(kp.orientation)) for kp in keypoints]).T[:, :, None, None]
     # sample grid in the rotated keypoint frame, spacing = scale
-    lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * kp.scale
-    su, sv = np.meshgrid(lin, lin)
-    px = kp.x + su * cos_o - sv * sin_o
-    py = kp.y + su * sin_o + sv * cos_o
+    lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * scale.reshape(n, 1)
+    su, sv = lin[:, None, :], lin[:, :, None]
+    px = kx + su * cos_o - sv * sin_o
+    py = ky + su * sin_o + sv * cos_o
     inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
-    if not inside.any():
+    if not inside.any(axis=(1, 2)).all():
         raise FeatureError("keypoint patch fully outside image")
     vx = np.where(inside, ndimage.map_coordinates(gx, (py, px), order=1, mode="nearest"), 0.0)
     vy = np.where(inside, ndimage.map_coordinates(gy, (py, px), order=1, mode="nearest"), 0.0)
     mag = np.hypot(vx, vy)
-    if float((mag ** 2).sum()) < DEGENERATE_ENERGY:
-        return Descriptor(values=np.zeros(STATIC_DESCRIPTOR_DIM), degenerate=True)
-    ang = np.mod(np.arctan2(vy, vx) - kp.orientation, 2.0 * math.pi)
+    ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
+    ang = np.mod(np.arctan2(vy, vx) - ori, 2.0 * math.pi)
     obin = np.minimum((ang / (2.0 * math.pi) * 8).astype(int), 7)
     cell_r = np.minimum(np.arange(n_samples) * 4 // n_samples, 3)
-    cell = cell_r[:, None] * 4 + cell_r[None, :]
+    cell = np.arange(n)[:, None, None] * 16 + cell_r[:, None] * 4 + cell_r
+    half_width = 8.0 * scale
     weight = mag * np.exp(-(su ** 2 + sv ** 2) / (2.0 * half_width ** 2))
-    hist = np.zeros((16, 8))
-    np.add.at(hist, (cell.ravel(), obin.ravel()), weight.ravel())
-    vec = hist.ravel()
-    vec = vec / np.linalg.norm(vec)
-    vec = np.minimum(vec, 0.2)
-    vec = vec / np.linalg.norm(vec)
-    return Descriptor(values=vec, degenerate=False)
+    hist = np.bincount((cell * 8 + obin).ravel(), weights=weight.ravel(),
+                       minlength=n * STATIC_DESCRIPTOR_DIM).reshape(n, STATIC_DESCRIPTOR_DIM)
+    vals = np.zeros_like(hist)
+    vals[ok] = _unit_rows(np.minimum(_unit_rows(hist[ok]), 0.2))
+    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
 
 
 def detect_spacetime_points(seq, k=HARRIS_K, scales=SPACETIME_SCALES):
-    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t)."""
+    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t).
+
+    A point is kept when its response reaches the threshold and equals the
+    maximum of its 27 neighbours, gathered only for the pixels that reach it;
+    t is clipped as mode="nearest" does, and the cleared 2-pixel border keeps
+    y and x inside."""
     frames = np.asarray(seq.frames, dtype=np.float64)
     t_count = frames.shape[0]
     if t_count < 5:
@@ -209,14 +233,15 @@ def detect_spacetime_points(seq, k=HARRIS_K, scales=SPACETIME_SCALES):
     for sigma_s, sigma_t in scales:
         response = _harris_response(frames, (sigma_t, sigma_s, sigma_s), k)
         threshold = max(float(response.mean() + 3.0 * response.std()), 1e-18)
-        local_max = response == ndimage.maximum_filter(response, size=3, mode="nearest")
-        mask = local_max & (response >= threshold) & (response > 0)
-        mask[:, :2, :] = mask[:, -2:, :] = False
-        mask[:, :, :2] = mask[:, :, -2:] = False
-        ts, ys, xs = np.nonzero(mask)
-        for t, y, x in zip(ts, ys, xs):
-            points.append(SpaceTimePoint(x=float(x), y=float(y), t=float(t),
-                                         sigma_s=sigma_s, sigma_t=sigma_t))
+        inner = response[:, 2:-2, 2:-2]
+        ts, ys, xs = np.nonzero((inner >= threshold) & (inner > 0))
+        ys, xs = ys + 2, xs + 2
+        near = response[(np.clip(ts[:, None] + _NEIGHBOURS[0], 0, t_count - 1),
+                         ys[:, None] + _NEIGHBOURS[1], xs[:, None] + _NEIGHBOURS[2])]
+        keep = response[ts, ys, xs] == near.max(axis=1)
+        points.extend(SpaceTimePoint(x=float(x), y=float(y), t=float(t),
+                                     sigma_s=sigma_s, sigma_t=sigma_t)
+                      for t, y, x in zip(ts[keep], ys[keep], xs[keep]))
     return points
 
 
@@ -244,52 +269,63 @@ N_ELEVATION = 3
 
 def describe_spacetime(seq, points):
     """192-D descriptors: 2x2x2 spatio-temporal grid x 24-bin 3D orientation
-    histogram over a (6 sigma_s, 6 sigma_s, 6 sigma_t) window."""
+    histogram over a (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
+
+    Points whose windows share a shape are described together, in blocks
+    whose gathered gradients stay within SPACETIME_BLOCK_BYTES."""
     frames = np.asarray(seq.frames, dtype=np.float64)
-    gt, gy, gx = np.gradient(frames)
-    out = []
-    for pt in points:
-        out.append(_spacetime_descriptor(frames.shape, gx, gy, gt, pt))
-    return out
-
-
-def _spacetime_descriptor(shape, gx, gy, gt, pt):
-    t_count, ny, nx = shape
-    rs = max(2, int(round(3.0 * pt.sigma_s)))
-    rt = max(1, int(round(3.0 * pt.sigma_t)))
-    cx, cy, ct = int(round(pt.x)), int(round(pt.y)), int(round(pt.t))
-    x0, x1 = cx - rs, cx + rs
-    y0, y1 = cy - rs, cy + rs
-    t0, t1 = ct - rt, ct + rt
-    if x1 < 0 or x0 >= nx or y1 < 0 or y0 >= ny or t1 < 0 or t0 >= t_count:
+    if not points:
+        return []
+    grads = np.stack(np.gradient(frames))  # d/dt, d/dy, d/dx
+    radii = np.array([(max(1, int(round(3.0 * p.sigma_t))), max(2, int(round(3.0 * p.sigma_s))))
+                      for p in points])
+    centres = np.array([(int(round(p.t)), int(round(p.y)), int(round(p.x))) for p in points])
+    reach = radii[:, [0, 1, 1]]
+    if np.any((centres + reach < 0) | (centres - reach >= frames.shape)):
         raise FeatureError("spacetime window fully outside the sequence")
 
-    hist = np.zeros((2, 2, 2, N_AZIMUTH * N_ELEVATION))
-    tt, yy, xx = np.meshgrid(np.arange(t0, t1 + 1), np.arange(y0, y1 + 1),
-                             np.arange(x0, x1 + 1), indexing="ij")
-    inside = ((xx >= 0) & (xx < nx) & (yy >= 0) & (yy < ny)
-              & (tt >= 0) & (tt < t_count))
-    ti = np.clip(tt, 0, t_count - 1)
-    yi = np.clip(yy, 0, ny - 1)
-    xi = np.clip(xx, 0, nx - 1)
-    vx = np.where(inside, gx[ti, yi, xi], 0.0)
-    vy = np.where(inside, gy[ti, yi, xi], 0.0)
-    vt = np.where(inside, gt[ti, yi, xi], 0.0)
-    mag = np.sqrt(vx ** 2 + vy ** 2 + vt ** 2)
-    energy = float((mag ** 2).sum())
-    if energy < DEGENERATE_ENERGY:
-        return Descriptor(values=np.zeros(SPACETIME_DESCRIPTOR_DIM), degenerate=True)
+    vals = np.zeros((len(points), SPACETIME_DESCRIPTOR_DIM))
+    ok = np.zeros(len(points), dtype=bool)
+    for rt, rs in np.unique(radii, axis=0):
+        group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
+        per_point = grads.itemsize * grads.shape[0] * (2 * rt + 1) * (2 * rs + 1) ** 2
+        step = max(1, SPACETIME_BLOCK_BYTES // per_point)
+        for lo in range(0, group.size, step):
+            block = group[lo:lo + step]
+            vals[block], ok[block] = _spacetime_histograms(grads, centres[block], rt, rs)
+    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
 
+
+def _spacetime_histograms(grads, centres, rt, rs):
+    """Unit-length descriptors of the points at centres (n, 3) of (t, y, x)
+    whose windows have radii (rt, rs, rs), and which are not degenerate."""
+    n = len(centres)
+    shape = grads.shape[1:]
+    t, y, x = (centres[:, axis, None] + np.arange(-r, r + 1)
+               for axis, r in enumerate((rt, rs, rs)))
+    t, y, x = t[:, :, None, None], y[:, None, :, None], x[:, None, None, :]
+    inside = ((x >= 0) & (x < shape[2]) & (y >= 0) & (y < shape[1])
+              & (t >= 0) & (t < shape[0]))
+    flat = np.ravel_multi_index((t, y, x), shape, mode="clip")
+    vt, vy, vx = np.where(inside, grads.reshape(3, -1)[:, flat], 0.0)
+    mag = np.sqrt(vx ** 2 + vy ** 2 + vt ** 2)
+    ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
+
+    # a zero-magnitude sample adds +0.0 to its bin, which changes no sum, so
+    # only the others are binned; windows reaching past t = 0 or T - 1 are
+    # mostly such samples
+    live = mag != 0
+    ct, cy, cx = (np.minimum(np.arange(2 * r + 1) * 2 // (2 * r + 1), 1) for r in (rt, rs, rs))
+    cell = np.arange(n)[:, None, None, None] * 8 + (ct[:, None, None] * 2 + cy[:, None]) * 2 + cx
+    cell, vx, vy, vt, mag = (np.broadcast_to(a, live.shape)[live] for a in (cell, vx, vy, vt, mag))
     azim = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
     elev = np.arctan2(vt, np.hypot(vx, vy))  # in [-pi/2, pi/2]
     abin = np.minimum((azim / (2.0 * math.pi) * N_AZIMUTH).astype(int), N_AZIMUTH - 1)
     ebin = np.minimum(((elev + math.pi / 2) / math.pi * N_ELEVATION).astype(int),
                       N_ELEVATION - 1)
-    cell_x = ((xx - x0) * 2 // (2 * rs + 1)).clip(0, 1)
-    cell_y = ((yy - y0) * 2 // (2 * rs + 1)).clip(0, 1)
-    cell_t = ((tt - t0) * 2 // (2 * rt + 1)).clip(0, 1)
-    np.add.at(hist, (cell_t.ravel(), cell_y.ravel(), cell_x.ravel(),
-                     (ebin * N_AZIMUTH + abin).ravel()), mag.ravel())
-    vec = hist.ravel()
-    vec = vec / np.linalg.norm(vec)
-    return Descriptor(values=vec, degenerate=False)
+    hist = np.bincount(cell * N_AZIMUTH * N_ELEVATION + ebin * N_AZIMUTH + abin,
+                       weights=mag, minlength=n * SPACETIME_DESCRIPTOR_DIM)
+    hist = hist.reshape(n, SPACETIME_DESCRIPTOR_DIM)
+    out = np.zeros_like(hist)
+    out[ok] = _unit_rows(hist[ok])
+    return out, ok

@@ -34,15 +34,34 @@ class SmoothingConfig:
 
 def forward_diff(img):
     """Periodic forward differences (dx, dy) over the last two axes, matching
-    the Fourier solve."""
-    dx = np.roll(img, -1, axis=-1) - img
-    dy = np.roll(img, -1, axis=-2) - img
+    the Fourier solve. Each is the wrapped shift copied into a fresh array,
+    minus img in place: the values of np.roll(img, -1) - img, with one
+    temporary fewer."""
+    img = np.asarray(img)
+    dx = np.empty_like(img)
+    dx[..., :-1] = img[..., 1:]
+    dx[..., -1] = img[..., 0]
+    dx -= img
+    dy = np.empty_like(img)
+    dy[..., :-1, :] = img[..., 1:, :]
+    dy[..., -1, :] = img[..., 0, :]
+    dy -= img
     return dx, dy
 
 
 def divergence(h, v):
-    """Adjoint of forward_diff: dx^T h + dy^T v under periodic wrap."""
-    return (np.roll(h, 1, axis=-1) - h) + (np.roll(v, 1, axis=-2) - v)
+    """Adjoint of forward_diff: dx^T h + dy^T v under periodic wrap, built
+    the same way from backward shifts."""
+    out = np.empty_like(h)
+    out[..., 1:] = h[..., :-1]
+    out[..., 0] = h[..., -1]
+    out -= h
+    dv = np.empty_like(v)
+    dv[..., 1:, :] = v[..., :-1, :]
+    dv[..., 0, :] = v[..., -1, :]
+    dv -= v
+    out += dv
+    return out
 
 
 def gradient_count(img, tol=1e-6):

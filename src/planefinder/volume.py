@@ -1,6 +1,7 @@
 """4D volume container, plane resampling and candidate plane generation."""
 
 import math
+import mmap
 import os
 from dataclasses import dataclass
 
@@ -155,8 +156,13 @@ def load_volume(path):
         raise VolumeError(
             "raw size mismatch for %s: expected %d bytes, found %d" % (raw_path, expected, actual)
         )
-    raw = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<"))
-    data = raw.reshape(t, nz, ny, nx).astype(np.float64)
+    # The float64 voxels get an anonymous mapping of their own, which is
+    # unmapped when they are freed. From the malloc heap, a reloaded volume
+    # could find the block its predecessor freed split by smaller arrays and
+    # grow the heap by one volume (13 MB at 64^3 x 8 frames), so that peak
+    # RSS varied from run to run.
+    data = np.frombuffer(mmap.mmap(-1, 8 * t * nz * ny * nx), np.float64).reshape(t, nz, ny, nx)
+    data[...] = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<")).reshape(data.shape)
     if np.any(np.isnan(data)):
         raise VolumeError("NaN voxels in %s" % raw_path)
     if dtype_code == "u8":

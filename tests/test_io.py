@@ -6,7 +6,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planefinder import matio, pgm
@@ -136,6 +136,13 @@ def test_config_non_numeric_value(tmp_path):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+def test_config_repeated_key(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("k_static=10\nsvm_c=0.5\nk_static=20\n")
+    with pytest.raises(ConfigError, match=r"cfg.txt:3: config key 'k_static' given twice"):
+        load_config(str(path))
+
+
 def test_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read") as info:
         load_config(str(tmp_path / "absent.txt"))
@@ -154,6 +161,7 @@ _CONFIG_KEYS = [f.name for f in fields(PipelineConfig)] + ["bogus"]
 
 
 @settings(max_examples=200, deadline=None)
+@example(b"k_static=10\nk_static=20\n")
 @given(st.one_of(
     st.binary(max_size=200),
     st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.sampled_from(["=", " = ", ""]),
@@ -324,6 +332,13 @@ def test_bundle_manifest_missing_key(tmp_path):
         load_bundle(out)
 
 
+def test_bundle_manifest_repeated_key(tmp_path):
+    out = _saved_bundle(tmp_path)
+    _rewrite_manifest(out, lambda lines: lines + [l for l in lines if l.startswith("embed_c=")])
+    with pytest.raises(BundleError, match="'embed_c' appears 2 times"):
+        load_bundle(out)
+
+
 def test_bundle_manifest_non_numeric_value(tmp_path):
     out = _saved_bundle(tmp_path)
     _rewrite_manifest(out, lambda lines: [("embed_c=two" if l.startswith("embed_c=") else l)
@@ -402,6 +417,7 @@ _FIELD = st.one_of(st.integers(-3, 3).map(str), st.sampled_from(["1,0", "0,1", "
 
 
 @settings(max_examples=200, deadline=None)
+@example(b"k_static=10\nk_static=20\n")
 @given(st.one_of(
     st.binary(max_size=200),
     st.lists(st.lists(_FIELD, min_size=4, max_size=6), max_size=4).map(
@@ -481,11 +497,13 @@ def test_bundle_manifest_any_bytes_bundle_or_bundle_error(data):
         out = _saved_bundle(pathlib.Path(tmp))
         with open(os.path.join(out, "bundle.manifest"), "rb") as fh:
             lines = fh.read().splitlines()
-        # raw bytes, or the saved lines with some values replaced or lines
-        # dropped; the matrix= lines are not read, so they are left alone
+        # raw bytes, or the saved lines with some values replaced, lines
+        # dropped or lines repeated; the matrix= lines are not read, so they
+        # are left alone
         text = data.draw(st.binary(max_size=200) | st.just(None))
         if text is None:
             keyed = [i for i, line in enumerate(lines) if not line.startswith(b"matrix=")]
+            lines += [lines[i] for i in data.draw(st.lists(st.sampled_from(keyed), max_size=2))]
             edits = data.draw(st.dictionaries(st.sampled_from(keyed),
                                               st.none() | _BUNDLE_VALUE,
                                               max_size=3))
