@@ -8,7 +8,7 @@ import numpy as np
 
 from . import matio
 from .classifier import FeatureScaler, MulticlassModel, SvmModel
-from .codebook import Codebook
+from .codebook import Codebook, CodebookError
 from .config import (ConfigError, PipelineConfig, config_text, load_config, read_lines,
                      save_config)
 from .embedding import EmbeddingModel
@@ -165,11 +165,16 @@ def load_bundle(path):
         mean_x=mat("embed_mean_x", flat=True), mean_y=mat("embed_mean_y", flat=True),
         c=one("embed_c", int), epsilon=one("embed_epsilon", float),
         train_n=one("embed_train_n", int))
+    try:
+        cb_static = Codebook(centroids=mat("codebook_static"), descriptor_kind="static")
+        cb_spacetime = Codebook(centroids=mat("codebook_spacetime"),
+                                descriptor_kind="spacetime")
+    except CodebookError as exc:
+        raise BundleError("bundle codebook: %s" % exc) from exc
     bundle = ModelBundle(
         config=cfg,
-        cb_static=Codebook(centroids=mat("codebook_static"), descriptor_kind="static"),
-        cb_spacetime=Codebook(centroids=mat("codebook_spacetime"),
-                              descriptor_kind="spacetime"),
+        cb_static=cb_static,
+        cb_spacetime=cb_spacetime,
         embedding=emb,
         classifier=MulticlassModel(class_ids=class_ids, machines=machines),
         content_hash=one("hash"))

@@ -16,8 +16,16 @@ class Codebook:
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
+        if c.ndim != 2 or c.shape[0] == 0 or not np.isfinite(c).all():
+            raise CodebookError("centroids must be a finite 2-D matrix with at least "
+                                "one row, got shape %s" % (c.shape,))
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
+        # squared centroid norms for _assign, computed once; not a field, so
+        # equality, repr and the bundle hash see only the centroids
+        c2 = (c ** 2).sum(axis=1)
+        c2.flags.writeable = False
+        object.__setattr__(self, "_sq_norms", c2)
 
     @property
     def k(self):
@@ -36,19 +44,33 @@ class BoWHistogram:
         object.__setattr__(self, "values", v)
 
 
-def _descriptor_matrix(descriptors):
+def _descriptor_matrix(descriptors, dim=None):
+    """Stack descriptors (arrays or objects with `.values`) into a float64
+    matrix; CodebookError on ragged, non-finite or (given `dim`)
+    wrong-dimension rows. An empty input gives a (0, 0) matrix."""
     if len(descriptors) == 0:
         return np.zeros((0, 0))
-    rows = [np.asarray(getattr(d, "values", d), dtype=np.float64) for d in descriptors]
-    return np.stack(rows)
+    try:
+        data = np.array([getattr(d, "values", d) for d in descriptors], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise CodebookError("descriptors are not equal-length numeric vectors: %s"
+                            % exc) from exc
+    if data.ndim != 2:
+        raise CodebookError("descriptors must be vectors, got shape %s" % (data.shape,))
+    if dim is not None and data.shape[1] != dim:
+        raise CodebookError("descriptor dim %d does not match codebook dim %d"
+                            % (data.shape[1], dim))
+    if not np.isfinite(data).all():
+        raise CodebookError("non-finite descriptor value")
+    return data
 
 
-def _assign(data, centroids, chunk=2048):
-    """Nearest-centroid assignment (ties -> lowest index) and min distances."""
+def _assign(data, centroids, c2, chunk=2048):
+    """Nearest-centroid assignment (ties -> lowest index) and min distances;
+    `c2` holds the squared centroid norms."""
     n = data.shape[0]
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
-    c2 = (centroids ** 2).sum(axis=1)
     for lo in range(0, n, chunk):
         block = data[lo:lo + chunk]
         d2 = ((block ** 2).sum(axis=1)[:, None]
@@ -71,7 +93,7 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     centroids = _kmeanspp_seed(data, k, rng)
     assign = np.full(data.shape[0], -1)
     for _ in range(max_iter):
-        new_assign, min_d2 = _assign(data, centroids)
+        new_assign, min_d2 = _assign(data, centroids, (centroids ** 2).sum(axis=1))
         counts = np.bincount(new_assign, minlength=k)
         # each empty cluster, in ascending index, takes the current farthest
         # point; a cluster that this leaves empty is re-seeded in turn. A
@@ -120,8 +142,8 @@ def _kmeanspp_seed(data, k, rng):
 
 
 def kmeans_inertia(descriptors, cb):
-    data = _descriptor_matrix(descriptors)
-    _, min_d2 = _assign(data, cb.centroids)
+    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
+    _, min_d2 = _assign(data, cb.centroids, cb._sq_norms)
     return float(min_d2.sum())
 
 
@@ -131,16 +153,11 @@ def quantize(descriptors, cb):
     Ties go to the lowest centroid index; an empty input yields the flagged
     all-zero histogram.
     """
-    counts = np.zeros(cb.k)
-    data = _descriptor_matrix(descriptors)
+    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
     if data.shape[0] == 0:
-        return BoWHistogram(values=counts, descriptor_kind=cb.descriptor_kind, empty=True)
-    if data.shape[1] != cb.centroids.shape[1]:
-        raise CodebookError(
-            "descriptor dim %d does not match codebook dim %d"
-            % (data.shape[1], cb.centroids.shape[1])
-        )
-    assign, _ = _assign(data, cb.centroids)
-    np.add.at(counts, assign, 1.0)
+        return BoWHistogram(values=np.zeros(cb.k), descriptor_kind=cb.descriptor_kind,
+                            empty=True)
+    assign, _ = _assign(data, cb.centroids, cb._sq_norms)
+    counts = np.bincount(assign, minlength=cb.k)
     return BoWHistogram(values=counts / counts.sum(),
                         descriptor_kind=cb.descriptor_kind, empty=False)

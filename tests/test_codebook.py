@@ -167,3 +167,82 @@ def test_descriptor_kind_carried_through():
     cb = train_codebook(data, k=4, seed=0, descriptor_kind="spacetime")
     assert cb.descriptor_kind == "spacetime"
     assert quantize(data, cb).descriptor_kind == "spacetime"
+
+
+def _assign_recomputing_norms(data, centroids, chunk=2048):
+    """The assignment as first written: squared centroid norms on each call."""
+    n = data.shape[0]
+    assign = np.empty(n, dtype=np.int64)
+    min_d2 = np.empty(n)
+    c2 = (centroids ** 2).sum(axis=1)
+    for lo in range(0, n, chunk):
+        block = data[lo:lo + chunk]
+        d2 = ((block ** 2).sum(axis=1)[:, None]
+              - 2.0 * block @ centroids.T + c2[None, :])
+        np.maximum(d2, 0.0, out=d2)
+        best = d2.min(axis=1)
+        assign[lo:lo + chunk] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
+        min_d2[lo:lo + chunk] = best
+    return assign, min_d2
+
+
+def _reference_quantize(data, centroids):
+    assign, min_d2 = _assign_recomputing_norms(data, centroids)
+    counts = np.zeros(centroids.shape[0])
+    np.add.at(counts, assign, 1.0)
+    return counts / counts.sum(), float(min_d2.sum())
+
+
+def _oracle_case(name):
+    """(centroids list, descriptors) for one oracle input."""
+    rng = np.random.default_rng(30)
+    if name == "random":
+        # two codebooks of one shape, so norms carried over from another
+        # codebook would show
+        return ([np.random.default_rng(seed).random((40, 16)) for seed in (0, 1)],
+                rng.random((500, 16)))
+    if name == "duplicated":
+        cents = rng.random((6, 5))
+        cents = np.vstack([cents, cents[[1, 3]], cents[[1]]])
+        return [cents], np.vstack([cents, rng.random((200, 5))])
+    # descriptors halfway between centroids 1 and 0
+    a, b = rng.random((2, 8)) * 4.0
+    return [np.vstack([b, a, rng.random((3, 8)) + 10.0])], np.tile((a + b) / 2.0, (7, 1))
+
+
+@pytest.mark.parametrize("name", ["random", "duplicated", "equidistant"])
+def test_quantize_matches_norm_recomputing_oracle(name):
+    cents_list, data = _oracle_case(name)
+    for cents in cents_list:
+        cb = Codebook(centroids=cents)
+        want_hist, want_inertia = _reference_quantize(data, cents)
+        assert np.array_equal(quantize(data, cb).values, want_hist)
+        assert np.array_equal(quantize(list(data), cb).values, want_hist)
+        assert kmeans_inertia(data, cb) == want_inertia
+    if name == "duplicated":
+        assert not want_hist[6:].any()
+    if name == "equidistant":
+        assert want_hist[0] == 1.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rejects_non_finite_descriptor(bad):
+    with pytest.raises(CodebookError, match="non-finite"):
+        quantize([np.array([bad, 0.0, 0.0])], Codebook(centroids=np.eye(3)))
+
+
+def test_quantize_rejects_ragged_descriptors():
+    with pytest.raises(CodebookError, match="equal-length"):
+        quantize([np.ones(3), np.ones(2)], Codebook(centroids=np.eye(3)))
+
+
+def test_kmeans_inertia_rejects_wrong_dimension():
+    with pytest.raises(CodebookError, match="dim 4 does not match codebook dim 3"):
+        kmeans_inertia(np.ones((5, 4)), Codebook(centroids=np.eye(3)))
+
+
+@pytest.mark.parametrize("centroids", [np.zeros((0, 3)), np.zeros(3), np.zeros((2, 2, 2)),
+                                       np.array([[0.0, np.nan]])])
+def test_codebook_rejects_bad_centroids(centroids):
+    with pytest.raises(CodebookError, match="centroids"):
+        Codebook(centroids=centroids)

@@ -10,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planefinder import matio, pgm
-from planefinder.bundle import BundleError, ModelBundle, load_bundle, save_bundle
+from planefinder.bundle import (BundleError, ModelBundle, compute_hash, load_bundle,
+                               save_bundle)
 from planefinder.classifier import FeatureScaler, MulticlassModel, SvmModel
-from planefinder.codebook import Codebook
+from planefinder.codebook import Codebook, CodebookError, quantize
 from planefinder.config import ConfigError, PipelineConfig, load_config, save_config
 from planefinder.embedding import EmbeddingModel
 from planefinder.manifest import (DatasetManifest, ManifestError, ManifestRecord,
@@ -288,8 +289,8 @@ def test_manifest_not_utf8(tmp_path):
     assert isinstance(info.value.__cause__, UnicodeDecodeError)
 
 
-def _saved_bundle(tmp_path):
-    """A tiny hand-built two-class bundle written to disk; returns its dir."""
+def _tiny_bundle():
+    """A tiny hand-built two-class bundle."""
     rng = np.random.default_rng(7)
     scaler = FeatureScaler(mins=np.zeros(2), maxs=np.ones(2))
     machines = {cid: SvmModel(support_vectors=rng.random((3, 2)),
@@ -304,10 +305,46 @@ def _saved_bundle(tmp_path):
                                  mean_x=np.zeros(4), mean_y=np.zeros(3), c=2,
                                  epsilon=0.5, train_n=6),
         classifier=MulticlassModel(class_ids=(0, 1), machines=machines))
+    return bundle
+
+
+def _saved_bundle(tmp_path):
+    """_tiny_bundle written to disk; returns its dir."""
+    bundle = _tiny_bundle()
     out = str(tmp_path / "bundle")
     save_bundle(bundle, out)
     assert load_bundle(out).content_hash == bundle.with_hash().content_hash
     return out
+
+
+def test_reloaded_bundle_quantizes_the_same(tmp_path):
+    bundle = _tiny_bundle()
+    back = load_bundle(_saved_bundle(tmp_path))
+    data = np.random.default_rng(8).random((50, 3))
+    for cb, cb_back in ((bundle.cb_static, back.cb_static),
+                        (bundle.cb_spacetime, back.cb_spacetime)):
+        assert np.array_equal(quantize(data, cb_back).values, quantize(data, cb).values)
+
+
+def test_codebook_norms_stay_out_of_equality_repr_and_hash():
+    bundle = _tiny_bundle()
+    cb = bundle.cb_static
+    same = Codebook(centroids=cb.centroids, descriptor_kind="static")
+    before = (compute_hash(bundle), repr(cb), cb == same)
+    quantize(np.ones((2, 3)), cb)
+    assert (compute_hash(bundle), repr(cb), cb == same) == before
+    assert before[2]
+    assert [f.name for f in fields(Codebook)] == ["centroids", "descriptor_kind"]
+    assert cb != Codebook(centroids=cb.centroids, descriptor_kind="spacetime")
+
+
+def test_bundle_codebook_non_finite(tmp_path):
+    out = _saved_bundle(tmp_path)
+    matio.write_matrix(os.path.join(out, "codebook_static.mat"),
+                       np.array([[0.0, np.nan, 1.0]]))
+    with pytest.raises(BundleError, match="codebook") as info:
+        load_bundle(out)
+    assert isinstance(info.value.__cause__, CodebookError)
 
 
 def _rewrite_manifest(out, edit):

@@ -6,15 +6,18 @@ import pytest
 from planefinder import pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
+from planefinder.codebook import quantize
 from planefinder.config import PipelineConfig
 from planefinder.manifest import read_manifest
+from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.pipeline import (PipelineError, VolumeFeatureCache,
                                   benchmark_representations, bow_features,
                                   candidate_codes, compute_codes,
                                   dump_keypoint_overlays, evaluate_synthetic,
                                   evaluate_volumes, locate_standard_planes,
                                   prepare_training_data, run_baselines,
-                                  train_from_data, train_pipeline, _f1)
+                                  sequence_descriptors, train_from_data,
+                                  train_pipeline, _f1)
 from planefinder.synth import build_phantom_dataset
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
@@ -173,6 +176,20 @@ def test_bow_feature_shapes(workspace):
     assert np.all(x >= 0) and np.all(y >= 0)
     sums = x.sum(axis=1)
     assert np.all((np.abs(sums - 1.0) <= 1e-9) | (sums == 0.0))
+
+
+def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
+    # pins the current policy: a view with no descriptors is a flagged empty
+    # histogram, and bow_features gives it an all-zero row
+    cfg, bundle = workspace["cfg"], workspace["bundle"]
+    vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
+                                        n_frames=4))
+    static, spacetime = sequence_descriptors(vol, gt[0], cfg)
+    assert static and spacetime == []
+    assert quantize(spacetime, bundle.cb_spacetime).empty
+    x, y = bow_features([(static, spacetime)], bundle.cb_static, bundle.cb_spacetime)
+    assert x.sum() == pytest.approx(1.0)
+    assert y.shape == (1, 6) and not y.any()
 
 
 def test_candidate_codes_cover_all_candidates(workspace, monkeypatch):
