@@ -195,16 +195,6 @@ def decision_values(model, z):
     return float(f[0]) if single else f
 
 
-def decision_value(model, z):
-    return decision_values(model, z)
-
-
-def predict(model, z):
-    """sign(f), with sign(0) -> +1."""
-    f = decision_values(model, z)
-    return np.where(np.asarray(f) >= 0, 1, -1) if np.ndim(f) else (1 if f >= 0 else -1)
-
-
 def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):
     """One binary machine per standard-plane class against everything else."""
     plane_labels = np.asarray(plane_labels)

@@ -27,6 +27,12 @@ class Codebook:
         c2.flags.writeable = False
         object.__setattr__(self, "_sq_norms", c2)
 
+    def __eq__(self, other):
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return (self.descriptor_kind == other.descriptor_kind
+                and np.array_equal(self.centroids, other.centroids))
+
     @property
     def k(self):
         return self.centroids.shape[0]

@@ -32,23 +32,6 @@ class FeatureError(Exception):
 
 
 @dataclass(frozen=True)
-class KeyPoint2D:
-    x: float
-    y: float
-    scale: float
-    orientation: float
-
-
-@dataclass(frozen=True)
-class SpaceTimePoint:
-    x: float
-    y: float
-    t: float
-    sigma_s: float
-    sigma_t: float
-
-
-@dataclass(frozen=True)
 class Descriptor:
     values: np.ndarray
     degenerate: bool = False
@@ -59,13 +42,15 @@ class Descriptor:
         object.__setattr__(self, "values", v)
 
 
-def detect_static_keypoints(image, contrast_threshold=CONTRAST_THRESHOLD):
-    """DoG scale-space extrema with contrast and edge-response rejection."""
+def detect_static_keypoints(image):
+    """DoG scale-space extrema with contrast and edge-response rejection.
+
+    Returns an (n, 4) float64 array of rows (x, y, scale, orientation)."""
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or min(img.shape) < 32:
         raise FeatureError("image must be 2D and at least 32x32")
 
-    keypoints = []
+    keypoints = [np.empty((0, 4))]
     base = img
     for octave in range(N_OCTAVES):
         if min(base.shape) < 16:
@@ -73,9 +58,9 @@ def detect_static_keypoints(image, contrast_threshold=CONTRAST_THRESHOLD):
         gaussians = np.stack([_gaussian_nearest(base, (sigma, sigma))
                               for sigma in _OCTAVE_SIGMAS])
         dogs = np.diff(gaussians, axis=0)
-        keypoints.extend(_octave_extrema(dogs, gaussians, octave, contrast_threshold))
+        keypoints.append(_octave_extrema(dogs, gaussians, octave, CONTRAST_THRESHOLD))
         base = base[::2, ::2]
-    return keypoints
+    return np.concatenate(keypoints)
 
 
 @functools.lru_cache(maxsize=64)
@@ -108,7 +93,7 @@ _NEIGHBOURS = np.mgrid[-1:2, -1:2, -1:2].reshape(3, 27)
 
 
 def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
-    """Keypoints of one octave, level by level in row-major order.
+    """(n, 4) keypoint rows of one octave, level by level in row-major order.
 
     Only pixels with |d| >= contrast_threshold off the 2-pixel border can be
     kept, so just their 27 neighbours are gathered; they all lie inside the
@@ -131,7 +116,7 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     det = dxx * dyy - dxy * dxy
     edge_ok = (det > 0) & (tr * tr / np.where(det > 0, det, 1.0)
                            < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO)
-    found = []
+    found = [np.empty((0, 4))]
     for level in range(1, SCALES_PER_OCTAVE + 1):
         at_level = edge_ok & (ls == level)
         if not at_level.any():
@@ -140,10 +125,9 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
         ori, ok = _orientations(gaussians[level], y, x,
                                 SIGMA0 * 2.0 ** (level / SCALES_PER_OCTAVE))
         sigma = SIGMA0 * 2.0 ** (octave + level / SCALES_PER_OCTAVE)
-        found.extend(KeyPoint2D(x=float(xi) * factor, y=float(yi) * factor,
-                                scale=sigma, orientation=float(oi))
-                     for xi, yi, oi in zip(x[ok], y[ok], ori[ok]))
-    return found
+        found.append(np.column_stack((x[ok] * factor, y[ok] * factor,
+                                      np.full(ok.sum(), sigma), ori[ok])))
+    return np.concatenate(found)
 
 
 def _orientations(img, ys, xs, sigma, n_bins=36):
@@ -181,17 +165,17 @@ def _unit_rows(rows):
 
 
 def describe_static(image, keypoints):
-    """128-D gradient-orientation descriptors: 4x4 grid x 8 bins, rotated to
-    the keypoint orientation, clamped at 0.2 and re-normalized."""
+    """128-D gradient-orientation descriptors of (n, 4) keypoint rows (x, y,
+    scale, orientation): 4x4 grid x 8 bins, rotated to the keypoint
+    orientation, clamped at 0.2 and re-normalized."""
     img = np.asarray(image, dtype=np.float64)
-    if not keypoints:
+    if len(keypoints) == 0:
         return []
     gy, gx = np.gradient(img)
     ny, nx = img.shape
     n, n_samples = len(keypoints), 16
-    kx, ky, scale, ori, cos_o, sin_o = np.array(
-        [(kp.x, kp.y, kp.scale, kp.orientation, math.cos(kp.orientation),
-          math.sin(kp.orientation)) for kp in keypoints]).T[:, :, None, None]
+    kx, ky, scale, ori = np.asarray(keypoints, dtype=np.float64).T[:, :, None, None]
+    cos_o, sin_o = np.cos(ori), np.sin(ori)
     # sample grid in the rotated keypoint frame, spacing = scale
     lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * scale.reshape(n, 1)
     su, sv = lin[:, None, :], lin[:, :, None]
@@ -217,8 +201,9 @@ def describe_static(image, keypoints):
     return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
 
 
-def detect_spacetime_points(seq, k=HARRIS_K, scales=SPACETIME_SCALES):
-    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t).
+def detect_spacetime_points(seq):
+    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t), as an
+    (n, 5) float64 array of rows (x, y, t, sigma_s, sigma_t).
 
     A point is kept when its response reaches the threshold and equals the
     maximum of its 27 neighbours, gathered only for the pixels that reach it;
@@ -229,9 +214,9 @@ def detect_spacetime_points(seq, k=HARRIS_K, scales=SPACETIME_SCALES):
     if t_count < 5:
         raise FeatureError("need at least 5 frames for spatio-temporal detection")
 
-    points = []
-    for sigma_s, sigma_t in scales:
-        response = _harris_response(frames, (sigma_t, sigma_s, sigma_s), k)
+    points = [np.empty((0, 5))]
+    for sigma_s, sigma_t in SPACETIME_SCALES:
+        response = _harris_response(frames, (sigma_t, sigma_s, sigma_s), HARRIS_K)
         threshold = max(float(response.mean() + 3.0 * response.std()), 1e-18)
         inner = response[:, 2:-2, 2:-2]
         ts, ys, xs = np.nonzero((inner >= threshold) & (inner > 0))
@@ -239,10 +224,9 @@ def detect_spacetime_points(seq, k=HARRIS_K, scales=SPACETIME_SCALES):
         near = response[(np.clip(ts[:, None] + _NEIGHBOURS[0], 0, t_count - 1),
                          ys[:, None] + _NEIGHBOURS[1], xs[:, None] + _NEIGHBOURS[2])]
         keep = response[ts, ys, xs] == near.max(axis=1)
-        points.extend(SpaceTimePoint(x=float(x), y=float(y), t=float(t),
-                                     sigma_s=sigma_s, sigma_t=sigma_t)
-                      for t, y, x in zip(ts[keep], ys[keep], xs[keep]))
-    return points
+        points.append(np.column_stack((xs[keep], ys[keep], ts[keep],
+                                       np.full((keep.sum(), 2), (sigma_s, sigma_t)))))
+    return np.concatenate(points)
 
 
 def _harris_response(frames, sigmas, k):
@@ -268,18 +252,19 @@ N_ELEVATION = 3
 
 
 def describe_spacetime(seq, points):
-    """192-D descriptors: 2x2x2 spatio-temporal grid x 24-bin 3D orientation
-    histogram over a (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
+    """192-D descriptors of (n, 5) point rows (x, y, t, sigma_s, sigma_t):
+    2x2x2 spatio-temporal grid x 24-bin 3D orientation histogram over a
+    (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
 
     Points whose windows share a shape are described together, in blocks
     whose gathered gradients stay within SPACETIME_BLOCK_BYTES."""
     frames = np.asarray(seq.frames, dtype=np.float64)
-    if not points:
+    if len(points) == 0:
         return []
     grads = np.stack(np.gradient(frames))  # d/dt, d/dy, d/dx
-    radii = np.array([(max(1, int(round(3.0 * p.sigma_t))), max(2, int(round(3.0 * p.sigma_s))))
-                      for p in points])
-    centres = np.array([(int(round(p.t)), int(round(p.y)), int(round(p.x))) for p in points])
+    x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
+    radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
+    centres = np.rint(np.column_stack((t, y, x))).astype(int)
     reach = radii[:, [0, 1, 1]]
     if np.any((centres + reach < 0) | (centres - reach >= frames.shape)):
         raise FeatureError("spacetime window fully outside the sequence")

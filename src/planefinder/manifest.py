@@ -21,6 +21,12 @@ class ManifestRecord:
     diag_onehot: tuple
     condition: str  # normal | abnormal
 
+    def __post_init__(self):
+        for name in ("plane_onehot", "diag_onehot"):
+            values = getattr(self, name)
+            if sorted(values) != [0] * (len(values) - 1) + [1]:
+                raise ManifestError("%s %s is not one-hot" % (name, ",".join(map(str, values))))
+
     @property
     def plane_class(self):
         """Class id of a standard plane, or -1 for the non-standard slot."""
@@ -67,6 +73,10 @@ class DatasetManifest:
                 )
             if r.condition not in ("normal", "abnormal"):
                 raise ManifestError("bad condition flag %r" % r.condition)
+        for name in ("plane_onehot", "diag_onehot"):
+            lengths = sorted({len(getattr(r, name)) for r in self.records})
+            if len(lengths) > 1:
+                raise ManifestError("%s lengths differ between records: %s" % (name, lengths))
         for vol in self.volumes:
             for cls in self.plane_classes:
                 if not self.ground_truth(vol, cls):
@@ -106,6 +116,6 @@ def read_manifest(path):
                 plane_onehot=tuple(int(v) for v in parts[2].split(",")),
                 diag_onehot=tuple(int(v) for v in parts[3].split(",")),
                 condition=parts[4]))
-        except ValueError as exc:
+        except (ValueError, ManifestError) as exc:
             raise ManifestError("%s:%d: %s" % (path, lineno, exc)) from exc
     return DatasetManifest(records=tuple(records))

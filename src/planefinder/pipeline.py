@@ -401,8 +401,7 @@ def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):
             kps = detect_static_keypoints(frame)
             counts[label] += len(kps)
             overlay = frame.copy()
-            for kp in kps:
-                x, y = int(round(kp.x)), int(round(kp.y))
+            for x, y in np.rint(kps[:, :2]).astype(int):
                 overlay[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 1.0
             path = os.path.join(out_dir, "%s_%03d.pgm" % (label, t))
             pgm.write_pgm(path, overlay)

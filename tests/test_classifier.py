@@ -5,10 +5,9 @@ from scipy.optimize import minimize
 from planefinder import classifier
 from planefinder.classifier import (ClassifierError, FeatureScaler, MulticlassModel,
                                     SvmModel, apply_scaler, classify,
-                                    decision_value, decision_values, dual_objective,
-                                    fit_scaler, hik, hik_matrix, identity_scaler,
-                                    _smo, kernel_matrix, predict, train_multiclass,
-                                    train_svm)
+                                    decision_values, dual_objective, fit_scaler, hik,
+                                    hik_matrix, identity_scaler, _smo, kernel_matrix,
+                                    train_multiclass, train_svm)
 
 
 def test_hik_basics():
@@ -76,7 +75,7 @@ def test_two_point_analytic_solution():
                   scaler=identity_scaler(1))
     assert np.allclose(sorted(m.dual_coefs), [-0.5, 0.5], atol=1e-6)
     assert m.bias == pytest.approx(0.0, abs=1e-6)
-    assert decision_value(m, np.array([0.5])) == pytest.approx(0.5, abs=1e-6)
+    assert decision_values(m, np.array([0.5])) == pytest.approx(0.5, abs=1e-6)
 
 
 def _oracle_dual(gram, y, box):
@@ -187,13 +186,6 @@ def test_decision_dim_mismatch():
                   scaler=identity_scaler(2))
     with pytest.raises(ClassifierError):
         decision_values(m, np.zeros(3))
-
-
-def test_predict_sign_convention():
-    m = SvmModel(support_vectors=np.zeros((1, 2)), dual_coefs=np.zeros(1),
-                 bias=0.0, c=1.0, class_weights=(1.0, 1.0), kernel="linear",
-                 scaler=identity_scaler(2))
-    assert predict(m, np.zeros(2)) == 1
 
 
 def test_multiclass_three_gaussians():

@@ -6,10 +6,10 @@ from scipy import ndimage
 
 from planefinder import features
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
-                                  FeatureError, KeyPoint2D, SpaceTimePoint,
-                                  _gaussian_nearest, _harris_response, _octave_extrema,
-                                  _orientations, describe_spacetime, describe_static,
-                                  detect_spacetime_points, detect_static_keypoints)
+                                  FeatureError, _gaussian_nearest, _harris_response,
+                                  _octave_extrema, _orientations, describe_spacetime,
+                                  describe_static, detect_spacetime_points,
+                                  detect_static_keypoints)
 from planefinder.volume import PlaneParams, PlaneSequence
 
 
@@ -50,22 +50,22 @@ def test_small_image_rejected():
 
 
 def test_flat_image_no_keypoints():
-    assert detect_static_keypoints(np.full((64, 64), 0.5)) == []
+    kps = detect_static_keypoints(np.full((64, 64), 0.5))
+    assert kps.shape == (0, 4) and kps.dtype == np.float64
 
 
 def test_blob_detected_near_center():
     img = blob_image([(20, 28)])
     kps = detect_static_keypoints(img)
     assert len(kps) >= 1
-    d = min(math.hypot(kp.x - 20, kp.y - 28) for kp in kps)
-    assert d <= 2.0
+    assert np.hypot(kps[:, 0] - 20, kps[:, 1] - 28).min() <= 2.0
 
 
 def test_two_blobs_two_locations():
     img = blob_image([(16, 16), (46, 44)])
     kps = detect_static_keypoints(img)
     for cx, cy in ((16, 16), (46, 44)):
-        assert any(math.hypot(kp.x - cx, kp.y - cy) <= 2.0 for kp in kps)
+        assert np.hypot(kps[:, 0] - cx, kps[:, 1] - cy).min() <= 2.0
 
 
 def test_straight_edge_rejected():
@@ -73,12 +73,16 @@ def test_straight_edge_rejected():
     img = np.zeros((64, 64))
     img[:, 32:] = 1.0
     kps = detect_static_keypoints(img)
-    assert all(abs(kp.x - 31.5) > 3 for kp in kps)
+    assert np.all(np.abs(kps[:, 0] - 31.5) > 3)
 
 
-def test_low_contrast_blob_filtered():
+def test_low_contrast_blob_filtered(monkeypatch):
     img = blob_image([(32, 32)], amp=0.02)
-    assert detect_static_keypoints(img, contrast_threshold=0.03) == []
+    assert detect_static_keypoints(img).shape == (0, 4)
+    # the threshold is read at call time
+    monkeypatch.setattr(features, "CONTRAST_THRESHOLD", 0.001)
+    kps = detect_static_keypoints(img)
+    assert np.hypot(kps[:, 0] - 32, kps[:, 1] - 32).min() <= 2.0
 
 
 def test_descriptor_shape_and_norm():
@@ -112,8 +116,7 @@ def test_descriptor_contrast_invariant():
 
 def test_descriptor_flat_patch_degenerate():
     img = np.full((64, 64), 0.5)
-    kp = KeyPoint2D(x=32.0, y=32.0, scale=1.6, orientation=0.0)
-    (d,) = describe_static(img, [kp])
+    (d,) = describe_static(img, np.array([[32.0, 32.0, 1.6, 0.0]]))
     assert d.degenerate
     assert np.all(d.values == 0.0)
 
@@ -124,9 +127,9 @@ def test_descriptor_rotation_covariant():
     rot = np.rot90(img).copy()
     kps = detect_static_keypoints(img)
     kps_r = detect_static_keypoints(rot)
-    assert kps and kps_r
+    assert len(kps) and len(kps_r)
     d = describe_static(img, kps[:1])[0].values
-    best = max(float(d @ describe_static(rot, [k])[0].values) for k in kps_r)
+    best = max(float(d @ e.values) for e in describe_static(rot, kps_r))
     assert best > 0.8
 
 
@@ -138,8 +141,8 @@ def test_spacetime_needs_five_frames():
 
 def test_static_sequence_no_spacetime_points():
     frame = blob_image([(20, 20), (36, 30)], size=48)
-    frames = np.stack([frame] * 6)
-    assert detect_spacetime_points(_sequence(frames)) == []
+    pts = detect_spacetime_points(_sequence(np.stack([frame] * 6)))
+    assert pts.shape == (0, 5) and pts.dtype == np.float64
 
 
 def test_pulsating_blob_detected():
@@ -149,8 +152,8 @@ def test_pulsating_blob_detected():
                    amp=0.6 + 0.4 * math.sin(2 * math.pi * t / t_count))
         for t in range(t_count)])
     pts = detect_spacetime_points(_sequence(frames))
-    assert pts
-    assert any(math.hypot(p.x - 24, p.y - 24) <= 4.0 for p in pts)
+    assert len(pts)
+    assert np.hypot(pts[:, 0] - 24, pts[:, 1] - 24).min() <= 4.0
 
 
 def test_spacetime_descriptor_shape_and_norm():
@@ -170,16 +173,14 @@ def test_spacetime_descriptor_shape_and_norm():
 
 def test_spacetime_descriptor_flat_degenerate():
     seq = _sequence(np.full((6, 48, 48), 0.3))
-    pt = SpaceTimePoint(x=24.0, y=24.0, t=3.0, sigma_s=2.0, sigma_t=2.0)
-    (d,) = describe_spacetime(seq, [pt])
+    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 2.0]]))
     assert d.degenerate
 
 
 def test_spacetime_descriptor_window_outside():
     seq = _sequence(np.zeros((6, 48, 48)))
-    pt = SpaceTimePoint(x=500.0, y=24.0, t=3.0, sigma_s=2.0, sigma_t=2.0)
     with pytest.raises(FeatureError):
-        describe_spacetime(seq, [pt])
+        describe_spacetime(seq, np.array([[500.0, 24.0, 3.0, 2.0, 2.0]]))
 
 
 def test_spacetime_inplane_gradient_hits_middle_elevation():
@@ -187,8 +188,7 @@ def test_spacetime_inplane_gradient_hits_middle_elevation():
     # points along +x, so only azimuth bin 0 of the middle elevation fires
     ramp = np.tile(np.linspace(0, 1, 48), (48, 1))
     seq = _sequence(np.stack([ramp] * 6))
-    pt = SpaceTimePoint(x=24.0, y=24.0, t=3.0, sigma_s=2.0, sigma_t=1.0)
-    (d,) = describe_spacetime(seq, [pt])
+    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)  # (cells, elevation*azimuth)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert nz.tolist() == [1 * 8 + 0]
@@ -197,8 +197,7 @@ def test_spacetime_inplane_gradient_hits_middle_elevation():
 def test_spacetime_temporal_gradient_hits_top_elevation():
     frames = np.stack([np.full((48, 48), t / 5.0) for t in range(6)])
     seq = _sequence(frames)
-    pt = SpaceTimePoint(x=24.0, y=24.0, t=3.0, sigma_s=2.0, sigma_t=1.0)
-    (d,) = describe_spacetime(seq, [pt])
+    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert all(b >= 2 * 8 for b in nz)
@@ -220,21 +219,23 @@ def _reference_bilinear(field, x, y):
 
 
 def _reference_static_descriptor(img, kp, n_samples=16, sample=_reference_bilinear):
-    """describe_static's descriptor for one keypoint, one keypoint at a time,
-    sampling the gradients with `sample` at clipped coordinates."""
+    """describe_static's descriptor for one keypoint row (x, y, scale,
+    orientation), one keypoint at a time, sampling the gradients with
+    `sample` at clipped coordinates."""
+    x, y, scale, orientation = map(float, kp)
     gy, gx = np.gradient(img)
     ny, nx = img.shape
-    half_width = 8.0 * kp.scale
-    lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * kp.scale
+    half_width = 8.0 * scale
+    lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * scale
     su, sv = np.meshgrid(lin, lin)
-    px = kp.x + su * math.cos(kp.orientation) - sv * math.sin(kp.orientation)
-    py = kp.y + su * math.sin(kp.orientation) + sv * math.cos(kp.orientation)
+    px = x + su * math.cos(orientation) - sv * math.sin(orientation)
+    py = y + su * math.sin(orientation) + sv * math.cos(orientation)
     inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
     cx, cy = np.clip(px, 0, nx - 1), np.clip(py, 0, ny - 1)
     vx = np.where(inside, sample(gx, cx, cy), 0.0)
     vy = np.where(inside, sample(gy, cx, cy), 0.0)
     mag = np.hypot(vx, vy)
-    ang = np.mod(np.arctan2(vy, vx) - kp.orientation, 2.0 * math.pi)
+    ang = np.mod(np.arctan2(vy, vx) - orientation, 2.0 * math.pi)
     obin = np.minimum((ang / (2.0 * math.pi) * 8).astype(int), 7)
     cell_r = np.minimum(np.arange(n_samples) * 4 // n_samples, 3)
     cell = cell_r[:, None] * 4 + cell_r[None, :]
@@ -251,11 +252,10 @@ def test_static_descriptor_matches_bilinear_reference():
     img = blob_image([(20, 30), (45, 12), (50, 50)]) + 0.05 * rng.random((64, 64))
     # orientation 0 at scale 1 puts samples on half-integer offsets, so the
     # first two patches have rows and columns at exactly 0 and at exactly 63
-    kps = [KeyPoint2D(x=7.5, y=7.5, scale=1.0, orientation=0.0),
-           KeyPoint2D(x=55.5, y=55.5, scale=1.0, orientation=0.0)]
-    kps += [KeyPoint2D(x=x, y=y, scale=s, orientation=o)
-            for x, y, s, o in zip(rng.uniform(0, 63, 12), rng.uniform(0, 63, 12),
-                                  rng.uniform(1.0, 4.0, 12), rng.uniform(0, 2 * math.pi, 12))]
+    kps = np.vstack([[7.5, 7.5, 1.0, 0.0], [55.5, 55.5, 1.0, 0.0],
+                     np.column_stack((rng.uniform(0, 63, 12), rng.uniform(0, 63, 12),
+                                      rng.uniform(1.0, 4.0, 12),
+                                      rng.uniform(0, 2 * math.pi, 12)))])
     for kp, d in zip(kps, describe_static(img, kps)):
         assert not d.degenerate
         assert np.abs(d.values - _reference_static_descriptor(img, kp)).max() <= 1e-15
@@ -291,9 +291,8 @@ def _reference_octave_extrema(dogs, gaussians, octave, contrast_threshold):
             ori = _reference_orientation(gaussians[level], x, y, features.SIGMA0
                                          * 2.0 ** (level / features.SCALES_PER_OCTAVE))
             if ori is not None:
-                found.append(KeyPoint2D(x=float(x) * factor, y=float(y) * factor,
-                                        scale=sigma, orientation=ori))
-    return found
+                found.append((float(x) * factor, float(y) * factor, sigma, ori))
+    return np.array(found).reshape(-1, 4)
 
 
 def _reference_orientation(img, x, y, sigma, n_bins=36):
@@ -316,29 +315,31 @@ def _reference_orientation(img, x, y, sigma, n_bins=36):
     return (int(np.argmax(hist)) + 0.5) * 2.0 * math.pi / n_bins
 
 
-def _reference_spacetime_points(seq, k=features.HARRIS_K, scales=features.SPACETIME_SCALES):
+def _reference_spacetime_points(seq):
     frames = np.asarray(seq.frames, dtype=np.float64)
     points = []
-    for sigma_s, sigma_t in scales:
-        response = features._harris_response(frames, (sigma_t, sigma_s, sigma_s), k)
+    for sigma_s, sigma_t in features.SPACETIME_SCALES:
+        response = features._harris_response(frames, (sigma_t, sigma_s, sigma_s),
+                                             features.HARRIS_K)
         threshold = max(float(response.mean() + 3.0 * response.std()), 1e-18)
         local_max = response == ndimage.maximum_filter(response, size=3, mode="nearest")
         mask = local_max & (response >= threshold) & (response > 0)
         mask[:, :2, :] = mask[:, -2:, :] = False
         mask[:, :, :2] = mask[:, :, -2:] = False
-        points += [SpaceTimePoint(x=float(x), y=float(y), t=float(t),
-                                  sigma_s=sigma_s, sigma_t=sigma_t)
+        points += [(float(x), float(y), float(t), sigma_s, sigma_t)
                    for t, y, x in zip(*np.nonzero(mask))]
-    return points
+    return np.array(points).reshape(-1, 5)
 
 
 def _reference_spacetime_descriptor(frames, pt):
-    """Values of one point's descriptor, or None where it is degenerate."""
+    """Values of the descriptor of one point row (x, y, t, sigma_s, sigma_t),
+    or None where it is degenerate."""
+    x, y, t, sigma_s, sigma_t = map(float, pt)
     gt, gy, gx = np.gradient(frames)
     t_count, ny, nx = frames.shape
-    rs = max(2, int(round(3.0 * pt.sigma_s)))
-    rt = max(1, int(round(3.0 * pt.sigma_t)))
-    cx, cy, ct = int(round(pt.x)), int(round(pt.y)), int(round(pt.t))
+    rs = max(2, int(round(3.0 * sigma_s)))
+    rt = max(1, int(round(3.0 * sigma_t)))
+    cx, cy, ct = int(round(x)), int(round(y)), int(round(t))
     x0, y0, t0 = cx - rs, cy - rs, ct - rt
     tt, yy, xx = np.meshgrid(np.arange(t0, ct + rt + 1), np.arange(y0, cy + rs + 1),
                              np.arange(x0, cx + rs + 1), indexing="ij")
@@ -380,13 +381,13 @@ def test_octave_extrema_match_filter_reference():
         dogs[1:4, y, x] = (0.2, 0.3, 0.2)  # extrema next to the 2-pixel border
     for octave in (0, 2):
         expected = _reference_octave_extrema(dogs, gaussians, octave, 0.03)
-        assert _octave_extrema(dogs, gaussians, octave, 0.03) == expected
-    found = {(kp.y, kp.x) for kp in expected}
+        assert np.array_equal(_octave_extrema(dogs, gaussians, octave, 0.03), expected)
+    found = {(y, x) for x, y, _, _ in expected}
     assert len(expected) > 50
     assert (40.0, 40.0) in found  # 4 x (10, 10), the tied peak
     assert {(8.0, 8.0), (8.0, 116.0), (116.0, 8.0), (116.0, 116.0)} <= found
     # raising the threshold past every value leaves nothing to gather
-    assert _octave_extrema(dogs, gaussians, 0, 1.0) == []
+    assert _octave_extrema(dogs, gaussians, 0, 1.0).shape == (0, 4)
 
 
 @pytest.mark.parametrize("size, sigma", [(16, 3.2), (24, 2.016), (40, 2.54)])
@@ -412,7 +413,7 @@ def test_spacetime_points_match_filter_reference(monkeypatch):
         + blob_image([(24, 20)], sigma=3.0, size=size, amp=0.5 + 0.5 * math.sin(2 * t))
         for t in range(t_count)]) + 0.02 * rng.random((t_count, size, size))
     seq = _sequence(frames)
-    assert detect_spacetime_points(seq) == _reference_spacetime_points(seq)
+    assert np.array_equal(detect_spacetime_points(seq), _reference_spacetime_points(seq))
     # responses from a few levels: plateaus, ties and maxima at t = 0 and
     # t = T - 1, where the neighbourhood is clipped in t
     # (the threshold, mean + 3 std, falls between 1 and 2, so a kept 2 must
@@ -420,10 +421,12 @@ def test_spacetime_points_match_filter_reference(monkeypatch):
     responses = _quantized(rng, (t_count, size, size), [-1.0, 0.0, 1.0, 2.0, 3.0],
                            p=[0.03, 0.9, 0.03, 0.02, 0.02])
     monkeypatch.setattr(features, "_harris_response", lambda *args: responses)
-    points = detect_spacetime_points(seq, scales=((2.0, 2.0),))
-    assert points == _reference_spacetime_points(seq, scales=((2.0, 2.0),))
-    assert {0.0, t_count - 1.0} <= {p.t for p in points}
-    assert {2.0, 3.0} <= {responses[int(p.t), int(p.y), int(p.x)] for p in points}
+    monkeypatch.setattr(features, "SPACETIME_SCALES", ((2.0, 2.0),))
+    points = detect_spacetime_points(seq)
+    assert np.array_equal(points, _reference_spacetime_points(seq))
+    assert {0.0, t_count - 1.0} <= set(points[:, 2])
+    x, y, t = points[:, :3].astype(int).T
+    assert {2.0, 3.0} <= set(responses[t, y, x])
 
 
 def _spacetime_cases():
@@ -432,11 +435,11 @@ def _spacetime_cases():
     frames = rng.random((t_count, ny, nx))
     frames[:, :, 8:] = 0.4  # flat in x >= 8: degenerate sigma_s = 2 windows there
     frames[:, 12:, 8:] += 1e-4 * np.arange(12)  # but for a faint ramp in y >= 12
-    points = [SpaceTimePoint(x=x, y=y, t=t, sigma_s=ss, sigma_t=st)
-              for x, y, t in ((0.0, 0.0, 0.0), (19.0, 23.0, 5.0), (10.4, 11.6, 2.5),
-                              (-3.0, 12.0, 3.0), (5.0, 26.0, 7.0), (17.6, 12.0, 1.0),
-                              (18.0, 4.0, 4.0), (9.0, 12.0, -2.0))
-              for ss, st in features.SPACETIME_SCALES]
+    points = np.array([(x, y, t, ss, st)
+                       for x, y, t in ((0.0, 0.0, 0.0), (19.0, 23.0, 5.0), (10.4, 11.6, 2.5),
+                                       (-3.0, 12.0, 3.0), (5.0, 26.0, 7.0), (17.6, 12.0, 1.0),
+                                       (18.0, 4.0, 4.0), (9.0, 12.0, -2.0))
+                       for ss, st in features.SPACETIME_SCALES])
     return frames, points
 
 
@@ -470,10 +473,10 @@ def test_static_descriptors_match_per_point_reference():
     img = blob_image([(20, 30), (45, 12)]) + 0.05 * rng.random((64, 64))
     img[40:, 40:] = 0.3  # flat: degenerate patches
     # patches partly outside the frame, at every edge and corner
-    kps = [KeyPoint2D(x=x, y=y, scale=s, orientation=o)
-           for x, y in ((0.0, 0.0), (63.0, 63.0), (2.5, 40.0), (60.0, 3.0), (55.0, 55.0),
-                        (32.0, 32.0))
-           for s, o in ((1.6, 0.0), (3.2, 2.0), (6.4, 4.5))]
+    kps = np.array([(x, y, s, o)
+                    for x, y in ((0.0, 0.0), (63.0, 63.0), (2.5, 40.0), (60.0, 3.0),
+                                 (55.0, 55.0), (32.0, 32.0))
+                    for s, o in ((1.6, 0.0), (3.2, 2.0), (6.4, 4.5))])
     got = describe_static(img, kps)
     degenerate = [d.degenerate for d in got]
     assert any(degenerate) and not all(degenerate)
@@ -486,6 +489,8 @@ def test_static_descriptors_match_per_point_reference():
 
 
 def test_no_points_no_descriptors():
+    # the empty arrays a flat image and a sequence constant in t give
     img = np.full((64, 64), 0.5)
     assert describe_static(img, detect_static_keypoints(img)) == []
-    assert describe_spacetime(_sequence(np.zeros((6, 32, 32))), []) == []
+    seq = _sequence(np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6))
+    assert describe_spacetime(seq, detect_spacetime_points(seq)) == []

@@ -281,6 +281,33 @@ def test_manifest_non_integer_field(tmp_path):
     assert isinstance(info.value.__cause__, ValueError)
 
 
+@pytest.mark.parametrize("plane, diag", [("0,0,0,0", "0,1"), ("1,1,0", "0,1"),
+                                         ("1,0,0", "2,0"), ("1," + "9" * 400, "0,1")],
+                         ids=["all-zero", "two-hot", "diagnosis-2", "huge"])
+def test_manifest_label_not_one_hot(tmp_path, plane, diag):
+    # plane_class takes the argmax, so a field that is not one-hot would read as class 0
+    path = tmp_path / "m.tsv"
+    path.write_text("a.vol4\t0\t1,0,0\t0,1\tnormal\na.vol4\t1\t%s\t%s\tnormal\n"
+                    % (plane, diag))
+    with pytest.raises(ManifestError, match=":2:"):
+        read_manifest(str(path))
+
+
+def test_manifest_record_not_one_hot():
+    with pytest.raises(ManifestError, match="diag_onehot 0,0 is not one-hot"):
+        ManifestRecord(volume="v", cand_index=0, plane_onehot=(1, 0), diag_onehot=(0, 0),
+                       condition="normal")
+
+
+@pytest.mark.parametrize("second", ["1,0\t0,1", "0,1,0\t0,0,1"], ids=["plane", "diagnosis"])
+def test_manifest_one_hot_lengths_differ(tmp_path, second):
+    (tmp_path / "a.vol4").write_text("")
+    path = tmp_path / "m.tsv"
+    path.write_text("a.vol4\t0\t1,0,0\t0,1\tnormal\na.vol4\t1\t%s\tnormal\n" % second)
+    with pytest.raises(ManifestError, match="lengths differ"):
+        read_manifest(str(path)).validate()
+
+
 def test_manifest_not_utf8(tmp_path):
     path = tmp_path / "m.tsv"
     path.write_bytes(b"a.vol4\t0\t1,0\t0,1\t\xff\xfe\n")
@@ -336,6 +363,15 @@ def test_codebook_norms_stay_out_of_equality_repr_and_hash():
     assert before[2]
     assert [f.name for f in fields(Codebook)] == ["centroids", "descriptor_kind"]
     assert cb != Codebook(centroids=cb.centroids, descriptor_kind="spacetime")
+
+
+def test_codebook_equality_compares_centroid_values():
+    # distinct arrays with equal values
+    assert Codebook(np.eye(2)) == Codebook(np.eye(2))
+    assert Codebook(np.eye(2)) != Codebook(2.0 * np.eye(2))
+    assert Codebook(np.eye(2)) != Codebook(np.eye(3))
+    assert Codebook(np.eye(2)) != Codebook(np.eye(2), descriptor_kind="spacetime")
+    assert Codebook(np.eye(2)) != "codebook"
 
 
 def test_bundle_codebook_non_finite(tmp_path):
