@@ -25,6 +25,9 @@ DEGENERATE_ENERGY = 1e-9
 # bytes of gathered gradients one describe_spacetime block may hold; the
 # block's other temporaries bring its peak to about 2.6 times this
 SPACETIME_BLOCK_BYTES = 12 << 20
+# pixels whose 27 DoG neighbours one extremum-test block gathers: an (n, 27)
+# index and an (n, 27) value array, 0.9 MB together
+EXTREMUM_BLOCK = 2048
 
 
 class FeatureError(Exception):
@@ -42,25 +45,29 @@ class Descriptor:
         object.__setattr__(self, "values", v)
 
 
-def detect_static_keypoints(image):
-    """DoG scale-space extrema with contrast and edge-response rejection.
+def detect_static_keypoints(frames):
+    """DoG scale-space extrema with contrast and edge-response rejection in
+    every frame of a (T, H, W) stack.
 
-    Returns an (n, 4) float64 array of rows (x, y, scale, orientation)."""
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or min(img.shape) < 32:
-        raise FeatureError("image must be 2D and at least 32x32")
+    Returns an (n, 5) float64 array of rows (x, y, t, scale, orientation), t
+    the frame index, frame by frame; a frame's rows come octave by octave,
+    level by level, in row-major order."""
+    stack = np.asarray(frames, dtype=np.float64)
+    if stack.ndim != 3 or min(stack.shape[1:]) < 32:
+        raise FeatureError("frames must be a (T, H, W) stack of frames at least 32x32")
 
-    keypoints = [np.empty((0, 4))]
-    base = img
+    keypoints = [np.empty((0, 5))]
+    base = stack
     for octave in range(N_OCTAVES):
-        if min(base.shape) < 16:
+        if min(base.shape[1:]) < 16:
             break
         gaussians = np.stack([_gaussian_nearest(base, (sigma, sigma))
-                              for sigma in _OCTAVE_SIGMAS])
-        dogs = np.diff(gaussians, axis=0)
+                              for sigma in _OCTAVE_SIGMAS], axis=1)
+        dogs = np.diff(gaussians, axis=1)
         keypoints.append(_octave_extrema(dogs, gaussians, octave, CONTRAST_THRESHOLD))
-        base = base[::2, ::2]
-    return np.concatenate(keypoints)
+        base = base[:, ::2, ::2]
+    rows = np.concatenate(keypoints)
+    return rows[np.argsort(rows[:, 2], kind="stable")]
 
 
 @functools.lru_cache(maxsize=64)
@@ -93,21 +100,29 @@ _NEIGHBOURS = np.mgrid[-1:2, -1:2, -1:2].reshape(3, 27)
 
 
 def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
-    """(n, 4) keypoint rows of one octave, level by level in row-major order.
+    """(n, 5) keypoint rows of one octave of (T, levels, h, w) stacks, level
+    by level, each level frame by frame in row-major order.
 
     Only pixels with |d| >= contrast_threshold off the 2-pixel border can be
-    kept, so just their 27 neighbours are gathered; they all lie inside the
-    stack, so the max/min comparisons are those of a size-3 filter with
+    kept, so just their 27 neighbours are gathered, EXTREMUM_BLOCK pixels at
+    a time through one flat index; they all lie inside the pixel's frame, so
+    the max/min comparisons are those of a per-frame size-3 filter with
     mode="nearest", ties included."""
     factor = 2.0 ** octave
-    ls, ys, xs = np.nonzero(np.abs(dogs[1:-1, 2:-2, 2:-2]) >= contrast_threshold)
-    ls, ys, xs = ls + 1, ys + 2, xs + 2
-    near = dogs[(ls[:, None] + _NEIGHBOURS[0], ys[:, None] + _NEIGHBOURS[1],
-                 xs[:, None] + _NEIGHBOURS[2])]
-    d = near[:, 13]
-    keep = (d == near.max(axis=1)) | (d == near.min(axis=1))
-    ls, ys, xs = ls[keep], ys[keep], xs[keep]
-    c = near[keep, 9:18].reshape(-1, 3, 3)  # own level, indexed [dy + 1, dx + 1]
+    _, _, h, w = dogs.shape
+    ts, ls, ys, xs = np.nonzero(np.abs(dogs[:, 1:-1, 2:-2, 2:-2]) >= contrast_threshold)
+    flat = np.ravel_multi_index((ts, ls + 1, ys + 2, xs + 2), dogs.shape)
+    values = dogs.ravel()
+    offsets = np.dot((h * w, w, 1), _NEIGHBOURS)
+    keep = np.empty(flat.size, dtype=bool)
+    for lo in range(0, flat.size, EXTREMUM_BLOCK):
+        near = values[flat[lo:lo + EXTREMUM_BLOCK, None] + offsets]
+        d = near[:, 13]
+        keep[lo:lo + EXTREMUM_BLOCK] = (d == near.max(axis=1)) | (d == near.min(axis=1))
+    flat = flat[keep]
+    ts, ls, ys, xs = np.unravel_index(flat, dogs.shape)
+    # own level, indexed [dy + 1, dx + 1]
+    c = values[flat[:, None] + offsets[9:18]].reshape(-1, 3, 3)
     d = c[:, 1, 1]
     dxx = c[:, 1, 2] + c[:, 1, 0] - 2 * d
     dyy = c[:, 2, 1] + c[:, 0, 1] - 2 * d
@@ -116,35 +131,36 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     det = dxx * dyy - dxy * dxy
     edge_ok = (det > 0) & (tr * tr / np.where(det > 0, det, 1.0)
                            < (EDGE_RATIO + 1.0) ** 2 / EDGE_RATIO)
-    found = [np.empty((0, 4))]
+    found = [np.empty((0, 5))]
     for level in range(1, SCALES_PER_OCTAVE + 1):
         at_level = edge_ok & (ls == level)
         if not at_level.any():
             continue
-        y, x = ys[at_level], xs[at_level]
-        ori, ok = _orientations(gaussians[level], y, x,
+        t, y, x = ts[at_level], ys[at_level], xs[at_level]
+        ori, ok = _orientations(gaussians[:, level], t, y, x,
                                 SIGMA0 * 2.0 ** (level / SCALES_PER_OCTAVE))
         sigma = SIGMA0 * 2.0 ** (octave + level / SCALES_PER_OCTAVE)
-        found.append(np.column_stack((x[ok] * factor, y[ok] * factor,
+        found.append(np.column_stack((x[ok] * factor, y[ok] * factor, t[ok],
                                       np.full(ok.sum(), sigma), ori[ok])))
     return np.concatenate(found)
 
 
-def _orientations(img, ys, xs, sigma, n_bins=36):
-    """Dominant gradient orientation at each (ys, xs) of img, and whether its
-    window holds any gradient: the peak of a Gaussian-weighted n_bins-bin
-    histogram of central differences over a window clipped to [1, n - 1).
+def _orientations(frames, ts, ys, xs, sigma, n_bins=36):
+    """Dominant gradient orientation at each (ts, ys, xs) of a (T, h, w)
+    stack, and whether its window holds any gradient: the peak of a
+    Gaussian-weighted n_bins-bin histogram of the frame's central differences
+    over a window clipped to [1, n - 1).
 
     _octave_extrema clears a 2-pixel border, so every window spans >= 3 pixels.
     """
     radius = max(2, int(round(3.0 * 1.5 * sigma)))
-    ny, nx = img.shape
-    gy, gx = np.gradient(img)
+    _, ny, nx = frames.shape
+    gy, gx = np.gradient(frames, axis=(1, 2))
     off = np.arange(-radius, radius + 1)
     wy = ys[:, None, None] + off[:, None]
     wx = xs[:, None, None] + off
     inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
-    pick = (wy * nx + wx)[inside]
+    pick = ((ts[:, None, None] * ny + wy) * nx + wx)[inside]
     point = np.broadcast_to(np.arange(ys.size)[:, None, None], inside.shape)[inside]
     vy, vx = gy.ravel()[pick], gx.ravel()[pick]
     mag = np.hypot(vx, vy)
@@ -164,17 +180,19 @@ def _unit_rows(rows):
     return rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
-def describe_static(image, keypoints):
-    """128-D gradient-orientation descriptors of (n, 4) keypoint rows (x, y,
-    scale, orientation): 4x4 grid x 8 bins, rotated to the keypoint
-    orientation, clamped at 0.2 and re-normalized."""
-    img = np.asarray(image, dtype=np.float64)
+def describe_static(frames, keypoints):
+    """128-D gradient-orientation descriptors of (n, 5) keypoint rows (x, y,
+    t, scale, orientation) of a (T, H, W) stack: 4x4 grid x 8 bins over frame
+    t, rotated to the keypoint orientation, clamped at 0.2 and re-normalized."""
+    stack = np.asarray(frames, dtype=np.float64)
     if len(keypoints) == 0:
         return []
-    gy, gx = np.gradient(img)
-    ny, nx = img.shape
+    gy, gx = np.gradient(stack, axis=(1, 2))
+    t_count, ny, nx = stack.shape
     n, n_samples = len(keypoints), 16
-    kx, ky, scale, ori = np.asarray(keypoints, dtype=np.float64).T[:, :, None, None]
+    kx, ky, kt, scale, ori = np.asarray(keypoints, dtype=np.float64).T[:, :, None, None]
+    if np.any((kt < 0) | (kt > t_count - 1) | (kt != np.rint(kt))):
+        raise FeatureError("keypoint t is not a frame index of the stack")
     cos_o, sin_o = np.cos(ori), np.sin(ori)
     # sample grid in the rotated keypoint frame, spacing = scale
     lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * scale.reshape(n, 1)
@@ -184,8 +202,10 @@ def describe_static(image, keypoints):
     inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
     if not inside.any(axis=(1, 2)).all():
         raise FeatureError("keypoint patch fully outside image")
-    vx = np.where(inside, ndimage.map_coordinates(gx, (py, px), order=1, mode="nearest"), 0.0)
-    vy = np.where(inside, ndimage.map_coordinates(gy, (py, px), order=1, mode="nearest"), 0.0)
+    # at an integer t the trilinear sample is frame t's bilinear one, bit for bit
+    at = (np.broadcast_to(kt, px.shape), py, px)
+    vx = np.where(inside, ndimage.map_coordinates(gx, at, order=1, mode="nearest"), 0.0)
+    vy = np.where(inside, ndimage.map_coordinates(gy, at, order=1, mode="nearest"), 0.0)
     mag = np.hypot(vx, vy)
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
     ang = np.mod(np.arctan2(vy, vx) - ori, 2.0 * math.pi)
@@ -273,21 +293,26 @@ def describe_spacetime(seq, points):
     ok = np.zeros(len(points), dtype=bool)
     for rt, rs in np.unique(radii, axis=0):
         group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
-        per_point = grads.itemsize * grads.shape[0] * (2 * rt + 1) * (2 * rs + 1) ** 2
+        # only the t-offsets that carry some centre of the group into the
+        # sequence are gathered; no sample at another offset is inside
+        ct = centres[group, 0]
+        dt = np.arange(max(-rt, -ct.max()), min(rt, frames.shape[0] - 1 - ct.min()) + 1)
+        per_point = grads.itemsize * grads.shape[0] * dt.size * (2 * rs + 1) ** 2
         step = max(1, SPACETIME_BLOCK_BYTES // per_point)
         for lo in range(0, group.size, step):
             block = group[lo:lo + step]
-            vals[block], ok[block] = _spacetime_histograms(grads, centres[block], rt, rs)
+            vals[block], ok[block] = _spacetime_histograms(grads, centres[block], dt, rt, rs)
     return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
 
 
-def _spacetime_histograms(grads, centres, rt, rs):
+def _spacetime_histograms(grads, centres, dt, rt, rs):
     """Unit-length descriptors of the points at centres (n, 3) of (t, y, x)
-    whose windows have radii (rt, rs, rs), and which are not degenerate."""
+    whose windows have radii (rt, rs, rs), gathered at the t-offsets dt of
+    -rt..rt only, and which are not degenerate."""
     n = len(centres)
     shape = grads.shape[1:]
-    t, y, x = (centres[:, axis, None] + np.arange(-r, r + 1)
-               for axis, r in enumerate((rt, rs, rs)))
+    t = centres[:, 0, None] + dt
+    y, x = (centres[:, axis, None] + np.arange(-rs, rs + 1) for axis in (1, 2))
     t, y, x = t[:, :, None, None], y[:, None, :, None], x[:, None, None, :]
     inside = ((x >= 0) & (x < shape[2]) & (y >= 0) & (y < shape[1])
               & (t >= 0) & (t < shape[0]))
@@ -297,10 +322,11 @@ def _spacetime_histograms(grads, centres, rt, rs):
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
 
     # a zero-magnitude sample adds +0.0 to its bin, which changes no sum, so
-    # only the others are binned; windows reaching past t = 0 or T - 1 are
-    # mostly such samples
+    # only the others are binned; samples outside the frame or the sequence
+    # are such samples
     live = mag != 0
-    ct, cy, cx = (np.minimum(np.arange(2 * r + 1) * 2 // (2 * r + 1), 1) for r in (rt, rs, rs))
+    ct = np.minimum((dt + rt) * 2 // (2 * rt + 1), 1)
+    cy = cx = np.minimum(np.arange(2 * rs + 1) * 2 // (2 * rs + 1), 1)
     cell = np.arange(n)[:, None, None, None] * 8 + (ct[:, None, None] * 2 + cy[:, None]) * 2 + cx
     cell, vx, vy, vt, mag = (np.broadcast_to(a, live.shape)[live] for a in (cell, vx, vy, vt, mag))
     azim = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)

@@ -50,10 +50,8 @@ def sequence_descriptors(vol, params, cfg):
     describe both feature kinds. Degenerate descriptors are dropped."""
     seq = extract_plane_sequence(vol, params)
     seq = smooth_sequence(seq)
-    static = []
-    for frame in seq.frames:
-        kps = detect_static_keypoints(frame)
-        static.extend(d for d in describe_static(frame, kps) if not d.degenerate)
+    kps = detect_static_keypoints(seq.frames)
+    static = [d for d in describe_static(seq.frames, kps) if not d.degenerate]
     if seq.n_frames >= 5:
         pts = detect_spacetime_points(seq)
         spacetime = [d for d in describe_spacetime(seq, pts) if not d.degenerate]
@@ -395,13 +393,13 @@ def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):
     seq = extract_plane_sequence(vol, plane)
     smoothed = smooth_sequence(seq)
     written = []
-    counts = {"original": 0, "smoothed": 0}
+    counts = {}
     for label, frames in (("original", seq.frames), ("smoothed", smoothed.frames)):
+        kps = detect_static_keypoints(frames)
+        counts[label] = len(kps)
         for t, frame in enumerate(frames):
-            kps = detect_static_keypoints(frame)
-            counts[label] += len(kps)
             overlay = frame.copy()
-            for x, y in np.rint(kps[:, :2]).astype(int):
+            for x, y in np.rint(kps[kps[:, 2] == t, :2]).astype(int):
                 overlay[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 1.0
             path = os.path.join(out_dir, "%s_%03d.pgm" % (label, t))
             pgm.write_pgm(path, overlay)

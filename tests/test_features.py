@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,25 +46,27 @@ def test_gaussian_operator_matches_ndimage(shape, sigmas):
 
 
 def test_small_image_rejected():
-    with pytest.raises(FeatureError):
-        detect_static_keypoints(np.zeros((16, 16)))
+    # frames under 32 pixels on a side, and an image that is not a stack
+    for frames in (np.zeros((2, 16, 16)), np.zeros((2, 64, 16)), np.zeros((64, 64))):
+        with pytest.raises(FeatureError):
+            detect_static_keypoints(frames)
 
 
 def test_flat_image_no_keypoints():
-    kps = detect_static_keypoints(np.full((64, 64), 0.5))
-    assert kps.shape == (0, 4) and kps.dtype == np.float64
+    kps = detect_static_keypoints(np.full((3, 64, 64), 0.5))
+    assert kps.shape == (0, 5) and kps.dtype == np.float64
 
 
 def test_blob_detected_near_center():
     img = blob_image([(20, 28)])
-    kps = detect_static_keypoints(img)
+    kps = detect_static_keypoints(img[None])
     assert len(kps) >= 1
     assert np.hypot(kps[:, 0] - 20, kps[:, 1] - 28).min() <= 2.0
 
 
 def test_two_blobs_two_locations():
     img = blob_image([(16, 16), (46, 44)])
-    kps = detect_static_keypoints(img)
+    kps = detect_static_keypoints(img[None])
     for cx, cy in ((16, 16), (46, 44)):
         assert np.hypot(kps[:, 0] - cx, kps[:, 1] - cy).min() <= 2.0
 
@@ -72,23 +75,23 @@ def test_straight_edge_rejected():
     # a pure step edge has a degenerate curvature ratio and yields no points
     img = np.zeros((64, 64))
     img[:, 32:] = 1.0
-    kps = detect_static_keypoints(img)
+    kps = detect_static_keypoints(img[None])
     assert np.all(np.abs(kps[:, 0] - 31.5) > 3)
 
 
 def test_low_contrast_blob_filtered(monkeypatch):
     img = blob_image([(32, 32)], amp=0.02)
-    assert detect_static_keypoints(img).shape == (0, 4)
+    assert detect_static_keypoints(img[None]).shape == (0, 5)
     # the threshold is read at call time
     monkeypatch.setattr(features, "CONTRAST_THRESHOLD", 0.001)
-    kps = detect_static_keypoints(img)
+    kps = detect_static_keypoints(img[None])
     assert np.hypot(kps[:, 0] - 32, kps[:, 1] - 32).min() <= 2.0
 
 
 def test_descriptor_shape_and_norm():
     img = blob_image([(20, 28)])
-    kps = detect_static_keypoints(img)
-    descs = [d for d in describe_static(img, kps) if not d.degenerate]
+    kps = detect_static_keypoints(img[None])
+    descs = [d for d in describe_static(img[None], kps) if not d.degenerate]
     assert descs
     for d in descs:
         assert d.values.shape == (STATIC_DESCRIPTOR_DIM,)
@@ -98,38 +101,45 @@ def test_descriptor_shape_and_norm():
 
 def test_descriptor_brightness_invariant():
     img = blob_image([(24, 30)])
-    kps = detect_static_keypoints(img)
-    d1 = describe_static(img, kps)
-    d2 = describe_static(img + 0.2, kps)
+    kps = detect_static_keypoints(img[None])
+    d1 = describe_static(img[None], kps)
+    d2 = describe_static(img[None] + 0.2, kps)
     for a, b in zip(d1, d2):
         assert np.allclose(a.values, b.values, atol=1e-12)
 
 
 def test_descriptor_contrast_invariant():
     img = blob_image([(24, 30)])
-    kps = detect_static_keypoints(img)
-    d1 = describe_static(img, kps)
-    d2 = describe_static(3.0 * img, kps)
+    kps = detect_static_keypoints(img[None])
+    d1 = describe_static(img[None], kps)
+    d2 = describe_static(3.0 * img[None], kps)
     for a, b in zip(d1, d2):
         assert np.allclose(a.values, b.values, atol=1e-9)
 
 
 def test_descriptor_flat_patch_degenerate():
-    img = np.full((64, 64), 0.5)
-    (d,) = describe_static(img, np.array([[32.0, 32.0, 1.6, 0.0]]))
+    frames = np.full((1, 64, 64), 0.5)
+    (d,) = describe_static(frames, np.array([[32.0, 32.0, 0.0, 1.6, 0.0]]))
     assert d.degenerate
     assert np.all(d.values == 0.0)
+
+
+def test_static_descriptor_t_outside_stack():
+    frames = np.random.default_rng(4).random((2, 64, 64))
+    for t in (-1.0, 2.0, 0.5):
+        with pytest.raises(FeatureError):
+            describe_static(frames, np.array([[32.0, 32.0, t, 1.6, 0.0]]))
 
 
 def test_descriptor_rotation_covariant():
     # rotating the image by 90 degrees leaves the oriented descriptor close
     img = blob_image([(22, 30)], sigma=3.0) + blob_image([(28, 30)], sigma=1.5, amp=0.6)
     rot = np.rot90(img).copy()
-    kps = detect_static_keypoints(img)
-    kps_r = detect_static_keypoints(rot)
+    kps = detect_static_keypoints(img[None])
+    kps_r = detect_static_keypoints(rot[None])
     assert len(kps) and len(kps_r)
-    d = describe_static(img, kps[:1])[0].values
-    best = max(float(d @ e.values) for e in describe_static(rot, kps_r))
+    d = describe_static(img[None], kps[:1])[0].values
+    best = max(float(d @ e.values) for e in describe_static(rot[None], kps_r))
     assert best > 0.8
 
 
@@ -219,10 +229,11 @@ def _reference_bilinear(field, x, y):
 
 
 def _reference_static_descriptor(img, kp, n_samples=16, sample=_reference_bilinear):
-    """describe_static's descriptor for one keypoint row (x, y, scale,
-    orientation), one keypoint at a time, sampling the gradients with
-    `sample` at clipped coordinates."""
-    x, y, scale, orientation = map(float, kp)
+    """describe_static's descriptor for one keypoint row (x, y, t, scale,
+    orientation) of the frame img, one keypoint at a time, sampling the
+    gradients with `sample` at clipped coordinates; None where it is
+    degenerate."""
+    x, y, _, scale, orientation = map(float, kp)
     gy, gx = np.gradient(img)
     ny, nx = img.shape
     half_width = 8.0 * scale
@@ -235,6 +246,8 @@ def _reference_static_descriptor(img, kp, n_samples=16, sample=_reference_biline
     vx = np.where(inside, sample(gx, cx, cy), 0.0)
     vy = np.where(inside, sample(gy, cx, cy), 0.0)
     mag = np.hypot(vx, vy)
+    if float((mag ** 2).sum()) < features.DEGENERATE_ENERGY:
+        return None
     ang = np.mod(np.arctan2(vy, vx) - orientation, 2.0 * math.pi)
     obin = np.minimum((ang / (2.0 * math.pi) * 8).astype(int), 7)
     cell_r = np.minimum(np.arange(n_samples) * 4 // n_samples, 3)
@@ -250,13 +263,15 @@ def _reference_static_descriptor(img, kp, n_samples=16, sample=_reference_biline
 def test_static_descriptor_matches_bilinear_reference():
     rng = np.random.default_rng(11)
     img = blob_image([(20, 30), (45, 12), (50, 50)]) + 0.05 * rng.random((64, 64))
+    # the keypoints lie in frame 1; frame 0 holds other gradients
+    frames = np.stack([rng.random((64, 64)), img])
     # orientation 0 at scale 1 puts samples on half-integer offsets, so the
     # first two patches have rows and columns at exactly 0 and at exactly 63
-    kps = np.vstack([[7.5, 7.5, 1.0, 0.0], [55.5, 55.5, 1.0, 0.0],
+    kps = np.vstack([[7.5, 7.5, 1.0, 1.0, 0.0], [55.5, 55.5, 1.0, 1.0, 0.0],
                      np.column_stack((rng.uniform(0, 63, 12), rng.uniform(0, 63, 12),
-                                      rng.uniform(1.0, 4.0, 12),
+                                      np.ones(12), rng.uniform(1.0, 4.0, 12),
                                       rng.uniform(0, 2 * math.pi, 12)))])
-    for kp, d in zip(kps, describe_static(img, kps)):
+    for kp, d in zip(kps, describe_static(frames, kps)):
         assert not d.degenerate
         assert np.abs(d.values - _reference_static_descriptor(img, kp)).max() <= 1e-15
 
@@ -369,25 +384,40 @@ def _quantized(rng, shape, levels, p=None):
     return rng.choice(np.asarray(levels, dtype=np.float64), size=shape, p=p)
 
 
+def _with_t(rows_per_frame):
+    """Per-frame (n, 4) rows (x, y, scale, orientation) joined frame by frame
+    into (n, 5) rows (x, y, t, scale, orientation)."""
+    return np.concatenate([np.insert(rows, 2, t, axis=1)
+                           for t, rows in enumerate(rows_per_frame)])
+
+
 def test_octave_extrema_match_filter_reference():
+    # three frames: the first with plateaus, ties and border extrema, a flat
+    # one, and one drawn apart, so that no neighbourhood may cross a frame
     rng = np.random.default_rng(5)
-    gaussians = rng.random((6, 32, 32))
-    gaussians[:, 20:, :12] = 0.25  # flat: windows there are degenerate
-    dogs = _quantized(rng, (5, 32, 32), [-0.06, -0.03, 0.0, 0.03, 0.06])
-    dogs[:, 8:16, 8:16] = 0.05  # a plateau above threshold: max and min tie
-    dogs[2, 10, 10] = 0.08
-    dogs[2, 9:12:2, 9:12:2] = 0.08  # a peak tied with its diagonal neighbours
+    gaussians = rng.random((3, 6, 32, 32))
+    gaussians[0, :, 20:, :12] = 0.25  # flat: windows there are degenerate
+    gaussians[1] = 0.25
+    dogs = _quantized(rng, (3, 5, 32, 32), [-0.06, -0.03, 0.0, 0.03, 0.06])
+    dogs[1] = 0.0
+    first = dogs[0]
+    first[:, 8:16, 8:16] = 0.05  # a plateau above threshold: max and min tie
+    first[2, 10, 10] = 0.08
+    first[2, 9:12:2, 9:12:2] = 0.08  # a peak tied with its diagonal neighbours
     for y, x in ((2, 2), (2, 29), (29, 2), (29, 29), (2, 16), (16, 29)):
-        dogs[1:4, y, x] = (0.2, 0.3, 0.2)  # extrema next to the 2-pixel border
+        first[1:4, y, x] = (0.2, 0.3, 0.2)  # extrema next to the 2-pixel border
     for octave in (0, 2):
-        expected = _reference_octave_extrema(dogs, gaussians, octave, 0.03)
+        expected = _with_t(_reference_octave_extrema(dogs[t], gaussians[t], octave, 0.03)
+                           for t in range(3))
+        # level by level (the scale column), each level frame by frame
+        expected = expected[np.argsort(expected[:, 3], kind="stable")]
         assert np.array_equal(_octave_extrema(dogs, gaussians, octave, 0.03), expected)
-    found = {(y, x) for x, y, _, _ in expected}
-    assert len(expected) > 50
+    found = {(y, x) for x, y, t, _, _ in expected if t == 0}
+    assert len(found) > 50 and set(expected[:, 2]) == {0.0, 2.0}
     assert (40.0, 40.0) in found  # 4 x (10, 10), the tied peak
     assert {(8.0, 8.0), (8.0, 116.0), (116.0, 8.0), (116.0, 116.0)} <= found
     # raising the threshold past every value leaves nothing to gather
-    assert _octave_extrema(dogs, gaussians, 0, 1.0).shape == (0, 4)
+    assert _octave_extrema(dogs, gaussians, 0, 1.0).shape == (0, 5)
 
 
 @pytest.mark.parametrize("size, sigma", [(16, 3.2), (24, 2.016), (40, 2.54)])
@@ -396,13 +426,14 @@ def test_orientations_match_reference_at_every_pixel(size, sigma):
     rng = np.random.default_rng(size)
     img = blob_image([(size / 3, size / 2)], sigma=3.0, size=size) + 0.1 * rng.random((size, size))
     img[:size // 2, :size // 2] = 0.5  # flat corner: degenerate windows at 40 px
-    ys, xs = np.mgrid[2:size - 2, 2:size - 2].reshape(2, -1)
-    for image in (img, np.full((size, size), 0.5)):
-        ori, ok = _orientations(image, ys, xs, sigma)
-        expected = [_reference_orientation(image, x, y, sigma) for y, x in zip(ys, xs)]
-        assert ok.tolist() == [e is not None for e in expected]
-        assert ori[ok].tolist() == [e for e in expected if e is not None]
-    assert not ok.any()
+    # a flat frame between two busy ones
+    frames = np.stack([img, np.full((size, size), 0.5), img[::-1, ::-1].T])
+    ts, ys, xs = np.mgrid[0:3, 2:size - 2, 2:size - 2].reshape(3, -1)
+    ori, ok = _orientations(frames, ts, ys, xs, sigma)
+    expected = [_reference_orientation(frames[t], x, y, sigma) for t, y, x in zip(ts, ys, xs)]
+    assert ok.tolist() == [e is not None for e in expected]
+    assert ori[ok].tolist() == [e for e in expected if e is not None]
+    assert ok[ts != 1].any() and not ok[ts == 1].any()
 
 
 def test_spacetime_points_match_filter_reference(monkeypatch):
@@ -452,6 +483,11 @@ def test_spacetime_descriptors_match_reference():
     assert 0 < sum(e is None for e in expected) < len(points)
     for d, e in zip(got, expected):
         assert np.array_equal(d.values, np.zeros(SPACETIME_DESCRIPTOR_DIM) if e is None else e)
+    # alone, a point's window is cut to the t-offsets that reach the
+    # sequence from its own centre, mostly on one side of it
+    for pt, d in zip(points, got):
+        (alone,) = describe_spacetime(_sequence(frames), pt[None])
+        assert alone.degenerate == d.degenerate and np.array_equal(alone.values, d.values)
 
 
 def test_spacetime_descriptors_one_point_blocks(monkeypatch):
@@ -468,29 +504,104 @@ def _map_coordinates_nearest(field, x, y):
     return ndimage.map_coordinates(field, (y, x), order=1, mode="nearest")
 
 
+def _assert_static_descriptors_match(frames, kps, got):
+    """got equals the per-point reference on each keypoint's frame, bit for
+    bit, with all-zero values where the reference finds it degenerate."""
+    assert len(got) == len(kps)
+    for kp, d in zip(kps, got):
+        expected = _reference_static_descriptor(frames[int(kp[2])], kp,
+                                                 sample=_map_coordinates_nearest)
+        assert d.degenerate == (expected is None)
+        assert np.array_equal(d.values,
+                              np.zeros(STATIC_DESCRIPTOR_DIM) if expected is None else expected)
+
+
 def test_static_descriptors_match_per_point_reference():
     rng = np.random.default_rng(13)
     img = blob_image([(20, 30), (45, 12)]) + 0.05 * rng.random((64, 64))
     img[40:, 40:] = 0.3  # flat: degenerate patches
-    # patches partly outside the frame, at every edge and corner
-    kps = np.array([(x, y, s, o)
+    frames = np.stack([img, img[::-1].copy()])
+    # patches partly outside the frame, at every edge and corner, in both frames
+    kps = np.array([(x, y, t, s, o)
                     for x, y in ((0.0, 0.0), (63.0, 63.0), (2.5, 40.0), (60.0, 3.0),
                                  (55.0, 55.0), (32.0, 32.0))
+                    for t in (0.0, 1.0)
                     for s, o in ((1.6, 0.0), (3.2, 2.0), (6.4, 4.5))])
-    got = describe_static(img, kps)
+    got = describe_static(frames, kps)
     degenerate = [d.degenerate for d in got]
     assert any(degenerate) and not all(degenerate)
-    for kp, d in zip(kps, got):
-        if d.degenerate:
-            assert np.array_equal(d.values, np.zeros(STATIC_DESCRIPTOR_DIM))
-        else:
-            expected = _reference_static_descriptor(img, kp, sample=_map_coordinates_nearest)
-            assert np.array_equal(d.values, expected)
+    _assert_static_descriptors_match(frames, kps, got)
+
+
+def _per_frame_static_keypoints(image):
+    """The per-frame DoG detector: (n, 4) rows (x, y, scale, orientation) of
+    one image, octave by octave, from the per-pixel filter reference."""
+    rows, base = [np.empty((0, 4))], image
+    for octave in range(features.N_OCTAVES):
+        if min(base.shape) < 16:
+            break
+        gaussians = np.stack([_gaussian_nearest(base, (sigma, sigma))
+                              for sigma in features._OCTAVE_SIGMAS])
+        rows.append(_reference_octave_extrema(np.diff(gaussians, axis=0), gaussians, octave,
+                                              features.CONTRAST_THRESHOLD))
+        base = base[::2, ::2]
+    return np.concatenate(rows)
+
+
+def _busy_stack():
+    """Three 64 x 64 frames: blobs of several sizes, a flat frame, and blobs
+    near the border."""
+    rng = np.random.default_rng(17)
+    first = (blob_image([(20, 30), (45, 12)]) + blob_image([(16, 50)], sigma=3.5)
+             + blob_image([(44, 44)], sigma=5.0) + 0.05 * rng.random((64, 64)))
+    last = (blob_image([(3, 30), (60, 4), (30, 60)]) + blob_image([(33, 33)], sigma=6.0)
+            + 0.05 * rng.random((64, 64)))
+    return np.stack([first, np.full((64, 64), 0.5), last])
+
+
+def test_static_stack_matches_per_frame_reference():
+    frames = _busy_stack()
+    kps = detect_static_keypoints(frames)
+    assert np.array_equal(kps, _with_t(_per_frame_static_keypoints(f) for f in frames))
+    assert set(kps[:, 2]) == {0.0, 2.0}
+    # both busy frames have keypoints in two octaves, so rows ordered by
+    # octave or level first would interleave the frames
+    assert all(len(set(kps[kps[:, 2] == t, 3] >= 4)) == 2 for t in (0, 2))
+    assert {(3.0, 30.0), (60.0, 4.0), (30.0, 60.0)} <= {(x, y) for x, y in kps[kps[:, 2] == 2, :2]}
+    # and patches on the flat frame, which are degenerate
+    rows = np.vstack([kps, [[32.0, 32.0, 1.0, 1.6, 0.0], [0.0, 63.0, 1.0, 3.2, 1.0]]])
+    got = describe_static(frames, rows)
+    assert [d.degenerate for d in got[-2:]] == [True, True]
+    _assert_static_descriptors_match(frames, rows, got)
+
+
+def test_static_path_memory_is_bounded(monkeypatch):
+    # four frames of high-contrast noise: about 17,000 octave-0 pixels pass
+    # the contrast test, and each gathers 27 neighbours
+    frames = 10.0 * np.random.default_rng(2).random((4, 48, 48))
+    dogs = np.diff([_gaussian_nearest(frames, (s, s)) for s in features._OCTAVE_SIGMAS], axis=0)
+    assert (np.abs(dogs[1:-1, :, 2:-2, 2:-2]) >= features.CONTRAST_THRESHOLD).sum() > 15000
+    bound = 4 << 20
+
+    def peak():
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            describe_static(frames, detect_static_keypoints(frames))
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    # gathering every pixel's neighbourhood at once breaks the bound
+    monkeypatch.setattr(features, "EXTREMUM_BLOCK", 1 << 30)
+    assert peak() > bound
 
 
 def test_no_points_no_descriptors():
-    # the empty arrays a flat image and a sequence constant in t give
-    img = np.full((64, 64), 0.5)
-    assert describe_static(img, detect_static_keypoints(img)) == []
+    # the empty arrays a flat stack and a sequence constant in t give
+    frames = np.full((2, 64, 64), 0.5)
+    assert describe_static(frames, detect_static_keypoints(frames)) == []
     seq = _sequence(np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6))
     assert describe_spacetime(seq, detect_spacetime_points(seq)) == []
