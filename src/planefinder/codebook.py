@@ -137,7 +137,11 @@ def _kmeanspp_seed(data, k, rng):
             if total <= 0:
                 idx = int(rng.integers(n))
             else:
-                idx = int(rng.choice(n, p=d2 / total))
+                # the draw of rng.choice(n, p=d2 / total), without its
+                # validation passes over p: the same uniform, the same index
+                cdf = np.cumsum(d2 / total)
+                cdf /= cdf[-1]
+                idx = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[j] = data[idx]
         # squared distance to the new centroid by the expansion _assign uses
         dj = x2 - 2.0 * (data @ centroids[j]) + x2[idx]

@@ -6,6 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# a code column whose singular value is at or below this fraction of the
+# largest is zero: rounding, not the data, would set its direction
+SINGULAR_VALUE_FLOOR = 1e-8
+
+
 class EmbeddingError(Exception):
     pass
 
@@ -92,7 +97,8 @@ def fit_embedding(x, y, s, c, epsilon=None):
     directions of the whitened cross matrix X^T S Y / n. That matrix lies in
     span(V_x) x span(V_y) of the two views' thin SVDs, so its SVD is taken
     from the min(n, d_x) x min(n, d_y) matrix of its coordinates there (the
-    sample-space form of CCA when d > n; the primal form when n > d).
+    sample-space form of CCA when d > n; the primal form when n > d). Code
+    columns past the matrix's numerical rank (SINGULAR_VALUE_FLOOR) are zero.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -115,9 +121,10 @@ def fit_embedding(x, y, s, c, epsilon=None):
 
     usx, a_x, v_x = _whitener(xc, c, epsilon)
     usy, a_y, v_y = _whitener(yc, c, epsilon)
-    u, _, vt = np.linalg.svd((usx * a_x).T @ s @ (usy * a_y) / n, full_matrices=False)
-    u = u[:, :c]
-    v = vt[:c].T
+    u, sv, vt = np.linalg.svd((usx * a_x).T @ s @ (usy * a_y) / n, full_matrices=False)
+    live = sv[:c] > SINGULAR_VALUE_FLOOR * sv[0]
+    u = u[:, :c] * live
+    v = vt[:c].T * live
     # sign convention: largest-magnitude entry of each whitened basis column
     # V_x u positive; the paired Y column flips with it
     basis = v_x @ u

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
+from .volume import float_frames
+
 STATIC_DESCRIPTOR_DIM = 128
 SPACETIME_DESCRIPTOR_DIM = 192
 
@@ -47,12 +49,12 @@ class Descriptor:
 
 def detect_static_keypoints(frames):
     """DoG scale-space extrema with contrast and edge-response rejection in
-    every frame of a (T, H, W) stack.
+    every frame of a (T, H, W) stack, in the stack's precision.
 
     Returns an (n, 5) float64 array of rows (x, y, t, scale, orientation), t
     the frame index, frame by frame; a frame's rows come octave by octave,
     level by level, in row-major order."""
-    stack = np.asarray(frames, dtype=np.float64)
+    stack = float_frames(frames)
     if stack.ndim != 3 or min(stack.shape[1:]) < 32:
         raise FeatureError("frames must be a (T, H, W) stack of frames at least 32x32")
 
@@ -71,21 +73,24 @@ def detect_static_keypoints(frames):
 
 
 @functools.lru_cache(maxsize=64)
-def _gaussian_operator(n, sigma):
-    """(n, n) matrix G with G @ x == gaussian_filter1d(x, sigma, mode="nearest")."""
+def _gaussian_operator(n, sigma, dtype):
+    """(n, n) matrix G with G @ x == gaussian_filter1d(x, sigma, mode="nearest"),
+    computed in float64 and held in `dtype`."""
     op = ndimage.gaussian_filter1d(np.eye(n), sigma, axis=0, mode="nearest")
+    op = op.astype(dtype, copy=False)
     op.flags.writeable = False
     return op
 
 
 def _gaussian_nearest(arr, sigmas):
     """ndimage.gaussian_filter(arr, sigmas, mode="nearest") over the trailing
-    len(sigmas) axes, applied as products with cached 1-D operator matrices."""
-    out = np.asarray(arr, dtype=np.float64)
+    len(sigmas) axes, applied as products with cached 1-D operator matrices in
+    the precision float_frames gives arr."""
+    out = float_frames(arr)
     shape = out.shape
     for axis, sigma in zip(range(out.ndim - len(sigmas), out.ndim), sigmas):
         n = shape[axis]
-        op = _gaussian_operator(n, float(sigma))
+        op = _gaussian_operator(n, float(sigma), out.dtype)
         inner = math.prod(shape[axis + 1:])
         if inner == 1:
             out = out.reshape(-1, n) @ op.T
@@ -107,7 +112,8 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     kept, so just their 27 neighbours are gathered, EXTREMUM_BLOCK pixels at
     a time through one flat index; they all lie inside the pixel's frame, so
     the max/min comparisons are those of a per-frame size-3 filter with
-    mode="nearest", ties included."""
+    mode="nearest", ties included. The edge test and the orientations work
+    in float64 on the gathered values."""
     factor = 2.0 ** octave
     _, _, h, w = dogs.shape
     ts, ls, ys, xs = np.nonzero(np.abs(dogs[:, 1:-1, 2:-2, 2:-2]) >= contrast_threshold)
@@ -122,7 +128,7 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     flat = flat[keep]
     ts, ls, ys, xs = np.unravel_index(flat, dogs.shape)
     # own level, indexed [dy + 1, dx + 1]
-    c = values[flat[:, None] + offsets[9:18]].reshape(-1, 3, 3)
+    c = values[flat[:, None] + offsets[9:18]].astype(np.float64).reshape(-1, 3, 3)
     d = c[:, 1, 1]
     dxx = c[:, 1, 2] + c[:, 1, 0] - 2 * d
     dyy = c[:, 2, 1] + c[:, 0, 1] - 2 * d
@@ -162,7 +168,7 @@ def _orientations(frames, ts, ys, xs, sigma, n_bins=36):
     inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
     pick = ((ts[:, None, None] * ny + wy) * nx + wx)[inside]
     point = np.broadcast_to(np.arange(ys.size)[:, None, None], inside.shape)[inside]
-    vy, vx = gy.ravel()[pick], gx.ravel()[pick]
+    vy, vx = gy.ravel()[pick].astype(np.float64), gx.ravel()[pick].astype(np.float64)
     mag = np.hypot(vx, vy)
     ok = ~(np.bincount(point, weights=mag, minlength=ys.size) < DEGENERATE_ENERGY)
     ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
@@ -228,8 +234,8 @@ def detect_spacetime_points(seq):
     A point is kept when its response reaches the threshold and equals the
     maximum of its 27 neighbours, gathered only for the pixels that reach it;
     t is clipped as mode="nearest" does, and the cleared 2-pixel border keeps
-    y and x inside."""
-    frames = np.asarray(seq.frames, dtype=np.float64)
+    y and x inside. The response is computed in the precision of the frames."""
+    frames = float_frames(seq.frames)
     t_count = frames.shape[0]
     if t_count < 5:
         raise FeatureError("need at least 5 frames for spatio-temporal detection")

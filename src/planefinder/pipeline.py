@@ -16,7 +16,8 @@ from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embeddi
 from .features import (describe_spacetime, describe_static, detect_spacetime_points,
                        detect_static_keypoints)
 from .smoothing import smooth_sequence
-from .volume import (extract_plane_sequence, generate_candidates, load_volume)
+from .volume import (PlaneSequence, extract_plane_sequence, generate_candidates,
+                     load_volume)
 
 KMEANS_SEED = 7
 POOL_SEED = 11  # the space-time pool draws with POOL_SEED + 1
@@ -45,11 +46,17 @@ def candidate_planes(vol, cfg):
                                width=cfg.plane_size, height=cfg.plane_size)
 
 
+def _plane_sequence(vol, params):
+    """The plane resampled in float64 and held in float32: smoothing, DoG and
+    Harris3D run in float32, the describers in float64."""
+    seq = extract_plane_sequence(vol, params)
+    return PlaneSequence(params=params, frames=seq.frames.astype(np.float32))
+
+
 def sequence_descriptors(vol, params, cfg):
     """Full feature path for one candidate plane: resample, smooth, detect and
     describe both feature kinds. Degenerate descriptors are dropped."""
-    seq = extract_plane_sequence(vol, params)
-    seq = smooth_sequence(seq)
+    seq = smooth_sequence(_plane_sequence(vol, params))
     kps = detect_static_keypoints(seq.frames)
     static = [d for d in describe_static(seq.frames, kps) if not d.degenerate]
     if seq.n_frames >= 5:
@@ -390,7 +397,7 @@ def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):
         plane = plane_from_center(((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2),
                                   (0.0, 0.0, 1.0), width=cfg.plane_size,
                                   height=cfg.plane_size)
-    seq = extract_plane_sequence(vol, plane)
+    seq = _plane_sequence(vol, plane)
     smoothed = smooth_sequence(seq)
     written = []
     counts = {}

@@ -4,7 +4,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.fft import irfft2, rfft2
+from scipy.fft import ifft, irfft, rfft2
 
 from .volume import PlaneSequence
 
@@ -82,17 +82,18 @@ def l0_smooth(image, config=None):
 
 
 def _l0_smooth_stack(imgs, config):
-    """L0-smooth every (H, W) image of a (T, H, W) stack in one beta loop.
+    """L0-smooth every (H, W) image of a (T, H, W) stack in one beta loop, in
+    the precision of its transform: float32 for float32 images, else float64.
 
     rfft2(I) and the Laplacian symbol are loop invariants, so each beta step
-    costs one rfft2 and one irfft2 over the whole stack.
+    costs one rfft2 and one inverse transform over the whole stack.
     """
     if config is None:
         config = SmoothingConfig()
     if not np.all(np.isfinite(imgs)):
         raise SmoothingError("non-finite input pixels")
     f_img = rfft2(imgs)
-    lap = _laplacian_symbol(*imgs.shape[-2:])
+    lap = _laplacian_symbol(*imgs.shape[-2:], f_img.real.dtype)
     s = imgs
     beta = config.beta0
     while beta <= config.beta_max:
@@ -114,24 +115,29 @@ def threshold_gradients(s, lam, beta):
 
 def solve_screened_poisson(img, h, v, beta):
     """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
-    return _poisson_solve(rfft2(img), h, v, beta, _laplacian_symbol(*img.shape[-2:]))
+    f_img = rfft2(img)
+    return _poisson_solve(f_img, h, v, beta, _laplacian_symbol(*img.shape[-2:], f_img.real.dtype))
 
 
 def _poisson_solve(f_img, h, v, beta, lap):
     # conj(F dx) F h + conj(F dy) F v is the transform of divergence(h, v)
     numer = f_img + beta * rfft2(divergence(h, v))
-    return irfft2(numer / (1.0 + beta * lap), s=h.shape[-2:])
+    # the inverse transform one axis at a time scales by 1/ny, then by 1/nx,
+    # as numpy.fft.irfft2 does; one 2-D scipy.fft.irfft2 scales by 1/(ny nx),
+    # which differs in the last bit when ny is not a power of two
+    return irfft(ifft(numer / (1.0 + beta * lap), axis=-2), n=h.shape[-1], axis=-1)
 
 
-def _laplacian_symbol(ny, nx):
+def _laplacian_symbol(ny, nx, dtype):
     """|F dx|^2 + |F dy|^2 on the rfft2 grid: the eigenvalues of the periodic
-    Laplacian dx^T dx + dy^T dy."""
+    Laplacian dx^T dx + dy^T dy, computed in float64 and held in `dtype`."""
     wy = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(ny) / ny)
     wx = 2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(nx // 2 + 1) / nx)
-    return wy[:, None] + wx[None, :]
+    return (wy[:, None] + wx[None, :]).astype(dtype, copy=False)
 
 
 def smooth_sequence(seq, config=None):
-    """Filter every frame of a plane sequence independently."""
+    """Filter every frame of a plane sequence independently, in the precision
+    of its frames (float32 in the pipeline)."""
     frames = _l0_smooth_stack(seq.frames, config)
     return PlaneSequence(params=seq.params, frames=frames)

@@ -96,15 +96,23 @@ class PlaneParams:
         return (o + 0.5 * self.pixel_step * ((self.width - 1) * u + (self.height - 1) * v))
 
 
+def float_frames(frames):
+    """frames as a float array: float32 stays float32, anything else becomes
+    float64. Smoothing and detection run in the precision of their frames."""
+    frames = np.asarray(frames)
+    return frames if frames.dtype == np.float32 else np.asarray(frames, dtype=np.float64)
+
+
 @dataclass(frozen=True)
 class PlaneSequence:
-    """Per-frame resampled images of one plane; frames shape (T, height, width)."""
+    """Per-frame resampled images of one plane; frames shape (T, height, width),
+    float32 frames kept as float32 and any others held as float64."""
 
     params: PlaneParams
     frames: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.frames, dtype=np.float64)
+        f = float_frames(self.frames)
         if f.ndim != 3:
             raise VolumeError("frames must be (T, height, width)")
         f.flags.writeable = False

@@ -56,7 +56,8 @@ def test_centroids_are_member_means():
 
 
 def _kmeanspp_direct(data, k, rng):
-    """k-means++ seeding with distances from explicit differences."""
+    """k-means++ seeding with distances from explicit differences, each index
+    drawn by rng.choice."""
     n = data.shape[0]
     centroids = np.empty((k, data.shape[1]))
     centroids[0] = data[rng.integers(n)]
@@ -75,6 +76,17 @@ def _kmeanspp_direct(data, k, rng):
 @pytest.mark.parametrize("seed", range(5))
 def test_kmeanspp_seed_picks_rows_of_direct_formula(seed):
     data = np.random.default_rng(20 + seed).random((600, 32))
+    got = codebook._kmeanspp_seed(data, 100, np.random.default_rng(seed))
+    want = _kmeanspp_direct(data, 100, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeanspp_seed_with_duplicate_rows_picks_rows_of_direct_formula(seed):
+    # 120 distinct rows, each about five times: once a row is taken, its
+    # copies have no chance of being drawn
+    rows = np.random.default_rng(30 + seed).random((120, 32))
+    data = rows[np.random.default_rng(seed).integers(120, size=600)]
     got = codebook._kmeanspp_seed(data, 100, np.random.default_rng(seed))
     want = _kmeanspp_direct(data, 100, np.random.default_rng(seed))
     assert np.array_equal(got, want)

@@ -130,14 +130,29 @@ def test_more_features_than_samples_matches_primal_oracle(similarity, c):
     isx = np.real(sqrtm(inv(cxx)))
     isy = np.real(sqrtm(inv(cyy)))
     u, sv, vt = np.linalg.svd(isx @ (xc.T @ s @ yc / n) @ isy)
-    assert np.abs(m.w_x.T @ cxx @ m.w_x - np.eye(c)).max() <= 1e-8
-    assert np.abs(m.w_y.T @ cyy @ m.w_y - np.eye(c)).max() <= 1e-8
-    assert trace_objective(xc, yc, m.w_x, m.w_y, s) == pytest.approx(n * sv[:c].sum(),
-                                                                     rel=1e-9)
     live = sv[:c] > 1e-9 * sv[0]
     assert live.sum() == (c if similarity == "identity" else 7)
+    # whitened identity on the live columns; the columns the data leave
+    # undetermined are exact zeros
+    assert np.abs(m.w_x.T @ cxx @ m.w_x - np.diag(live)).max() <= 1e-8
+    assert np.abs(m.w_y.T @ cyy @ m.w_y - np.diag(live)).max() <= 1e-8
+    assert not m.w_x[:, ~live].any() and not m.w_y[:, ~live].any()
+    assert trace_objective(xc, yc, m.w_x, m.w_y, s) == pytest.approx(n * sv[:c].sum(),
+                                                                     rel=1e-9)
     assert subspace_angles(m.w_x[:, live], (isx @ u[:, :c])[:, live]).max() <= 1e-6
     assert subspace_angles(m.w_y[:, live], (isy @ vt[:c].T)[:, live]).max() <= 1e-6
+
+
+def test_codes_do_not_follow_rounding():
+    # the labels' S leaves 5 of the 12 directions undetermined; a relative
+    # perturbation of 1e-12 must not move any code column
+    rng = np.random.default_rng(12)
+    x, y, s = random_problem(rng, n=30, d_x=120, d_y=40)
+    m = fit_embedding(x, y, s, c=12, epsilon=1e-3)
+    bumped = x * (1.0 + 1e-12 * rng.standard_normal(x.shape))
+    m2 = fit_embedding(bumped, y, s, c=12, epsilon=1e-3)
+    for view, feats in (("static", x), ("spacetime", y)):
+        assert np.abs(embed(feats, m, view) - embed(feats, m2, view)).max() <= 1e-6
 
 
 def test_trace_objective_is_maximal_over_random_feasible():

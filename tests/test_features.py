@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from planefinder import features
+from planefinder import features, pipeline
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
                                   FeatureError, _gaussian_nearest, _harris_response,
                                   _octave_extrema, _orientations, describe_spacetime,
                                   describe_static, detect_spacetime_points,
                                   detect_static_keypoints)
-from planefinder.volume import PlaneParams, PlaneSequence
+from planefinder.phantom import PhantomSpec, synth_phantom
+from planefinder.smoothing import smooth_sequence
+from planefinder.volume import PlaneParams, PlaneSequence, Volume4D, extract_plane_sequence
 
 
 def blob_image(centers, sigma=2.5, amp=1.0, size=64):
@@ -43,6 +45,20 @@ def test_gaussian_operator_matches_ndimage(shape, sigmas):
     full = (0.0,) * (arr.ndim - len(sigmas)) + sigmas
     expected = ndimage.gaussian_filter(arr, full, mode="nearest")
     assert np.abs(_gaussian_nearest(arr, sigmas) - expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("shape, sigmas", [
+    ((8, 64, 64), (4.0, 2.0, 2.0)),
+    ((2, 8, 16, 16), (2.0, 4.0, 4.0)),
+    ((16, 12), (1.6, 3.2)),
+])
+def test_gaussian_nearest_float32_tracks_float64_filter(shape, sigmas):
+    arr = np.random.default_rng(3).random(shape)
+    full = (0.0,) * (arr.ndim - len(sigmas)) + sigmas
+    expected = ndimage.gaussian_filter(arr, full, mode="nearest")
+    got = _gaussian_nearest(arr.astype(np.float32), sigmas)
+    assert got.dtype == np.float32
+    assert np.abs(got - expected).max() <= 1e-6 * np.abs(expected).max()
 
 
 def test_small_image_rejected():
@@ -605,3 +621,21 @@ def test_no_points_no_descriptors():
     assert describe_static(frames, detect_static_keypoints(frames)) == []
     seq = _sequence(np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6))
     assert describe_spacetime(seq, detect_spacetime_points(seq)) == []
+
+
+def test_float32_frames_keep_desk_phantom_points():
+    # a desk-scale phantom at the u8 precision of a loaded volume: on every
+    # ground-truth plane, the float32 path keeps each DoG keypoint's (x, y,
+    # t, scale) and every Harris3D point of the float64 path
+    vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
+    vol = Volume4D(voxels=np.round(vol.voxels * 255.0) / 255.0)
+    for plane in gt.values():
+        single = smooth_sequence(pipeline._plane_sequence(vol, plane))
+        double = smooth_sequence(extract_plane_sequence(vol, plane))
+        assert single.frames.dtype == np.float32 and double.frames.dtype == np.float64
+        kps = detect_static_keypoints(single.frames)
+        assert len(kps) > 50
+        assert np.array_equal(kps[:, :4], detect_static_keypoints(double.frames)[:, :4])
+        pts = detect_spacetime_points(single)
+        assert len(pts) > 10
+        assert np.array_equal(pts, detect_spacetime_points(double))

@@ -4,11 +4,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from planefinder.smoothing import (SmoothingConfig, SmoothingError, forward_diff,
-                                   divergence, gradient_count, l0_smooth,
+from planefinder.phantom import PhantomSpec, synth_phantom
+from planefinder.smoothing import (SmoothingConfig, SmoothingError, _l0_smooth_stack,
+                                   forward_diff, divergence, gradient_count, l0_smooth,
                                    smooth_sequence, solve_screened_poisson,
                                    threshold_gradients)
-from planefinder.volume import PlaneParams, PlaneSequence
+from planefinder.volume import PlaneParams, PlaneSequence, extract_plane_sequence
 
 
 def step_image(rng, sigma=0.05):
@@ -174,3 +175,12 @@ def test_batched_real_fft_matches_complex_reference(shape):
     out = smooth_sequence(_sequence(frames), cfg).frames
     ref = np.stack([_reference_l0(f, cfg) for f in frames])
     assert np.abs(out - ref).max() <= 1e-11
+
+
+def test_float32_stack_tracks_float64_on_phantom_plane():
+    vol, gt = synth_phantom(PhantomSpec(class_count=1, noise_sigma=0.005, seed=1))
+    frames = extract_plane_sequence(vol, gt[0]).frames
+    double = _l0_smooth_stack(frames, None)
+    single = _l0_smooth_stack(frames.astype(np.float32), None)
+    assert single.dtype == np.float32 and double.dtype == np.float64
+    assert np.abs(single - double).max() <= 5e-4
