@@ -1,7 +1,7 @@
 """One-vs-rest soft-margin SVMs with histogram intersection or linear kernel,
 trained by sequential minimal optimization."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,17 +15,6 @@ class ClassifierError(Exception):
     pass
 
 
-def hik(a, b):
-    """Histogram intersection kernel sum_i min(a_i, b_i)."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ClassifierError("length mismatch")
-    if a.min() < 0 or b.min() < 0:
-        raise ClassifierError("HIK requires nonnegative inputs")
-    return float(np.minimum(a, b).sum())
-
-
 def hik_matrix(a, b):
     """HIK Gram block between row sets a (n x d) and b (m x d), in blocks of
     rows of a whose temporaries stay within HIK_BLOCK_BYTES."""
@@ -34,10 +23,10 @@ def hik_matrix(a, b):
     if a.min(initial=0.0) < 0 or b.min(initial=0.0) < 0:
         raise ClassifierError("HIK requires nonnegative inputs")
     out = np.empty((a.shape[0], b.shape[0]))
-    chunk = max(1, HIK_BLOCK_BYTES // max(1, 8 * b.size))
-    for lo in range(0, a.shape[0], chunk):
-        block = a[lo:lo + chunk]
-        out[lo:lo + chunk] = np.minimum(block[:, None, :], b[None, :, :]).sum(axis=2)
+    rows = max(1, HIK_BLOCK_BYTES // max(1, 8 * b.size))
+    for lo in range(0, a.shape[0], rows):
+        block = a[lo:lo + rows]
+        out[lo:lo + rows] = np.minimum(block[:, None, :], b[None, :, :]).sum(axis=2)
     return out
 
 
@@ -174,13 +163,6 @@ def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
                     kernel=kernel, scaler=scaler)
 
 
-def dual_objective(model_or_alpha, gram=None, y=None):
-    """Dual value sum(alpha) - 1/2 sum alpha_i alpha_j y_i y_j K_ij."""
-    alpha = np.asarray(model_or_alpha, dtype=np.float64)
-    ay = alpha * y
-    return float(alpha.sum() - 0.5 * ay @ gram @ ay)
-
-
 def decision_values(model, z):
     """Decision function for one vector or a stack of vectors."""
     z = np.asarray(z, dtype=np.float64)
@@ -212,19 +194,3 @@ def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):
         machines[cid] = train_svm(z, y, c=c, kernel=kernel, scaler=scaler)
     return MulticlassModel(class_ids=tuple(class_ids), machines=machines)
 
-
-def classify(model, z):
-    """Returns (class id or None, {class_id: decision value}).
-
-    Argmax over positive decision values; all negative -> None; ties -> the
-    lowest class id.
-    """
-    scores = {cid: float(decision_values(model.machines[cid], z))
-              for cid in model.class_ids}
-    best = None
-    best_val = 0.0
-    for cid in model.class_ids:  # ascending ids: strict > keeps the lowest on ties
-        if scores[cid] > 0 and (best is None or scores[cid] > best_val):
-            best = cid
-            best_val = scores[cid]
-    return best, scores

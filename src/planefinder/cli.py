@@ -11,7 +11,7 @@ from .config import PipelineConfig, load_config
 from .manifest import read_manifest
 from .pipeline import (VolumeFeatureCache, dump_keypoint_overlays, evaluate_synthetic,
                        evaluate_volumes, locate_standard_planes, train_pipeline)
-from .smoothing import SmoothingConfig, l0_smooth
+from .smoothing import LAM, l0_smooth
 from .synth import build_phantom_dataset
 from .volume import load_volume
 
@@ -91,7 +91,7 @@ def cmd_keypoints(args):
 
 def cmd_smooth(args):
     img = pgm.read_pgm(args.infile)
-    out = l0_smooth(img, SmoothingConfig(lam=args.lam))
+    out = l0_smooth(img, args.lam)
     pgm.write_pgm(args.outfile, np.clip(out, 0.0, 1.0))
     print("wrote %s" % args.outfile)
 
@@ -144,7 +144,7 @@ def build_parser():
     p = sub.add_parser("smooth", help="L0-smooth one PGM image")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", dest="outfile", required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.02)
+    p.add_argument("--lambda", dest="lam", type=float, default=LAM)
     p.set_defaults(func=cmd_smooth)
     return ap
 

@@ -5,6 +5,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# descriptors one _assign block measures against every centroid
+ASSIGN_BLOCK = 2048
+
+
 class CodebookError(Exception):
     pass
 
@@ -71,21 +75,21 @@ def _descriptor_matrix(descriptors, dim=None):
     return data
 
 
-def _assign(data, centroids, c2, chunk=2048):
+def _assign(data, centroids, c2):
     """Nearest-centroid assignment (ties -> lowest index) and min distances;
     `c2` holds the squared centroid norms."""
     n = data.shape[0]
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
-    for lo in range(0, n, chunk):
-        block = data[lo:lo + chunk]
+    for lo in range(0, n, ASSIGN_BLOCK):
+        block = data[lo:lo + ASSIGN_BLOCK]
         d2 = ((block ** 2).sum(axis=1)[:, None]
               - 2.0 * block @ centroids.T + c2[None, :])
         np.maximum(d2, 0.0, out=d2)
         best = d2.min(axis=1)
         # lowest index among near-ties, stable across float noise
-        assign[lo:lo + chunk] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
-        min_d2[lo:lo + chunk] = best
+        assign[lo:lo + ASSIGN_BLOCK] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
+        min_d2[lo:lo + ASSIGN_BLOCK] = best
     return assign, min_d2
 
 
@@ -149,12 +153,6 @@ def _kmeanspp_seed(data, k, rng):
         dj[idx] = 0.0
         np.minimum(d2, dj, out=d2)
     return centroids
-
-
-def kmeans_inertia(descriptors, cb):
-    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
-    _, min_d2 = _assign(data, cb.centroids, cb._sq_norms)
-    return float(min_d2.sum())
 
 
 def quantize(descriptors, cb):

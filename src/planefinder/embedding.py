@@ -47,16 +47,6 @@ class EmbeddingModel:
     train_n: int
 
 
-def semantic_similarity(a, b):
-    """0 for different plane types, else 1 + diagnosis agreement."""
-    if a.plane.shape != b.plane.shape or a.diagnosis.shape != b.diagnosis.shape:
-        raise EmbeddingError("label dimension mismatch")
-    plane_dot = float(np.dot(a.plane, b.plane))
-    if plane_dot == 0.0:
-        return 0.0
-    return 1.0 + float(np.dot(a.diagnosis, b.diagnosis))
-
-
 def build_similarity_matrix(labels):
     n = len(labels)
     if n < 2:
@@ -149,19 +139,3 @@ def embed_fused(x, y, model):
     """Elementwise average of the two per-view codes."""
     return 0.5 * (embed(x, model, "static") + embed(y, model, "spacetime"))
 
-
-def embedding_objective(x, y, w_x, w_y, s, c):
-    """Frobenius objective || (1/c) (X Wx)(Y Wy)^T - S ||_F^2, verbatim."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    zx = x @ w_x
-    zy = y @ w_y
-    if zx.shape[1] != zy.shape[1]:
-        raise EmbeddingError("code lengths of the two views differ")
-    resid = (zx @ zy.T) / c - s
-    return float((resid ** 2).sum())
-
-
-def trace_objective(x, y, w_x, w_y, s):
-    """tr(Wx^T X^T S Y Wy), the quantity the closed-form solve maximizes."""
-    return float(np.trace(w_x.T @ x.T @ s @ y @ w_y))

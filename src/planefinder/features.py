@@ -24,6 +24,8 @@ HARRIS_K = 0.005
 SPACETIME_SCALES = ((2.0, 2.0), (2.0, 4.0), (4.0, 2.0), (4.0, 4.0))
 
 DEGENERATE_ENERGY = 1e-9
+# bins of the keypoint orientation histogram, 10 degrees each
+ORIENTATION_BINS = 36
 # bytes of gathered gradients one describe_spacetime block may hold; the
 # block's other temporaries bring its peak to about 2.6 times this
 SPACETIME_BLOCK_BYTES = 12 << 20
@@ -151,11 +153,11 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     return np.concatenate(found)
 
 
-def _orientations(frames, ts, ys, xs, sigma, n_bins=36):
+def _orientations(frames, ts, ys, xs, sigma):
     """Dominant gradient orientation at each (ts, ys, xs) of a (T, h, w)
     stack, and whether its window holds any gradient: the peak of a
-    Gaussian-weighted n_bins-bin histogram of the frame's central differences
-    over a window clipped to [1, n - 1).
+    Gaussian-weighted ORIENTATION_BINS-bin histogram of the frame's central
+    differences over a window clipped to [1, n - 1).
 
     _octave_extrema clears a 2-pixel border, so every window spans >= 3 pixels.
     """
@@ -172,12 +174,14 @@ def _orientations(frames, ts, ys, xs, sigma, n_bins=36):
     mag = np.hypot(vx, vy)
     ok = ~(np.bincount(point, weights=mag, minlength=ys.size) < DEGENERATE_ENERGY)
     ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
-    bins = np.minimum((ang / (2.0 * math.pi) * n_bins).astype(int), n_bins - 1)
+    bins = np.minimum((ang / (2.0 * math.pi) * ORIENTATION_BINS).astype(int),
+                      ORIENTATION_BINS - 1)
     w = np.exp(-(off[None, :] ** 2 + off[:, None] ** 2) / (2.0 * (1.5 * sigma) ** 2))
     weight = mag * np.broadcast_to(w, inside.shape)[inside]
-    hist = np.bincount(point * n_bins + bins, weights=weight, minlength=ys.size * n_bins)
-    best = hist.reshape(ys.size, n_bins).argmax(axis=1)
-    return (best + 0.5) * 2.0 * math.pi / n_bins, ok
+    hist = np.bincount(point * ORIENTATION_BINS + bins, weights=weight,
+                       minlength=ys.size * ORIENTATION_BINS)
+    best = hist.reshape(ys.size, ORIENTATION_BINS).argmax(axis=1)
+    return (best + 0.5) * 2.0 * math.pi / ORIENTATION_BINS, ok
 
 
 def _unit_rows(rows):

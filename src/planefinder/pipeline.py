@@ -1,8 +1,7 @@
-"""End-to-end orchestration: training, plane localization, evaluation,
-baselines and timing comparisons."""
+"""End-to-end orchestration: training, plane localization, evaluation and
+baselines."""
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +32,6 @@ class PipelineError(Exception):
 class EvaluationReport:
     accuracy: dict = field(default_factory=dict)  # (class_id, condition) -> value
     f1: dict = field(default_factory=dict)        # class_id -> mean F1 over volumes
-
-    def mean_accuracy(self):
-        return float(np.mean(list(self.accuracy.values()))) if self.accuracy else 0.0
-
-    def mean_f1(self):
-        return float(np.mean(list(self.f1.values()))) if self.f1 else 0.0
 
 
 def candidate_planes(vol, cfg):
@@ -292,7 +285,7 @@ def _f1(predicted, truth):
 
 
 # ---------------------------------------------------------------------------
-# baselines and timing comparisons
+# baselines
 
 
 def _representations(td, cfg):
@@ -348,42 +341,6 @@ def run_baselines(train_manifest, test_manifest, cfg, methods=BASELINE_METHODS,
             clf, test_manifest, record_codes=make(tx, ty, method),
             volume_codes={v: make(vx, vy, method) for v, (vx, vy) in vol_feats.items()})
     return results
-
-
-def benchmark_representations(n_train=200, n_test=2000, d_static=5000,
-                              d_spacetime=1000, c=32, seed=0, svm_c=1.0):
-    """Paper-scale synthetic timing comparison: classify a fixed candidate
-    feature set with the compact embedded codes vs the concatenated BoW."""
-    rng = np.random.default_rng(seed)
-    d_cat = d_static + d_spacetime
-
-    def random_hist(n, d):
-        h = rng.random((n, d))
-        return h / h.sum(axis=1, keepdims=True)
-
-    labels = rng.integers(0, 2, size=n_train)
-    z_cat_train = random_hist(n_train, d_cat)
-    z_cat_train[labels == 1, :10] += 0.05
-    z_cat_train /= z_cat_train.sum(axis=1, keepdims=True)
-    z_cat_test = random_hist(n_test, d_cat)
-    z_emb_train = rng.random((n_train, c))
-    z_emb_train[labels == 1, 0] += 0.5
-    z_emb_test = rng.random((n_test, c))
-
-    from .classifier import train_svm
-    y = np.where(labels == 1, 1.0, -1.0)
-    timings = {}
-    models = {}
-    for name, z_train in (("concat", z_cat_train), ("embedded", z_emb_train)):
-        t0 = time.perf_counter()
-        models[name] = train_svm(z_train, y, c=svm_c, kernel="hik",
-                                 class_weights=(1.0, 1.0))
-        timings[(name, "train")] = time.perf_counter() - t0
-    for name, z_test in (("concat", z_cat_test), ("embedded", z_emb_test)):
-        t0 = time.perf_counter()
-        decision_values(models[name], z_test)
-        timings[(name, "test")] = time.perf_counter() - t0
-    return timings
 
 
 def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):

@@ -1,35 +1,20 @@
 """Edge-preserving L0 gradient-minimization smoothing of grayscale frames."""
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import ifft, irfft, rfft2
 
 from .volume import PlaneSequence
 
+# The L0 weight, and the fixed continuation schedule of the half-quadratic
+# solver (Xu, Lu, Xu & Jia, SIGGRAPH Asia 2011): beta starts at 2*lam and
+# grows by KAPPA while it stays at or below BETA_MAX.
+LAM = 0.02
+KAPPA = 2.0
+BETA_MAX = 1e5
+
 
 class SmoothingError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class SmoothingConfig:
-    lam: float = 0.02
-    kappa: float = 2.0
-    beta_max: float = 1e5
-
-    def __post_init__(self):
-        if self.lam <= 0 or self.kappa <= 1 or self.beta_max <= self.beta0:
-            raise SmoothingError("invalid smoothing parameters")
-
-    @property
-    def beta0(self):
-        return 2.0 * self.lam
-
-    @property
-    def n_iterations(self):
-        return int(math.ceil(math.log(self.beta_max / self.beta0) / math.log(self.kappa)))
 
 
 def forward_diff(img):
@@ -64,13 +49,7 @@ def divergence(h, v):
     return out
 
 
-def gradient_count(img, tol=1e-6):
-    """Number of pixels with a nonzero (above tol) forward gradient."""
-    dx, dy = forward_diff(img)
-    return int(np.count_nonzero(np.abs(dx) + np.abs(dy) > tol))
-
-
-def l0_smooth(image, config=None):
+def l0_smooth(image, lam=LAM):
     """Half-quadratic L0 gradient minimization with exact periodic FFT solves.
 
     Minimizes sum_p (S_p - I_p)^2 + lam * #{p : |dxS_p| + |dyS_p| != 0}.
@@ -78,28 +57,30 @@ def l0_smooth(image, config=None):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise SmoothingError("expected a 2D grayscale image")
-    return _l0_smooth_stack(img[None], config)[0]
+    return _l0_smooth_stack(img[None], lam)[0]
 
 
-def _l0_smooth_stack(imgs, config):
+def _l0_smooth_stack(imgs, lam):
     """L0-smooth every (H, W) image of a (T, H, W) stack in one beta loop, in
     the precision of its transform: float32 for float32 images, else float64.
 
     rfft2(I) and the Laplacian symbol are loop invariants, so each beta step
     costs one rfft2 and one inverse transform over the whole stack.
     """
-    if config is None:
-        config = SmoothingConfig()
+    # 0 < 2*lam < BETA_MAX, so the schedule takes a step; NaN fails both tests
+    if not 0 < lam < BETA_MAX / 2:
+        raise SmoothingError("lambda must be positive, finite and below %g, got %r"
+                             % (BETA_MAX / 2, lam))
     if not np.all(np.isfinite(imgs)):
         raise SmoothingError("non-finite input pixels")
     f_img = rfft2(imgs)
     lap = _laplacian_symbol(*imgs.shape[-2:], f_img.real.dtype)
     s = imgs
-    beta = config.beta0
-    while beta <= config.beta_max:
-        h, v = threshold_gradients(s, config.lam, beta)
+    beta = 2.0 * lam
+    while beta <= BETA_MAX:
+        h, v = threshold_gradients(s, lam, beta)
         s = _poisson_solve(f_img, h, v, beta, lap)
-        beta *= config.kappa
+        beta *= KAPPA
     return s
 
 
@@ -111,12 +92,6 @@ def threshold_gradients(s, lam, beta):
     h *= keep
     v *= keep
     return h, v
-
-
-def solve_screened_poisson(img, h, v, beta):
-    """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
-    f_img = rfft2(img)
-    return _poisson_solve(f_img, h, v, beta, _laplacian_symbol(*img.shape[-2:], f_img.real.dtype))
 
 
 def _poisson_solve(f_img, h, v, beta, lap):
@@ -136,8 +111,8 @@ def _laplacian_symbol(ny, nx, dtype):
     return (wy[:, None] + wx[None, :]).astype(dtype, copy=False)
 
 
-def smooth_sequence(seq, config=None):
+def smooth_sequence(seq, lam=LAM):
     """Filter every frame of a plane sequence independently, in the precision
     of its frames (float32 in the pipeline)."""
-    frames = _l0_smooth_stack(seq.frames, config)
+    frames = _l0_smooth_stack(seq.frames, lam)
     return PlaneSequence(params=seq.params, frames=frames)

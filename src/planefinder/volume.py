@@ -65,7 +65,6 @@ class PlaneParams:
     axis_v: tuple
     width: int = 128
     height: int = 128
-    pixel_step: float = 1.0
 
     def __post_init__(self):
         o = np.asarray(self.origin, dtype=np.float64)
@@ -77,7 +76,7 @@ class PlaneParams:
             raise VolumeError("plane axes must be unit length")
         if abs(float(np.dot(u, v))) > 1e-9:
             raise VolumeError("plane axes must be orthogonal")
-        if self.width < 1 or self.height < 1 or self.pixel_step <= 0:
+        if self.width < 1 or self.height < 1:
             raise VolumeError("invalid plane pixel grid")
         object.__setattr__(self, "origin", tuple(o))
         object.__setattr__(self, "axis_u", tuple(u))
@@ -93,7 +92,7 @@ class PlaneParams:
         o = np.asarray(self.origin)
         u = np.asarray(self.axis_u)
         v = np.asarray(self.axis_v)
-        return (o + 0.5 * self.pixel_step * ((self.width - 1) * u + (self.height - 1) * v))
+        return o + 0.5 * ((self.width - 1) * u + (self.height - 1) * v)
 
 
 def float_frames(frames):
@@ -205,28 +204,17 @@ def save_volume(vol, path, dtype="u8"):
 
 
 def _plane_coords(params):
-    """(3, height, width) voxel coordinates (z, y, x) of the plane's pixel grid."""
+    """(3, height, width) voxel coordinates (z, y, x) of the plane's pixel grid,
+    one voxel apart."""
     o, u, v = (np.asarray(a)[::-1, None, None]
                for a in (params.origin, params.axis_u, params.axis_v))
-    cols = np.arange(params.width) * params.pixel_step
-    rows = np.arange(params.height)[:, None] * params.pixel_step
-    return o + cols * u + rows * v
-
-
-def sample_plane(vol, params, frame):
-    """Resample one frame on the plane's pixel grid by trilinear interpolation.
-
-    Coordinates outside the voxel grid contribute zero: "grid-constant" pads
-    the volume with cval and interpolates toward it.
-    """
-    if frame < 0 or frame >= vol.n_frames:
-        raise VolumeError("frame %d out of range [0, %d)" % (frame, vol.n_frames))
-    return ndimage.map_coordinates(vol.voxels[frame], _plane_coords(params), order=1,
-                                   mode="grid-constant", cval=0.0)
+    return o + np.arange(params.width) * u + np.arange(params.height)[:, None] * v
 
 
 def extract_plane_sequence(vol, params):
-    """Resample every frame of the volume on one plane, as sample_plane does.
+    """Resample every frame of the volume on the plane's pixel grid by
+    trilinear interpolation. Coordinates outside the voxel grid contribute
+    zero: "grid-constant" pads the volume with cval and interpolates toward it.
 
     Each frame is its own 3-D interpolation: one 4-D call would interpolate
     in t as well (16 taps, not 8) and measured slower.
@@ -253,16 +241,16 @@ def _orthobasis(normal, roll=0.0):
     return u, v
 
 
-def plane_from_center(center, normal, width=128, height=128, pixel_step=1.0, roll=0.0):
+def plane_from_center(center, normal, width=128, height=128, roll=0.0):
     """Build PlaneParams whose pixel grid is centered on `center`."""
     u, v = _orthobasis(normal, roll=roll)
     center = np.asarray(center, dtype=np.float64)
-    origin = center - 0.5 * pixel_step * ((width - 1) * u + (height - 1) * v)
+    origin = center - 0.5 * ((width - 1) * u + (height - 1) * v)
     return PlaneParams(origin=tuple(origin), axis_u=tuple(u), axis_v=tuple(v),
-                       width=width, height=height, pixel_step=pixel_step)
+                       width=width, height=height)
 
 
-def generate_candidates(vol, n, seed, width=128, height=128, pixel_step=1.0):
+def generate_candidates(vol, n, seed, width=128, height=128):
     """Enumerate n candidate planes: Fibonacci-lattice hemisphere orientations
     crossed with evenly spaced offsets along each normal.
 
@@ -293,7 +281,7 @@ def generate_candidates(vol, n, seed, width=128, height=128, pixel_step=1.0):
         normal = rot @ np.array([r * math.cos(theta), r * math.sin(theta), zc])
         for off in offsets:
             planes.append(plane_from_center(center + off * normal, normal, width, height,
-                                            pixel_step, roll=rolls[i]))
+                                            roll=rolls[i]))
             if len(planes) == n:
                 return planes
     return planes

@@ -1,0 +1,130 @@
+"""Reference implementations the tests check the product against.
+
+Each is the direct, one-item-at-a-time form of something the product
+computes in bulk: the pairwise kernel and label similarity behind the Gram
+and similarity matrices, the objectives the closed-form solves maximize, the
+per-frame plane sampler, one screened-Poisson solve of the L0 loop, and the
+synthetic timing workload of criterion 7.
+"""
+
+import time
+
+import numpy as np
+from scipy import ndimage
+from scipy.fft import rfft2
+
+from planefinder.classifier import ClassifierError, decision_values, train_svm
+from planefinder.codebook import _assign, _descriptor_matrix
+from planefinder.embedding import EmbeddingError
+from planefinder.smoothing import _laplacian_symbol, _poisson_solve, forward_diff
+from planefinder.volume import VolumeError, _plane_coords
+
+
+def hik(a, b):
+    """Histogram intersection kernel sum_i min(a_i, b_i)."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ClassifierError("length mismatch")
+    if a.min() < 0 or b.min() < 0:
+        raise ClassifierError("HIK requires nonnegative inputs")
+    return float(np.minimum(a, b).sum())
+
+
+def dual_objective(model_or_alpha, gram=None, y=None):
+    """Dual value sum(alpha) - 1/2 sum alpha_i alpha_j y_i y_j K_ij."""
+    alpha = np.asarray(model_or_alpha, dtype=np.float64)
+    ay = alpha * y
+    return float(alpha.sum() - 0.5 * ay @ gram @ ay)
+
+
+def semantic_similarity(a, b):
+    """0 for different plane types, else 1 + diagnosis agreement."""
+    if a.plane.shape != b.plane.shape or a.diagnosis.shape != b.diagnosis.shape:
+        raise EmbeddingError("label dimension mismatch")
+    plane_dot = float(np.dot(a.plane, b.plane))
+    if plane_dot == 0.0:
+        return 0.0
+    return 1.0 + float(np.dot(a.diagnosis, b.diagnosis))
+
+
+def embedding_objective(x, y, w_x, w_y, s, c):
+    """Frobenius objective || (1/c) (X Wx)(Y Wy)^T - S ||_F^2, verbatim."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    zx = x @ w_x
+    zy = y @ w_y
+    if zx.shape[1] != zy.shape[1]:
+        raise EmbeddingError("code lengths of the two views differ")
+    resid = (zx @ zy.T) / c - s
+    return float((resid ** 2).sum())
+
+
+def trace_objective(x, y, w_x, w_y, s):
+    """tr(Wx^T X^T S Y Wy), the quantity the closed-form solve maximizes."""
+    return float(np.trace(w_x.T @ x.T @ s @ y @ w_y))
+
+
+def kmeans_inertia(descriptors, cb):
+    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
+    _, min_d2 = _assign(data, cb.centroids, cb._sq_norms)
+    return float(min_d2.sum())
+
+
+def gradient_count(img, tol=1e-6):
+    """Number of pixels with a nonzero (above tol) forward gradient."""
+    dx, dy = forward_diff(img)
+    return int(np.count_nonzero(np.abs(dx) + np.abs(dy) > tol))
+
+
+def solve_screened_poisson(img, h, v, beta):
+    """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
+    f_img = rfft2(img)
+    return _poisson_solve(f_img, h, v, beta, _laplacian_symbol(*img.shape[-2:], f_img.real.dtype))
+
+
+def sample_plane(vol, params, frame):
+    """Resample one frame on the plane's pixel grid by trilinear interpolation.
+
+    Coordinates outside the voxel grid contribute zero: "grid-constant" pads
+    the volume with cval and interpolates toward it.
+    """
+    if frame < 0 or frame >= vol.n_frames:
+        raise VolumeError("frame %d out of range [0, %d)" % (frame, vol.n_frames))
+    return ndimage.map_coordinates(vol.voxels[frame], _plane_coords(params), order=1,
+                                   mode="grid-constant", cval=0.0)
+
+
+def benchmark_representations(n_train=200, n_test=2000, d_static=5000,
+                              d_spacetime=1000, c=32, seed=0, svm_c=1.0):
+    """Paper-scale synthetic timing comparison: classify a fixed candidate
+    feature set with the compact embedded codes vs the concatenated BoW."""
+    rng = np.random.default_rng(seed)
+    d_cat = d_static + d_spacetime
+
+    def random_hist(n, d):
+        h = rng.random((n, d))
+        return h / h.sum(axis=1, keepdims=True)
+
+    labels = rng.integers(0, 2, size=n_train)
+    z_cat_train = random_hist(n_train, d_cat)
+    z_cat_train[labels == 1, :10] += 0.05
+    z_cat_train /= z_cat_train.sum(axis=1, keepdims=True)
+    z_cat_test = random_hist(n_test, d_cat)
+    z_emb_train = rng.random((n_train, c))
+    z_emb_train[labels == 1, 0] += 0.5
+    z_emb_test = rng.random((n_test, c))
+
+    y = np.where(labels == 1, 1.0, -1.0)
+    timings = {}
+    models = {}
+    for name, z_train in (("concat", z_cat_train), ("embedded", z_emb_train)):
+        t0 = time.perf_counter()
+        models[name] = train_svm(z_train, y, c=svm_c, kernel="hik",
+                                 class_weights=(1.0, 1.0))
+        timings[(name, "train")] = time.perf_counter() - t0
+    for name, z_test in (("concat", z_cat_test), ("embedded", z_emb_test)):
+        t0 = time.perf_counter()
+        decision_values(models[name], z_test)
+        timings[(name, "test")] = time.perf_counter() - t0
+    return timings

@@ -2,28 +2,28 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from oracles import dual_objective, hik
 from planefinder import classifier
-from planefinder.classifier import (ClassifierError, FeatureScaler, MulticlassModel,
-                                    SvmModel, apply_scaler, classify,
-                                    decision_values, dual_objective, fit_scaler, hik,
-                                    hik_matrix, identity_scaler, _smo, kernel_matrix,
-                                    train_multiclass, train_svm)
+from planefinder.classifier import (ClassifierError, apply_scaler, decision_values,
+                                    fit_scaler, hik_matrix, identity_scaler, _smo,
+                                    kernel_matrix, train_multiclass, train_svm)
 
 
 def test_hik_basics():
     a = np.array([0.2, 0.5, 0.3])
     b = np.array([0.4, 0.1, 0.5])
-    assert hik(a, b) == pytest.approx(0.2 + 0.1 + 0.3)
-    assert hik(a, b) == hik(b, a)
-    assert hik(a, a) == pytest.approx(a.sum())
-    assert hik(a, b) <= min(a.sum(), b.sum()) + 1e-12
+    g = hik_matrix(np.stack([a, b]), np.stack([a, b]))
+    assert g[0, 1] == pytest.approx(0.2 + 0.1 + 0.3)
+    assert g[0, 1] == g[1, 0]
+    assert g[0, 0] == pytest.approx(a.sum())
+    assert g[0, 1] <= min(a.sum(), b.sum()) + 1e-12
 
 
 def test_hik_rejects_bad_input():
     with pytest.raises(ClassifierError):
-        hik(np.array([0.5, -0.1]), np.array([0.5, 0.5]))
+        hik_matrix(np.array([[0.5, -0.1]]), np.array([[0.5, 0.5]]))
     with pytest.raises(ClassifierError):
-        hik(np.array([0.5]), np.array([0.5, 0.5]))
+        hik_matrix(np.array([[0.5, 0.5]]), np.array([[0.5, -0.1]]))
 
 
 def test_hik_matrix_matches_pairwise():
@@ -195,8 +195,12 @@ def test_multiclass_three_gaussians():
     labels = np.repeat([0, 1, 2], 40)
     z = np.clip(z, 0.0, 1.0)
     model = train_multiclass(z, labels, c=5.0, kernel="hik")
-    correct = sum(classify(model, z[i])[0] == labels[i] for i in range(len(labels)))
-    assert correct / len(labels) >= 0.95
+    scores = np.column_stack([decision_values(model.machines[cid], z)
+                              for cid in model.class_ids])
+    # the highest positive score wins; a row with none is no class
+    predicted = np.where(scores.max(axis=1) > 0,
+                         np.array(model.class_ids)[scores.argmax(axis=1)], -1)
+    assert np.mean(predicted == labels) >= 0.95
 
 
 def test_multiclass_ignores_nonstandard_label():
@@ -207,21 +211,6 @@ def test_multiclass_ignores_nonstandard_label():
     labels = np.array([0] * 10 + [1] * 10 + [-1] * 5)
     model = train_multiclass(z, labels, kernel="hik")
     assert model.class_ids == (0, 1)
-
-
-def test_classify_none_and_tie_rules():
-    def flat_machine(bias):
-        return SvmModel(support_vectors=np.zeros((1, 2)), dual_coefs=np.zeros(1),
-                        bias=bias, c=1.0, class_weights=(1.0, 1.0),
-                        kernel="linear", scaler=identity_scaler(2))
-
-    model = MulticlassModel(class_ids=(0, 1), machines={0: flat_machine(-1.0),
-                                                        1: flat_machine(-2.0)})
-    assert classify(model, np.zeros(2))[0] is None
-    model = MulticlassModel(class_ids=(0, 1), machines={0: flat_machine(1.5),
-                                                        1: flat_machine(1.5)})
-    best, scores = classify(model, np.zeros(2))
-    assert best == 0 and scores == {0: 1.5, 1: 1.5}
 
 
 def test_multiclass_needs_two_classes():

@@ -104,6 +104,16 @@ def test_smooth_command(tmp_path):
     assert out.shape == (40, 40)
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf", "0", "-1"])
+def test_smooth_rejects_bad_lambda(tmp_path, capsys, lam):
+    src = str(tmp_path / "in.pgm")
+    dst = str(tmp_path / "out.pgm")
+    pgm.write_pgm(src, np.full((40, 40), 0.5))
+    assert main(["smooth", "--in", src, "--out", dst, "--lambda", lam]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(dst)
+
+
 def test_keypoints_command(cli_workspace, tmp_path):
     overlay = str(tmp_path / "ov")
     rc = main(["keypoints", "--volume",

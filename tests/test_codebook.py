@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+from oracles import kmeans_inertia
 from planefinder import codebook
-from planefinder.codebook import (BoWHistogram, Codebook, CodebookError,
-                                  kmeans_inertia, quantize, train_codebook)
+from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, quantize,
+                                  train_codebook)
 
 
 def clustered_data(rng, centers, n_per=40, noise=0.05):

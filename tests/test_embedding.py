@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import inv, sqrtm, subspace_angles
 
+from oracles import embedding_objective, semantic_similarity, trace_objective
 from planefinder.embedding import (EmbeddingError, SemanticLabels,
                                    build_similarity_matrix, embed, embed_fused,
-                                   embedding_objective, fit_embedding,
-                                   semantic_similarity, trace_objective)
+                                   fit_embedding)
 
 
 def onehot(i, n):

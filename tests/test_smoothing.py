@@ -1,13 +1,10 @@
-import math
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
+from oracles import gradient_count, solve_screened_poisson
 from planefinder.phantom import PhantomSpec, synth_phantom
-from planefinder.smoothing import (SmoothingConfig, SmoothingError, _l0_smooth_stack,
-                                   forward_diff, divergence, gradient_count, l0_smooth,
-                                   smooth_sequence, solve_screened_poisson,
+from planefinder.smoothing import (BETA_MAX, KAPPA, LAM, SmoothingError, _l0_smooth_stack,
+                                   forward_diff, divergence, l0_smooth, smooth_sequence,
                                    threshold_gradients)
 from planefinder.volume import PlaneParams, PlaneSequence, extract_plane_sequence
 
@@ -18,32 +15,29 @@ def step_image(rng, sigma=0.05):
     return np.clip(img + rng.normal(0.0, sigma, img.shape), 0.0, 1.0)
 
 
-def test_config_iteration_count():
-    cfg = SmoothingConfig(lam=0.02, kappa=2.0, beta_max=1e5)
-    assert [f.name for f in fields(SmoothingConfig)] == ["lam", "kappa", "beta_max"]
-    assert cfg.beta0 == pytest.approx(0.04)
-    assert cfg.n_iterations == math.ceil(math.log(1e5 / 0.04) / math.log(2.0))
-    assert cfg.n_iterations >= 1
-
-
 def test_invalid_config():
-    with pytest.raises(SmoothingError):
-        SmoothingConfig(lam=-1.0)
-    with pytest.raises(SmoothingError):
-        SmoothingConfig(lam=0.02, kappa=0.5)
+    # lam must lie in (0, BETA_MAX / 2); NaN fails both comparisons
+    img = np.random.default_rng(0).random((32, 32))
+    seq = _sequence(img[None])
+    for lam in (np.nan, np.inf, 0.0, -1.0, BETA_MAX / 2):
+        with pytest.raises(SmoothingError, match="lambda"):
+            l0_smooth(img, lam)
+        with pytest.raises(SmoothingError, match="lambda"):
+            smooth_sequence(seq, lam)
+    assert not np.array_equal(l0_smooth(img, np.nextafter(BETA_MAX / 2, 0)), img)
 
 
 def test_lambda_zero_limit_is_identity():
     rng = np.random.default_rng(0)
     img = rng.random((32, 32))
-    out = l0_smooth(img, SmoothingConfig(lam=1e-12))
+    out = l0_smooth(img, 1e-12)
     assert np.abs(out - img).max() <= 1e-6
 
 
 def test_constant_image_unchanged():
     img = np.full((40, 40), 0.37)
     for lam in (0.005, 0.02, 0.1):
-        out = l0_smooth(img, SmoothingConfig(lam=lam))
+        out = l0_smooth(img, lam)
         assert np.abs(out - img).max() <= 1e-12
 
 
@@ -59,8 +53,7 @@ def test_step_image_gradient_count_collapses():
     # sub-threshold Fourier dust cannot drop below ~1/sqrt(beta_max)
     rng = np.random.default_rng(42)
     noisy = step_image(rng)
-    cfg = SmoothingConfig(lam=0.02)
-    out = l0_smooth(noisy, cfg)
+    out = l0_smooth(noisy, 0.02)
     # count above the residual dust floor of the final finite-beta solve
     tol = 1e-3
     c_in = gradient_count(noisy, tol=tol)
@@ -77,7 +70,7 @@ def test_gradient_count_monotone_in_lambda():
     noisy = step_image(rng)
     counts = []
     for lam in (0.005, 0.01, 0.02, 0.04, 0.08):
-        out = l0_smooth(noisy, SmoothingConfig(lam=lam))
+        out = l0_smooth(noisy, lam)
         counts.append(gradient_count(out, tol=1e-3))
     assert all(a >= b for a, b in zip(counts, counts[1:]))
 
@@ -85,7 +78,7 @@ def test_gradient_count_monotone_in_lambda():
 def test_output_range_bounded():
     rng = np.random.default_rng(1)
     noisy = step_image(rng)
-    out = l0_smooth(noisy, SmoothingConfig(lam=0.02))
+    out = l0_smooth(noisy, 0.02)
     assert out.min() >= noisy.min() - 0.1
     assert out.max() <= noisy.max() + 0.1
 
@@ -126,28 +119,26 @@ def _sequence(frames):
 def test_smooth_sequence_identical_frames():
     frame = np.random.default_rng(4).random((32, 32))
     seq = _sequence(np.stack([frame, frame]))
-    out = smooth_sequence(seq, SmoothingConfig(lam=0.02))
+    out = smooth_sequence(seq, 0.02)
     assert np.array_equal(out.frames[0], out.frames[1])
     assert out.params == seq.params
 
 
 def test_smooth_single_frame_matches_l0():
     frame = np.random.default_rng(5).random((32, 32))
-    cfg = SmoothingConfig(lam=0.02)
-    out = smooth_sequence(_sequence(frame[None]), cfg)
-    assert np.array_equal(out.frames[0], l0_smooth(frame, cfg))
+    out = smooth_sequence(_sequence(frame[None]), 0.02)
+    assert np.array_equal(out.frames[0], l0_smooth(frame, 0.02))
 
 
 def test_smooth_commutes_with_frame_permutation():
     frames = np.random.default_rng(6).random((3, 32, 32))
-    cfg = SmoothingConfig(lam=0.02)
     perm = [2, 0, 1]
-    a = smooth_sequence(_sequence(frames[perm]), cfg).frames
-    b = smooth_sequence(_sequence(frames), cfg).frames[perm]
+    a = smooth_sequence(_sequence(frames[perm]), 0.02).frames
+    b = smooth_sequence(_sequence(frames), 0.02).frames[perm]
     assert np.array_equal(a, b)
 
 
-def _reference_l0(img, cfg):
+def _reference_l0(img, lam):
     """Per-frame oracle: the full complex FFT solve with the difference
     operators' transfer functions built from their circular kernels."""
     ny, nx = img.shape
@@ -158,29 +149,28 @@ def _reference_l0(img, cfg):
     otf_x, otf_y = np.fft.fft2(kx), np.fft.fft2(ky)
     lap = np.abs(otf_x) ** 2 + np.abs(otf_y) ** 2
     s = img.copy()
-    beta = cfg.beta0
-    while beta <= cfg.beta_max:
-        h, v = threshold_gradients(s, cfg.lam, beta)
+    beta = 2.0 * lam
+    while beta <= BETA_MAX:
+        h, v = threshold_gradients(s, lam, beta)
         numer = np.fft.fft2(img) + beta * (np.conj(otf_x) * np.fft.fft2(h)
                                            + np.conj(otf_y) * np.fft.fft2(v))
         s = np.real(np.fft.ifft2(numer / (1.0 + beta * lap)))
-        beta *= cfg.kappa
+        beta *= KAPPA
     return s
 
 
 @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 33, 47), (3, 32, 31), (1, 40, 40)])
 def test_batched_real_fft_matches_complex_reference(shape):
     frames = np.random.default_rng(7).random(shape)
-    cfg = SmoothingConfig(lam=0.02)
-    out = smooth_sequence(_sequence(frames), cfg).frames
-    ref = np.stack([_reference_l0(f, cfg) for f in frames])
+    out = smooth_sequence(_sequence(frames), 0.02).frames
+    ref = np.stack([_reference_l0(f, 0.02) for f in frames])
     assert np.abs(out - ref).max() <= 1e-11
 
 
 def test_float32_stack_tracks_float64_on_phantom_plane():
     vol, gt = synth_phantom(PhantomSpec(class_count=1, noise_sigma=0.005, seed=1))
     frames = extract_plane_sequence(vol, gt[0]).frames
-    double = _l0_smooth_stack(frames, None)
-    single = _l0_smooth_stack(frames.astype(np.float32), None)
+    double = _l0_smooth_stack(frames, LAM)
+    single = _l0_smooth_stack(frames.astype(np.float32), LAM)
     assert single.dtype == np.float32 and double.dtype == np.float64
     assert np.abs(single - double).max() <= 5e-4

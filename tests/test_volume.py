@@ -5,12 +5,13 @@ import stat
 import numpy as np
 import pytest
 
+from oracles import sample_plane
 from planefinder import phantom
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.volume import (CANDIDATE_CAPACITY, PlaneParams, Volume4D,
                                 VolumeError, extract_plane_sequence,
                                 generate_candidates, load_volume, plane_angle,
-                                plane_from_center, sample_plane, save_volume)
+                                plane_from_center, save_volume)
 
 
 def write_raw_volume(tmp_path, dims=(4, 4, 4), frames=2, dtype="u8", payload=None):
@@ -113,7 +114,7 @@ def test_save_unwritable_destination(tmp_path):
 def test_sample_constant_volume():
     vol = Volume4D(voxels=np.full((1, 8, 8, 8), 0.7))
     p = plane_from_center((3.5, 3.5, 3.5), (0.3, 0.5, 0.8), width=6, height=6)
-    img = sample_plane(vol, p, 0)
+    img = extract_plane_sequence(vol, p).frames[0]
     assert np.allclose(img, 0.7, atol=1e-12)
 
 
@@ -123,8 +124,8 @@ def test_sample_linear_field_exact():
     vox[:] = (np.arange(nx) / (nx - 1))[None, None, None, :]
     vol = Volume4D(voxels=vox)
     p = PlaneParams(origin=(0, 2, 2), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                    width=6, height=4, pixel_step=1.0)
-    img = sample_plane(vol, p, 0)
+                    width=6, height=4)
+    img = extract_plane_sequence(vol, p).frames[0]
     expected = (np.arange(6) / (nx - 1))[None, :]
     assert np.abs(img - expected).max() <= 1e-12
 
@@ -138,14 +139,14 @@ def test_sample_affine_field_exact():
     vox = (a + b * xx + c * yy + d * zz)[None]
     vol = Volume4D(voxels=vox)
     n = rng.normal(size=3)
-    p = plane_from_center((3.5, 3.5, 3.5), n, width=5, height=5, pixel_step=0.7)
-    img = sample_plane(vol, p, 0)
+    p = plane_from_center((3.5, 3.5, 3.5), n, width=5, height=5)
+    img = extract_plane_sequence(vol, p).frames[0]
     o = np.asarray(p.origin)
     u = np.asarray(p.axis_u)
     v = np.asarray(p.axis_v)
     for r in range(5):
         for col in range(5):
-            pt = o + 0.7 * (col * u + r * v)
+            pt = o + col * u + r * v
             assert abs(img[r, col] - (a + b * pt[0] + c * pt[1] + d * pt[2])) <= 1e-12
 
 
@@ -155,7 +156,7 @@ def test_sample_at_voxel_center():
     vol = Volume4D(voxels=vox)
     p = PlaneParams(origin=(2, 3, 4), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     width=2, height=2)
-    img = sample_plane(vol, p, 0)
+    img = extract_plane_sequence(vol, p).frames[0]
     assert img[0, 0] == pytest.approx(vox[0, 4, 3, 2], abs=1e-15)
 
 
@@ -163,14 +164,7 @@ def test_sample_outside_is_zero():
     vol = Volume4D(voxels=np.full((1, 4, 4, 4), 1.0))
     p = PlaneParams(origin=(100, 100, 100), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
                     width=4, height=4)
-    assert np.all(sample_plane(vol, p, 0) == 0.0)
-
-
-def test_sample_frame_out_of_range():
-    vol = Volume4D(voxels=np.zeros((2, 4, 4, 4)))
-    p = plane_from_center((1.5, 1.5, 1.5), (0, 0, 1), width=3, height=3)
-    with pytest.raises(VolumeError):
-        sample_plane(vol, p, 2)
+    assert np.all(extract_plane_sequence(vol, p).frames == 0.0)
 
 
 def test_sampling_linear_in_volume():
@@ -178,9 +172,8 @@ def test_sampling_linear_in_volume():
     v1 = rng.random((1, 6, 6, 6)) * 0.5
     v2 = rng.random((1, 6, 6, 6)) * 0.5
     p = plane_from_center((2.5, 2.5, 2.5), (0.2, 0.3, 0.9), width=5, height=5)
-    s1 = sample_plane(Volume4D(voxels=v1), p, 0)
-    s2 = sample_plane(Volume4D(voxels=v2), p, 0)
-    s12 = sample_plane(Volume4D(voxels=v1 + v2), p, 0)
+    s1, s2, s12 = (extract_plane_sequence(Volume4D(voxels=v), p).frames[0]
+                   for v in (v1, v2, v1 + v2))
     assert np.abs(s12 - (s1 + s2)).max() <= 1e-12
 
 
@@ -235,9 +228,9 @@ def test_resampling_matches_trilinear_reference(seed):
     # oblique planes wider than the volume, so part of each grid lies outside
     # and part within one voxel of the boundary, where zero padding matters
     p = plane_from_center(rng.uniform(3.0, 7.0, size=3), rng.normal(size=3), width=23,
-                          height=19, pixel_step=0.73, roll=rng.uniform(0, 2 * math.pi))
-    cols = np.arange(p.width) * p.pixel_step
-    rows = np.arange(p.height) * p.pixel_step
+                          height=19, roll=rng.uniform(0, 2 * math.pi))
+    cols = np.arange(p.width)
+    rows = np.arange(p.height)
     pts = (np.asarray(p.origin) + cols[None, :, None] * np.asarray(p.axis_u)
            + rows[:, None, None] * np.asarray(p.axis_v))
     x, y, z = pts[..., 0], pts[..., 1], pts[..., 2]
