@@ -1,15 +1,21 @@
 """K-means visual vocabularies and bag-of-words quantization."""
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 
-# descriptors one _assign block measures against every centroid
-ASSIGN_BLOCK = 2048
+# descriptors one _assign block measures against every centroid; the block's
+# distances fill one (ASSIGN_BLOCK, k) float64 buffer
+ASSIGN_BLOCK = 256
 
 
 class CodebookError(Exception):
+    pass
+
+
+class CodebookWarning(UserWarning):
     pass
 
 
@@ -77,25 +83,38 @@ def _descriptor_matrix(descriptors, dim=None):
 
 def _assign(data, centroids, c2):
     """Nearest-centroid assignment (ties -> lowest index) and min distances;
-    `c2` holds the squared centroid norms."""
+    `c2` holds the squared centroid norms. Every block's squared distances
+    are computed in place in one buffer, allocated once per call."""
     n = data.shape[0]
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
-    for lo in range(0, n, ASSIGN_BLOCK):
-        block = data[lo:lo + ASSIGN_BLOCK]
-        d2 = ((block ** 2).sum(axis=1)[:, None]
-              - 2.0 * block @ centroids.T + c2[None, :])
+    # near-equal blocks, none under ASSIGN_BLOCK / 2 rows once n exceeds it:
+    # BLAS takes other kernels, rounded differently, for products of few rows
+    nblocks = -(-n // ASSIGN_BLOCK)
+    buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]))
+    for b in range(nblocks):
+        lo, hi = b * n // nblocks, (b + 1) * n // nblocks
+        block = data[lo:hi]
+        d2 = buf[:hi - lo]
+        # x2 - 2 (block @ C.T) + c2: doubling and negation are exact and the
+        # additions commute, so this is bit-equal to x2 - (2 block) @ C.T + c2
+        np.matmul(block, centroids.T, out=d2)
+        d2 *= -2.0
+        d2 += (block ** 2).sum(axis=1)[:, None]
+        d2 += c2[None, :]
         np.maximum(d2, 0.0, out=d2)
         best = d2.min(axis=1)
         # lowest index among near-ties, stable across float noise
-        assign[lo:lo + ASSIGN_BLOCK] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
-        min_d2[lo:lo + ASSIGN_BLOCK] = best
+        assign[lo:hi] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
+        min_d2[lo:hi] = best
     return assign, min_d2
 
 
 def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static"):
     """Lloyd's k-means with k-means++ seeding and farthest-point re-seeding
-    of empty clusters. Deterministic for a fixed seed."""
+    of empty clusters. Deterministic for a fixed seed. Emits CodebookWarning
+    if the assignment still changes on the last of `max_iter` passes; the
+    codebook is returned all the same."""
     data = _descriptor_matrix(descriptors)
     if data.shape[0] < k or np.unique(data, axis=0).shape[0] < k:
         raise CodebookError("need at least k=%d distinct descriptors" % k)
@@ -126,6 +145,9 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
+    else:
+        warnings.warn("k-means did not converge in max_iter=%d passes" % max_iter,
+                      CodebookWarning, stacklevel=2)
     return Codebook(centroids=centroids, descriptor_kind=descriptor_kind)
 
 

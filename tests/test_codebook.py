@@ -1,11 +1,14 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
 from oracles import kmeans_inertia
 from planefinder import codebook
-from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, quantize,
-                                  train_codebook)
+from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, CodebookWarning,
+                                  quantize, train_codebook)
 
 
 def clustered_data(rng, centers, n_per=40, noise=0.05):
@@ -104,7 +107,8 @@ def test_empty_cluster_takes_farthest_point(monkeypatch):
     seeds = data[[0, 0, 1, 2, 3, 4, 5, 6]]  # cluster 1 starts empty
     _seeded_with(monkeypatch, seeds)
     far = int(cdist(data, seeds).min(axis=1).argmax())
-    once = train_codebook(data, k=8, max_iter=1)
+    with pytest.warns(CodebookWarning):
+        once = train_codebook(data, k=8, max_iter=1)
     assert np.array_equal(once.centroids[1], data[far])
     cb = train_codebook(data, k=8)
     assign = cdist(data, cb.centroids).argmin(axis=1)
@@ -119,7 +123,8 @@ def test_reseed_that_empties_a_cluster_reseeds_it(monkeypatch):
     # empty cluster 1 empties cluster 2, which takes the next farthest point
     data = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 0.3], [10.0, 10.0]])
     _seeded_with(monkeypatch, [[0.0, 0.0], [0.0, 0.0], [6.0, 6.0]])
-    cb = train_codebook(data, k=3, max_iter=1)
+    with pytest.warns(CodebookWarning):
+        cb = train_codebook(data, k=3, max_iter=1)
     assert np.array_equal(cb.centroids[1], data[3])
     assert np.array_equal(cb.centroids[2], data[2])
     assert np.allclose(cb.centroids[0], data[:2].mean(axis=0))
@@ -236,6 +241,58 @@ def test_quantize_matches_norm_recomputing_oracle(name):
         assert not want_hist[6:].any()
     if name == "equidistant":
         assert want_hist[0] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, codebook.ASSIGN_BLOCK - 1, codebook.ASSIGN_BLOCK,
+                               3 * codebook.ASSIGN_BLOCK + 17])
+def test_assign_matches_unblocked_oracle(n):
+    # desk's static shape (k = 64, 128-D), where a product of a few rows
+    # takes another BLAS kernel than a product of many
+    rng = np.random.default_rng(31)
+    cents = rng.random((64, 128))
+    cents[7] = cents[3]
+    data = rng.random((n, 128))
+    data[1::5] = data[0]                          # exact duplicate rows
+    data[2::5] = cents[7]                         # tied between centroids 3 and 7
+    data[3::5] = (cents[10] + cents[20]) / 2.0    # equidistant from 10 and 20
+    assign, min_d2 = codebook._assign(data, cents, (cents ** 2).sum(axis=1))
+    want_assign, want_d2 = _assign_recomputing_norms(data, cents, chunk=n)
+    assert np.array_equal(assign, want_assign)
+    assert np.array_equal(min_d2, want_d2)
+    assert (assign[2::5] == 3).all() and (assign[3::5] == 10).all()
+
+
+@pytest.mark.filterwarnings("ignore::planefinder.codebook.CodebookWarning")
+def test_lloyd_memory_is_bounded(monkeypatch):
+    # fit's static pool: 2,488 descriptors against k = 2,000 centroids
+    data = np.random.default_rng(4).random((2488, 128))
+    bound = 16 << 20
+
+    def peak():
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            train_codebook(data, k=2000, max_iter=3)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    # measuring every descriptor against every centroid at once breaks the bound
+    monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
+    assert peak() > bound
+
+
+def test_lloyd_warns_at_its_iteration_cap():
+    data = np.random.default_rng(9).random((300, 5))
+    with pytest.warns(CodebookWarning, match="max_iter=1"):
+        once = train_codebook(data, k=8, max_iter=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        converged = train_codebook(data, k=8)
+    # the cap cut Lloyd short: one pass is not the converged codebook
+    assert once != converged
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
