@@ -81,6 +81,14 @@ def _descriptor_matrix(descriptors, dim=None):
     return data
 
 
+def _distinct_rows(data):
+    """np.unique(data, axis=0)'s row count for finite data, from one in-place
+    sort of byte-string rows; adding 0.0 turns -0.0 into the +0.0 it equals."""
+    rows = (data + 0.0).view(np.dtype((np.void, data.shape[1] * data.itemsize))).ravel()
+    rows.sort()
+    return 1 + np.count_nonzero(rows[1:] != rows[:-1])
+
+
 def _assign(data, centroids, c2):
     """Nearest-centroid assignment (ties -> lowest index) and min distances;
     `c2` holds the squared centroid norms. Every block's squared distances
@@ -116,7 +124,7 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     if the assignment still changes on the last of `max_iter` passes; the
     codebook is returned all the same."""
     data = _descriptor_matrix(descriptors)
-    if data.shape[0] < k or np.unique(data, axis=0).shape[0] < k:
+    if data.shape[0] < k or _distinct_rows(data) < k:
         raise CodebookError("need at least k=%d distinct descriptors" % k)
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(data, k, rng)

@@ -26,8 +26,9 @@ SPACETIME_SCALES = ((2.0, 2.0), (2.0, 4.0), (4.0, 2.0), (4.0, 4.0))
 DEGENERATE_ENERGY = 1e-9
 # bins of the keypoint orientation histogram, 10 degrees each
 ORIENTATION_BINS = 36
-# bytes of gathered gradients one describe_spacetime block may hold; the
-# block's other temporaries bring its peak to about 2.6 times this
+# bytes of gather index (8 per sample), magnitudes and orientation bins one
+# describe_spacetime block may hold; the block's other temporaries bring its
+# peak to about 2.2 times this
 SPACETIME_BLOCK_BYTES = 12 << 20
 # pixels whose 27 DoG neighbours one extremum-test block gathers: an (n, 27)
 # index and an (n, 27) value array, 0.9 MB together
@@ -287,11 +288,11 @@ def describe_spacetime(seq, points):
     (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
 
     Points whose windows share a shape are described together, in blocks
-    whose gathered gradients stay within SPACETIME_BLOCK_BYTES."""
+    whose gathers stay within SPACETIME_BLOCK_BYTES."""
     frames = np.asarray(seq.frames, dtype=np.float64)
     if len(points) == 0:
         return []
-    grads = np.stack(np.gradient(frames))  # d/dt, d/dy, d/dx
+    mag, code = _gradient_bins(frames)
     x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
     radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
     centres = np.rint(np.column_stack((t, y, x))).astype(int)
@@ -307,45 +308,52 @@ def describe_spacetime(seq, points):
         # sequence are gathered; no sample at another offset is inside
         ct = centres[group, 0]
         dt = np.arange(max(-rt, -ct.max()), min(rt, frames.shape[0] - 1 - ct.min()) + 1)
-        per_point = grads.itemsize * grads.shape[0] * dt.size * (2 * rs + 1) ** 2
+        per_point = (8 + mag.itemsize + code.itemsize) * dt.size * (2 * rs + 1) ** 2
         step = max(1, SPACETIME_BLOCK_BYTES // per_point)
         for lo in range(0, group.size, step):
             block = group[lo:lo + step]
-            vals[block], ok[block] = _spacetime_histograms(grads, centres[block], dt, rt, rs)
+            vals[block], ok[block] = _spacetime_histograms(mag, code, centres[block], dt, rt, rs)
     return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
 
 
-def _spacetime_histograms(grads, centres, dt, rt, rs):
+def _gradient_bins(frames):
+    """Each voxel's gradient magnitude and uint8 bin ebin * N_AZIMUTH + abin."""
+    gt, gy, gx = np.gradient(frames)
+    mag = np.sqrt(gx ** 2 + gy ** 2 + gt ** 2)
+    azim = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
+    elev = np.arctan2(gt, np.hypot(gx, gy))  # in [-pi/2, pi/2]
+    abin = np.minimum((azim / (2.0 * math.pi) * N_AZIMUTH).astype(int), N_AZIMUTH - 1)
+    ebin = np.minimum(((elev + math.pi / 2) / math.pi * N_ELEVATION).astype(int),
+                      N_ELEVATION - 1)
+    return mag, (ebin * N_AZIMUTH + abin).astype(np.uint8)
+
+
+def _spacetime_histograms(mag, code, centres, dt, rt, rs):
     """Unit-length descriptors of the points at centres (n, 3) of (t, y, x)
     whose windows have radii (rt, rs, rs), gathered at the t-offsets dt of
-    -rt..rt only, and which are not degenerate."""
+    -rt..rt only, and which are not degenerate. mag and code hold each
+    voxel's gradient magnitude and orientation bin; only they are gathered."""
     n = len(centres)
-    shape = grads.shape[1:]
+    shape = mag.shape
     t = centres[:, 0, None] + dt
     y, x = (centres[:, axis, None] + np.arange(-rs, rs + 1) for axis in (1, 2))
     t, y, x = t[:, :, None, None], y[:, None, :, None], x[:, None, None, :]
     inside = ((x >= 0) & (x < shape[2]) & (y >= 0) & (y < shape[1])
               & (t >= 0) & (t < shape[0]))
     flat = np.ravel_multi_index((t, y, x), shape, mode="clip")
-    vt, vy, vx = np.where(inside, grads.reshape(3, -1)[:, flat], 0.0)
-    mag = np.sqrt(vx ** 2 + vy ** 2 + vt ** 2)
+    mag = np.where(inside, mag.reshape(-1)[flat], 0.0)
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
 
-    # a zero-magnitude sample adds +0.0 to its bin, which changes no sum, so
-    # only the others are binned; samples outside the frame or the sequence
-    # are such samples
+    # a zero-magnitude sample would add +0.0 to its bin, which changes no
+    # sum, so only the others are binned; samples outside the frame or the
+    # sequence are such samples
     live = mag != 0
     ct = np.minimum((dt + rt) * 2 // (2 * rt + 1), 1)
     cy = cx = np.minimum(np.arange(2 * rs + 1) * 2 // (2 * rs + 1), 1)
     cell = np.arange(n)[:, None, None, None] * 8 + (ct[:, None, None] * 2 + cy[:, None]) * 2 + cx
-    cell, vx, vy, vt, mag = (np.broadcast_to(a, live.shape)[live] for a in (cell, vx, vy, vt, mag))
-    azim = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
-    elev = np.arctan2(vt, np.hypot(vx, vy))  # in [-pi/2, pi/2]
-    abin = np.minimum((azim / (2.0 * math.pi) * N_AZIMUTH).astype(int), N_AZIMUTH - 1)
-    ebin = np.minimum(((elev + math.pi / 2) / math.pi * N_ELEVATION).astype(int),
-                      N_ELEVATION - 1)
-    hist = np.bincount(cell * N_AZIMUTH * N_ELEVATION + ebin * N_AZIMUTH + abin,
-                       weights=mag, minlength=n * SPACETIME_DESCRIPTOR_DIM)
+    cell, flat = (np.broadcast_to(a, live.shape)[live] for a in (cell, flat))
+    hist = np.bincount(cell * N_AZIMUTH * N_ELEVATION + code.reshape(-1)[flat],
+                       weights=mag[live], minlength=n * SPACETIME_DESCRIPTOR_DIM)
     hist = hist.reshape(n, SPACETIME_DESCRIPTOR_DIM)
     out = np.zeros_like(hist)
     out[ok] = _unit_rows(hist[ok])

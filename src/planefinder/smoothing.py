@@ -88,7 +88,9 @@ def threshold_gradients(s, lam, beta):
     """(h, v) subproblem: keep the gradient where its energy exceeds lam/beta,
     zero it otherwise."""
     h, v = forward_diff(s)
-    keep = h * h + v * v > lam / beta
+    energy = h * h
+    energy += v * v
+    keep = energy > lam / beta
     h *= keep
     v *= keep
     return h, v
@@ -96,11 +98,16 @@ def threshold_gradients(s, lam, beta):
 
 def _poisson_solve(f_img, h, v, beta, lap):
     # conj(F dx) F h + conj(F dy) F v is the transform of divergence(h, v)
-    numer = f_img + beta * rfft2(divergence(h, v))
+    numer = rfft2(divergence(h, v))
+    numer *= beta
+    numer += f_img
+    # numpy divides a complex value by a real d as (re * (1/d), im * (1/d)):
+    # multiplying by 1/d gives the quotient's bits without complex division
+    numer *= 1.0 / (1.0 + beta * lap)
     # the inverse transform one axis at a time scales by 1/ny, then by 1/nx,
     # as numpy.fft.irfft2 does; one 2-D scipy.fft.irfft2 scales by 1/(ny nx),
     # which differs in the last bit when ny is not a power of two
-    return irfft(ifft(numer / (1.0 + beta * lap), axis=-2), n=h.shape[-1], axis=-1)
+    return irfft(ifft(numer, axis=-2, overwrite_x=True), n=h.shape[-1], axis=-1)
 
 
 def _laplacian_symbol(ny, nx, dtype):

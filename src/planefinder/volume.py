@@ -1,12 +1,12 @@
 """4D volume container, plane resampling and candidate plane generation."""
 
+import itertools
 import math
 import mmap
 import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .config import read_lines
 
@@ -38,9 +38,11 @@ class Volume4D:
         t, nz, ny, nx = v.shape
         if min(nx, ny, nz) < 2 or t < 1:
             raise VolumeError("volume too small: dims=%s frames=%d" % ((nx, ny, nz), t))
-        if not np.all(np.isfinite(v)):
+        # NaN and +-inf carry into the extremes, so one pass checks both
+        lo, hi = v.min(), v.max()
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise VolumeError("non-finite voxel values")
-        if v.min() < 0.0 or v.max() > 1.0:
+        if lo < 0.0 or hi > 1.0:
             raise VolumeError("intensities must lie in [0,1]")
         v.flags.writeable = False
         object.__setattr__(self, "voxels", v)
@@ -170,10 +172,10 @@ def load_volume(path):
     # RSS varied from run to run.
     data = np.frombuffer(mmap.mmap(-1, 8 * t * nz * ny * nx), np.float64).reshape(t, nz, ny, nx)
     data[...] = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<")).reshape(data.shape)
-    if np.any(np.isnan(data)):
-        raise VolumeError("NaN voxels in %s" % raw_path)
     if dtype_code == "u8":
         data /= 255.0
+    elif np.any(np.isnan(data)):
+        raise VolumeError("NaN voxels in %s" % raw_path)
     return Volume4D(voxels=data, spacing=spacing)
 
 
@@ -214,15 +216,32 @@ def _plane_coords(params):
 def extract_plane_sequence(vol, params):
     """Resample every frame of the volume on the plane's pixel grid by
     trilinear interpolation. Coordinates outside the voxel grid contribute
-    zero: "grid-constant" pads the volume with cval and interpolates toward it.
-
-    Each frame is its own 3-D interpolation: one 4-D call would interpolate
-    in t as well (16 taps, not 8) and measured slower.
+    zero. Each frame is bit for bit map_coordinates(order=1, cval=0,
+    mode="grid-constant"): weights w0 = 1 - f and w1 = 1 - w0, corner terms
+    ((v*wz)*wy)*wx summed from 0.0 in z-major order. Corners and weights are
+    computed once per plane, and each corner is gathered for all frames into
+    one reused buffer; gathering all 8 at once was slower and held 4x the memory.
     """
-    coords = _plane_coords(params)
-    frames = np.stack([ndimage.map_coordinates(grid, coords, order=1, mode="grid-constant",
-                                               cval=0.0) for grid in vol.voxels])
-    return PlaneSequence(params=params, frames=frames)
+    coords = _plane_coords(params).reshape(3, -1)
+    base = np.floor(coords)
+    w0 = 1.0 - (coords - base)
+    weights = (w0, 1.0 - w0)
+    base = base.astype(np.intp)
+    grid = vol.voxels.shape[1:]
+    voxels = vol.voxels.reshape(vol.n_frames, -1)
+    frames = np.zeros((vol.n_frames, coords.shape[1]))
+    term = np.empty_like(frames)
+    for corner in itertools.product((0, 1), repeat=3):
+        idx = base + np.array(corner)[:, None]
+        inside = np.all((idx >= 0) & (idx < np.array(grid)[:, None]), axis=0)
+        np.take(voxels, np.ravel_multi_index(idx, grid, mode="clip"), axis=1, out=term,
+                mode="clip")
+        # an outside corner is cval = 0: a zero weight makes its term +0.0
+        term *= np.where(inside, weights[corner[0]][0], 0.0)
+        term *= weights[corner[1]][1]
+        term *= weights[corner[2]][2]
+        frames += term
+    return PlaneSequence(params=params, frames=frames.reshape(-1, params.height, params.width))
 
 
 def _orthobasis(normal, roll=0.0):

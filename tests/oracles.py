@@ -3,20 +3,21 @@
 Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
-per-frame plane sampler, one screened-Poisson solve of the L0 loop, and the
-synthetic timing workload of criterion 7.
+per-frame plane sampler, one screened-Poisson solve of the L0 loop (and its
+step with a complex division), and the synthetic timing workload of
+criterion 7.
 """
 
 import time
 
 import numpy as np
 from scipy import ndimage
-from scipy.fft import rfft2
+from scipy.fft import ifft, irfft, rfft2
 
 from planefinder.classifier import ClassifierError, decision_values, train_svm
 from planefinder.codebook import _assign, _descriptor_matrix
 from planefinder.embedding import EmbeddingError
-from planefinder.smoothing import _laplacian_symbol, _poisson_solve, forward_diff
+from planefinder.smoothing import _laplacian_symbol, _poisson_solve, divergence, forward_diff
 from planefinder.volume import VolumeError, _plane_coords
 
 
@@ -81,6 +82,14 @@ def solve_screened_poisson(img, h, v, beta):
     """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
     f_img = rfft2(img)
     return _poisson_solve(f_img, h, v, beta, _laplacian_symbol(*img.shape[-2:], f_img.real.dtype))
+
+
+def poisson_solve_dividing(f_img, h, v, beta, lap):
+    """The L0 loop's screened-Poisson step as first written: the right-hand
+    side built out of place and divided, as complex numbers, by the real
+    symbol 1 + beta * lap."""
+    numer = f_img + beta * rfft2(divergence(h, v))
+    return irfft(ifft(numer / (1.0 + beta * lap), axis=-2), n=h.shape[-1], axis=-1)
 
 
 def sample_plane(vol, params, frame):

@@ -29,6 +29,39 @@ def test_duplicate_descriptors_rejected():
         train_codebook(data, k=3)
 
 
+def test_distinct_rows_counts_as_unique_does():
+    data = np.random.default_rng(11).normal(size=(50, 6))
+    data[10] = data[3]
+    # equal as floats, not as bytes
+    data[20, 2] = 0.0
+    data[21] = data[20]
+    data[21, 2] = -0.0
+    # one ulp apart: distinct
+    data[30] = data[31]
+    data[30, 5] = np.nextafter(data[31, 5], np.inf)
+    assert codebook._distinct_rows(data) == np.unique(data, axis=0).shape[0] == 48
+    signed_zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    assert codebook._distinct_rows(signed_zeros) == np.unique(signed_zeros, axis=0).shape[0] == 1
+
+
+def test_distinct_row_check_memory_is_bounded():
+    # fit's static pool shape with one row repeated, so that k = n fails the
+    # check before any k-means work; np.unique(axis=0) holds about 2.5 pools
+    data = np.random.default_rng(4).random((2488, 128))
+    data[1] = data[0]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        with pytest.raises(CodebookError, match="distinct"):
+            train_codebook(data, k=len(data))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # train_codebook's own copy of the pool, and at most 1.25 pools for the check
+    assert peak <= 2.25 * data.nbytes
+
+
 def test_deterministic_for_seed():
     rng = np.random.default_rng(0)
     data = rng.random((200, 8))

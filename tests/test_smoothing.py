@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 
-from oracles import gradient_count, solve_screened_poisson
+from oracles import gradient_count, poisson_solve_dividing, solve_screened_poisson
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import (BETA_MAX, KAPPA, LAM, SmoothingError, _l0_smooth_stack,
-                                   forward_diff, divergence, l0_smooth, smooth_sequence,
+                                   _laplacian_symbol, _poisson_solve, forward_diff,
+                                   divergence, l0_smooth, smooth_sequence,
                                    threshold_gradients)
 from planefinder.volume import PlaneParams, PlaneSequence, extract_plane_sequence
 
@@ -108,6 +110,23 @@ def test_screened_poisson_normal_equations():
     lhs = s + beta * divergence(dx, dy)
     rhs = img + beta * divergence(h, v)
     assert np.abs(lhs - rhs).max() <= 1e-8
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 64, 64), (6, 32, 32), (3, 33, 47), (1, 32, 31)])
+def test_poisson_step_has_the_bits_of_complex_division(shape, dtype):
+    # numpy divides a complex value by a real d as (re * (1/d), im * (1/d)),
+    # so the product with 1/d in the transform's precision is bit-identical
+    imgs = np.random.default_rng(8).random(shape).astype(dtype)
+    f_img = rfft2(imgs)
+    lap = _laplacian_symbol(*shape[-2:], f_img.real.dtype)
+    beta = 2.0 * LAM
+    while beta <= BETA_MAX:
+        h, v = threshold_gradients(imgs, LAM, beta)
+        got = _poisson_solve(f_img, h, v, beta, lap)
+        ref = poisson_solve_dividing(f_img, h, v, beta, lap)
+        assert got.dtype == dtype and got.tobytes() == ref.tobytes()
+        beta *= KAPPA
 
 
 def _sequence(frames):

@@ -88,6 +88,33 @@ def test_roundtrip_u8_bit_exact(tmp_path):
     assert back.spacing == vol.spacing
 
 
+def test_load_u8_is_byte_over_255(tmp_path):
+    payload = np.arange(256, dtype=np.uint8)
+    vol = load_volume(str(write_raw_volume(tmp_path, dims=(8, 4, 4), frames=2,
+                                           payload=payload.tobytes())))
+    assert np.array_equal(vol.voxels.ravel(), payload / 255.0)
+
+
+def test_load_f32_nan_names_the_file(tmp_path):
+    payload = np.full(128, 0.5, dtype="<f4")
+    payload[77] = np.nan
+    header = write_raw_volume(tmp_path, dtype="f32", payload=payload.tobytes())
+    with pytest.raises(VolumeError, match="NaN voxels in .*vol.raw"):
+        load_volume(str(header))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_volume_rejects_non_finite_voxels(bad):
+    vox = np.full((2, 3, 3, 3), 0.5)
+    vox[1, 2, 0, 1] = bad
+    with pytest.raises(VolumeError, match="non-finite"):
+        Volume4D(voxels=vox)
+    # an out-of-range value elsewhere does not hide it
+    vox[0, 0, 0, 0] = 2.0
+    with pytest.raises(VolumeError, match="non-finite"):
+        Volume4D(voxels=vox)
+
+
 def test_roundtrip_f32(tmp_path):
     rng = np.random.default_rng(1)
     vox = rng.random((2, 4, 4, 4)).astype(np.float32).astype(np.float64)
@@ -242,6 +269,40 @@ def test_resampling_matches_trilinear_reference(seed):
     seq = extract_plane_sequence(vol, p)
     assert np.abs(seq.frames - ref).max() <= 1e-15
     assert np.array_equal(sample_plane(vol, p, 1), seq.frames[1])
+
+
+def _face_crossing_planes(dims):
+    """Oblique planes centred on each face of an (nx, ny, nz) grid, and two
+    with extreme placements: fully outside the grid, and the last z slice
+    exactly, whose far corners are the last voxel."""
+    rng = np.random.default_rng(9)
+    mid = (np.asarray(dims) - 1) / 2.0
+    planes = []
+    for axis in range(3):
+        for end in (0.0, dims[axis] - 1.0):
+            centre = mid.copy()
+            centre[axis] = end
+            planes.append(plane_from_center(centre, rng.normal(size=3), width=9, height=7,
+                                            roll=rng.uniform(0, 2 * math.pi)))
+    planes.append(plane_from_center((-5.0, 20.0, -3.0), (0.3, 0.4, 0.5), width=4, height=3))
+    nx, ny, nz = dims
+    planes.append(PlaneParams(origin=(0.0, 0.0, nz - 1.0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
+                              width=nx, height=ny))
+    return planes
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 7, 9), (1, 6, 4, 3), (2, 2, 9, 5)])
+def test_resampling_equals_map_coordinates_in_every_frame(shape):
+    vol = Volume4D(voxels=np.random.default_rng(10).random(shape))
+    t, nz, ny, nx = shape
+    planes = _face_crossing_planes((nx, ny, nz))
+    for p in planes:
+        frames = extract_plane_sequence(vol, p).frames
+        assert frames.shape == (t, p.height, p.width)
+        for f in range(t):
+            assert np.array_equal(frames[f], sample_plane(vol, p, f))
+    assert not extract_plane_sequence(vol, planes[-2]).frames.any()
+    assert np.array_equal(extract_plane_sequence(vol, planes[-1]).frames, vol.voxels[:, -1])
 
 
 def _reference_synth_phantom(spec):
