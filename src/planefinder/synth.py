@@ -16,7 +16,7 @@ GT_OFFSET_GUARD = 5.0
 
 
 def _reference_candidates(dims, cfg):
-    probe = Volume4D(voxels=np.zeros((1,) + tuple(reversed(dims))))
+    probe = Volume4D(voxels=np.zeros((1,) + tuple(reversed(dims)), dtype=np.uint8))
     return candidate_planes(probe, cfg)
 
 

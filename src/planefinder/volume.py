@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import mmap
 import os
 from dataclasses import dataclass
 
@@ -24,38 +23,70 @@ class VolumeError(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Volume4D:
-    """Time series of 3D scalar grids; voxels shape (T, nz, ny, nx) in [0,1]."""
+    """Time series of 3D scalar grids with values in [0,1], shape (T, nz, ny, nx).
 
-    voxels: np.ndarray
-    spacing: tuple = (1.0, 1.0, 1.0)
+    `stored` holds the array the volume was given and `divisor` decodes it:
+    values = stored / divisor. A uint8, float32 or float64 array is stored as
+    given with divisor 1, anything else as float64. Only `load_volume` sets
+    divisor 255, to keep a `u8` file's codes.
+    """
 
-    def __post_init__(self):
-        v = np.asarray(self.voxels, dtype=np.float64)
-        if v.ndim != 4:
-            raise VolumeError("voxels must be 4D (T, nz, ny, nx), got ndim=%d" % v.ndim)
-        t, nz, ny, nx = v.shape
+    stored: np.ndarray
+    spacing: tuple
+    divisor: float
+
+    def __init__(self, voxels, spacing=(1.0, 1.0, 1.0)):
+        v = np.asarray(voxels)
+        if v.dtype not in (np.uint8, np.float32):
+            v = np.asarray(v, dtype=np.float64)
+        self._hold(v, spacing, 1.0)
+
+    @classmethod
+    def _from_u8(cls, codes, spacing):
+        """The volume of a `u8` file's codes, each standing for code / 255."""
+        vol = cls.__new__(cls)
+        vol._hold(codes, spacing, 255.0)
+        return vol
+
+    def _hold(self, stored, spacing, divisor):
+        if stored.ndim != 4:
+            raise VolumeError("voxels must be 4D (T, nz, ny, nx), got ndim=%d" % stored.ndim)
+        t, nz, ny, nx = stored.shape
         if min(nx, ny, nz) < 2 or t < 1:
             raise VolumeError("volume too small: dims=%s frames=%d" % ((nx, ny, nz), t))
-        # NaN and +-inf carry into the extremes, so one pass checks both
-        lo, hi = v.min(), v.max()
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise VolumeError("non-finite voxel values")
-        if lo < 0.0 or hi > 1.0:
-            raise VolumeError("intensities must lie in [0,1]")
-        v.flags.writeable = False
-        object.__setattr__(self, "voxels", v)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        # code / 255 always lies in [0,1]. In any other array NaN and +-inf
+        # carry into the extremes, so one min and one max pass check it all
+        if divisor == 1.0:
+            lo, hi = stored.min(), stored.max()
+            if np.isnan(lo):
+                raise VolumeError("non-finite voxel values: NaN voxels")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise VolumeError("non-finite voxel values")
+            if lo < 0.0 or hi > 1.0:
+                raise VolumeError("intensities must lie in [0,1]")
+        stored.flags.writeable = False
+        object.__setattr__(self, "stored", stored)
+        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
+        object.__setattr__(self, "divisor", divisor)
+
+    @property
+    def voxels(self):
+        """The values as float64: the stored array itself when it is float64,
+        otherwise decoded on each access."""
+        if self.stored.dtype == np.float64:
+            return self.stored
+        return np.divide(self.stored, self.divisor, dtype=np.float64)
 
     @property
     def dims(self):
-        t, nz, ny, nx = self.voxels.shape
+        t, nz, ny, nx = self.stored.shape
         return (nx, ny, nz)
 
     @property
     def n_frames(self):
-        return self.voxels.shape[0]
+        return self.stored.shape[0]
 
 
 @dataclass(frozen=True)
@@ -141,7 +172,9 @@ def _parse_header(path):
 
 
 def load_volume(path):
-    """Load a `.vol4` header + raw data pair, rescaling intensities to [0,1]."""
+    """Load a `.vol4` header + raw data pair. The volume keeps the payload as
+    read: `u8` codes c stand for intensities c / 255, `f32` values must lie
+    in [0,1]."""
     fields = _parse_header(path)
     try:
         nx, ny, nz = (int(s) for s in fields["dims"].split())
@@ -165,18 +198,14 @@ def load_volume(path):
         raise VolumeError(
             "raw size mismatch for %s: expected %d bytes, found %d" % (raw_path, expected, actual)
         )
-    # The float64 voxels get an anonymous mapping of their own, which is
-    # unmapped when they are freed. From the malloc heap, a reloaded volume
-    # could find the block its predecessor freed split by smaller arrays and
-    # grow the heap by one volume (13 MB at 64^3 x 8 frames), so that peak
-    # RSS varied from run to run.
-    data = np.frombuffer(mmap.mmap(-1, 8 * t * nz * ny * nx), np.float64).reshape(t, nz, ny, nx)
-    data[...] = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<")).reshape(data.shape)
-    if dtype_code == "u8":
-        data /= 255.0
-    elif np.any(np.isnan(data)):
-        raise VolumeError("NaN voxels in %s" % raw_path)
-    return Volume4D(voxels=data, spacing=spacing)
+    data = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<"))
+    data = data.reshape(t, nz, ny, nx)
+    try:
+        if dtype_code == "u8":
+            return Volume4D._from_u8(data, spacing)
+        return Volume4D(voxels=data, spacing=spacing)
+    except VolumeError as exc:
+        raise VolumeError("%s in %s" % (exc, raw_path)) from exc
 
 
 def save_volume(vol, path, dtype="u8"):
@@ -219,23 +248,27 @@ def extract_plane_sequence(vol, params):
     zero. Each frame is bit for bit map_coordinates(order=1, cval=0,
     mode="grid-constant"): weights w0 = 1 - f and w1 = 1 - w0, corner terms
     ((v*wz)*wy)*wx summed from 0.0 in z-major order. Corners and weights are
-    computed once per plane, and each corner is gathered for all frames into
-    one reused buffer; gathering all 8 at once was slower and held 4x the memory.
+    computed once per plane. Each corner is gathered for all frames into one
+    reused buffer of the stored dtype, then decoded into float64; gathering
+    all 8 at once was slower and held 4x the memory.
     """
     coords = _plane_coords(params).reshape(3, -1)
     base = np.floor(coords)
     w0 = 1.0 - (coords - base)
     weights = (w0, 1.0 - w0)
     base = base.astype(np.intp)
-    grid = vol.voxels.shape[1:]
-    voxels = vol.voxels.reshape(vol.n_frames, -1)
+    grid = vol.stored.shape[1:]
+    stored = vol.stored.reshape(vol.n_frames, -1)
     frames = np.zeros((vol.n_frames, coords.shape[1]))
+    raw = np.empty(frames.shape, dtype=stored.dtype)
     term = np.empty_like(frames)
     for corner in itertools.product((0, 1), repeat=3):
         idx = base + np.array(corner)[:, None]
         inside = np.all((idx >= 0) & (idx < np.array(grid)[:, None]), axis=0)
-        np.take(voxels, np.ravel_multi_index(idx, grid, mode="clip"), axis=1, out=term,
+        np.take(stored, np.ravel_multi_index(idx, grid, mode="clip"), axis=1, out=raw,
                 mode="clip")
+        # float64(code) / 255, correctly rounded: the bits `voxels` decodes
+        np.divide(raw, vol.divisor, out=term)
         # an outside corner is cval = 0: a zero weight makes its term +0.0
         term *= np.where(inside, weights[corner[0]][0], 0.0)
         term *= weights[corner[1]][1]

@@ -103,6 +103,31 @@ def test_load_f32_nan_names_the_file(tmp_path):
         load_volume(str(header))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, 1.5, -0.5])
+def test_load_f32_bad_value_names_the_file(tmp_path, bad):
+    payload = np.full(128, 0.5, dtype="<f4")
+    payload[77] = bad
+    header = write_raw_volume(tmp_path, dtype="f32", payload=payload.tobytes())
+    with pytest.raises(VolumeError, match=r"vol\.raw"):
+        load_volume(str(header))
+
+
+@pytest.mark.parametrize("dtype, itemsize", [("u8", 1), ("f32", 4)])
+def test_loaded_volume_stores_its_payload_bytes(tmp_path, dtype, itemsize):
+    header = write_raw_volume(tmp_path, dims=(5, 4, 3), frames=2, dtype=dtype,
+                              payload=bytes(2 * 3 * 4 * 5 * itemsize))
+    assert load_volume(str(header)).stored.nbytes == 2 * 3 * 4 * 5 * itemsize
+
+
+def test_volume_keeps_a_float64_array_and_reads_uint8_as_values():
+    vox = np.random.default_rng(11).random((2, 3, 3, 3))
+    assert Volume4D(voxels=vox).voxels is vox
+    ones = Volume4D(voxels=np.ones((1, 2, 2, 2), dtype=np.uint8))
+    assert ones.voxels.dtype == np.float64 and np.all(ones.voxels == 1.0)
+    with pytest.raises(VolumeError, match=r"\[0,1\]"):
+        Volume4D(voxels=np.full((1, 2, 2, 2), 2, dtype=np.uint8))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_volume_rejects_non_finite_voxels(bad):
     vox = np.full((2, 3, 3, 3), 0.5)
@@ -303,6 +328,34 @@ def test_resampling_equals_map_coordinates_in_every_frame(shape):
             assert np.array_equal(frames[f], sample_plane(vol, p, f))
     assert not extract_plane_sequence(vol, planes[-2]).frames.any()
     assert np.array_equal(extract_plane_sequence(vol, planes[-1]).frames, vol.voxels[:, -1])
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 16, 17), (1, 6, 4, 3)])
+def test_loaded_volume_resamples_as_its_float64_values(tmp_path, shape):
+    """A volume resampled from its file's u8 codes or f32 values gives, bit
+    for bit, map_coordinates' frames of the float64 values code / 255 or of
+    those values. The 16 x 17 last slice holds every code, so a decode by
+    * (1/255), which differs at 24 codes, or in float32 changes the frames
+    of the last-slice plane."""
+    t, nz, ny, nx = shape
+    planes = _face_crossing_planes((nx, ny, nz))
+    codes = ((np.arange(t * nz * ny * nx) * 7 + 3) % 256).astype(np.uint8)
+    values = np.random.default_rng(12).random(codes.size).astype(np.float32)
+    for dtype, payload, exact in (("u8", codes, codes / 255.0), ("f32", values, values)):
+        header = write_raw_volume(tmp_path, dims=(nx, ny, nz), frames=t, dtype=dtype,
+                                  payload=payload.tobytes())
+        loaded = load_volume(str(header))
+        reference = Volume4D(voxels=np.asarray(exact, np.float64).reshape(shape))
+        for p in planes:
+            frames = extract_plane_sequence(loaded, p).frames
+            for f in range(t):
+                assert np.array_equal(frames[f], sample_plane(reference, p, f))
+    if ny * nx >= 256:
+        exact = Volume4D(voxels=(codes / 255.0).reshape(shape))
+        for broken in (codes * (1.0 / 255.0), (codes / np.float32(255.0)).astype(np.float64)):
+            assert not np.array_equal(sample_plane(Volume4D(voxels=broken.reshape(shape)),
+                                                   planes[-1], 0),
+                                      sample_plane(exact, planes[-1], 0))
 
 
 def _reference_synth_phantom(spec):
