@@ -110,8 +110,9 @@ def _assign(data, centroids, c2):
         d2 *= -2.0
         d2 += (block ** 2).sum(axis=1)[:, None]
         d2 += c2[None, :]
-        np.maximum(d2, 0.0, out=d2)
-        best = d2.min(axis=1)
+        # clamping the minimum, not every entry, selects the same near-ties:
+        # best >= 0, so a negative entry passes the test either way
+        best = np.maximum(d2.min(axis=1), 0.0)
         # lowest index among near-ties, stable across float noise
         assign[lo:hi] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
         min_d2[lo:hi] = best
@@ -185,17 +186,28 @@ def _kmeanspp_seed(data, k, rng):
     return centroids
 
 
-def quantize(descriptors, cb):
-    """Vote each descriptor to its nearest centroid; L1-normalized histogram.
+def quantize_planes(planes, cb):
+    """One L1-normalized histogram row per plane, from one nearest-centroid
+    search over every plane's descriptors: a (len(planes), k) float64 matrix.
 
-    Ties go to the lowest centroid index; an empty input yields the flagged
-    all-zero histogram.
+    Ties go to the lowest centroid index; a plane without descriptors gets
+    an all-zero row.
     """
-    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
+    k = cb.k
+    hist = np.zeros((len(planes), k))
+    data = _descriptor_matrix([d for plane in planes for d in plane], cb.centroids.shape[1])
     if data.shape[0] == 0:
-        return BoWHistogram(values=np.zeros(cb.k), descriptor_kind=cb.descriptor_kind,
-                            empty=True)
+        return hist
     assign, _ = _assign(data, cb.centroids, cb._sq_norms)
-    counts = np.bincount(assign, minlength=cb.k)
-    return BoWHistogram(values=counts / counts.sum(),
-                        descriptor_kind=cb.descriptor_kind, empty=False)
+    plane = np.repeat(np.arange(len(planes)), [len(p) for p in planes])
+    counts = np.bincount(plane * k + assign, minlength=len(planes) * k).reshape(-1, k)
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=hist, where=totals > 0)
+
+
+def quantize(descriptors, cb):
+    """The one-plane case of quantize_planes, as a histogram flagged empty
+    when there are no descriptors."""
+    values = quantize_planes([descriptors], cb)[0]
+    return BoWHistogram(values=values, descriptor_kind=cb.descriptor_kind,
+                        empty=not values.any())

@@ -1,6 +1,10 @@
 """Supervised cross-view embedding: label-similarity matrix and the
 closed-form whitened-SVD solve of the trace maximization."""
 
+import ctypes
+import functools
+import glob
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +51,50 @@ class EmbeddingModel:
     train_n: int
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS that numpy's wheels
+    bundle (scipy-openblas, 64-bit interface), or None under another BLAS."""
+    here = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(here, os.pardir, "numpy.libs", "*scipy_openblas*"))
+                 + glob.glob(os.path.join(here, ".dylibs", "*scipy_openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            put = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+def _one_blas_thread(fn):
+    """Run `fn` on one OpenBLAS thread and restore the count afterwards.
+
+    OpenBLAS splits its SVDs and products by thread count, and the pieces
+    round differently, so without the pin a bundle's embedding bits would
+    depend on the machine. The count is process-wide: BLAS calls of other
+    Python threads run on one thread meanwhile. Under a BLAS without the
+    scipy-openblas thread-count symbols, `fn` runs unpinned, and its bits
+    may change with the thread count.
+    """
+    @functools.wraps(fn)
+    def pinned(*args, **kwargs):
+        threads = _openblas_threads()
+        if threads is None:
+            return fn(*args, **kwargs)
+        get, put = threads
+        before = get()
+        put(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            put(before)
+    return pinned
+
+
 def build_similarity_matrix(labels):
     n = len(labels)
     if n < 2:
@@ -80,6 +128,7 @@ def _whitener(xc, c, epsilon):
     return u * sv, a, vt.T
 
 
+@_one_blas_thread
 def fit_embedding(x, y, s, c, epsilon=None):
     """Closed-form solve of the supervised trace maximization.
 
@@ -125,6 +174,7 @@ def fit_embedding(x, y, s, c, epsilon=None):
                           c=c, epsilon=float(epsilon), train_n=n)
 
 
+@_one_blas_thread
 def embed(features, model, view="static"):
     """Project one feature vector (or a stack) into the compact code space."""
     f = np.asarray(features, dtype=np.float64)

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from oracles import kmeans_inertia
 from planefinder import codebook
 from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, CodebookWarning,
-                                  quantize, train_codebook)
+                                  quantize, quantize_planes, train_codebook)
 
 
 def clustered_data(rng, centers, n_per=40, noise=0.05):
@@ -218,6 +218,35 @@ def test_descriptor_kind_carried_through():
     cb = train_codebook(data, k=4, seed=0, descriptor_kind="spacetime")
     assert cb.descriptor_kind == "spacetime"
     assert quantize(data, cb).descriptor_kind == "spacetime"
+
+
+def test_quantize_planes_rows_are_per_plane_histograms():
+    # desk's static shape: planes of a few descriptors, one without any
+    rng = np.random.default_rng(12)
+    cb = Codebook(centroids=rng.random((64, 128)))
+    planes = [list(rng.random((n, 128))) for n in (5, 0, 17, 1, 300)]
+    hist = quantize_planes(planes, cb)
+    assert hist.shape == (5, 64) and hist.dtype == np.float64
+    assert np.array_equal(hist, np.stack([quantize(p, cb).values for p in planes]))
+    assert not hist[1].any()
+
+
+def test_quantize_planes_without_descriptors():
+    cb = Codebook(centroids=np.eye(4))
+    assert np.array_equal(quantize_planes([[], []], cb), np.zeros((2, 4)))
+    assert quantize_planes([], cb).shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad_plane", [0, 1, 2])
+def test_quantize_planes_rejects_a_wrong_dimension_in_any_plane(bad_plane):
+    cb = Codebook(centroids=np.eye(3))
+    planes = [[np.ones(3)], [np.ones(3), np.zeros(3)], [np.ones(3)]]
+    planes[bad_plane] = [np.ones(4)]
+    with pytest.raises(CodebookError, match="equal-length"):
+        quantize_planes(planes, cb)
+    # the only descriptors, all of the wrong dimension
+    with pytest.raises(CodebookError, match="dim 4 does not match codebook dim 3"):
+        quantize_planes([p if i == bad_plane else [] for i, p in enumerate(planes)], cb)
 
 
 def _assign_recomputing_norms(data, centroids, chunk=2048):

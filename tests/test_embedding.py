@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import inv, sqrtm, subspace_angles
 
 from oracles import embedding_objective, semantic_similarity, trace_objective
+import planefinder
+from planefinder import embedding
 from planefinder.embedding import (EmbeddingError, SemanticLabels,
                                    build_similarity_matrix, embed, embed_fused,
                                    fit_embedding)
@@ -258,3 +264,38 @@ def test_supervised_codes_separate_classes():
     diff = [np.linalg.norm(z[i] - z[j]) for i in range(n) for j in range(i + 1, n)
             if cls[i] != cls[j]]
     assert np.mean(same) < 0.5 * np.mean(diff)
+
+
+# fit's static view: 200 planes of 2,000-word histograms, mostly empty bins;
+# prints the code bits and the thread count before and after the calls
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from planefinder.embedding import _openblas_threads, embed, fit_embedding
+get, _ = _openblas_threads()
+before = get()
+rng = np.random.default_rng(0)
+x = rng.random((200, 2000)) * (rng.random((200, 2000)) < 0.01)
+y = rng.random((200, 200)) * (rng.random((200, 200)) < 0.05)
+cls = np.arange(200) % 7
+m = fit_embedding(x, y, (cls[:, None] == cls[None, :]) + np.eye(200), 32)
+h = hashlib.sha256()
+for a in (m.w_x, m.w_y, embed(x, m, "static"), embed(y, m, "spacetime")):
+    h.update(a.tobytes())
+print(h.hexdigest(), before, get())
+"""
+
+
+@pytest.mark.skipif(embedding._openblas_threads() is None,
+                    reason="numpy's BLAS exports no scipy-openblas thread-count symbols")
+def test_embedding_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(planefinder.__file__)))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout.split()
+        runs[threads] = out
+    assert runs["1"][0] == runs["2"][0]
+    # the pin restores the count it found
+    assert runs["2"][1] == runs["2"][2]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import benchmark_representations
-from planefinder import pipeline
+from planefinder import codebook, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.codebook import quantize
@@ -176,6 +176,27 @@ def test_bow_feature_shapes(workspace):
     assert np.all(x >= 0) and np.all(y >= 0)
     sums = x.sum(axis=1)
     assert np.all((np.abs(sums - 1.0) <= 1e-9) | (sums == 0.0))
+
+
+def test_bow_features_searches_once_per_view(workspace, monkeypatch):
+    bundle = workspace["bundle"]
+    descs = workspace["cache"].all_descriptors(workspace["test"].volumes[0])
+    calls = []
+    assign = codebook._assign
+
+    def counted(data, *args):
+        calls.append(data.shape[0])
+        return assign(data, *args)
+
+    monkeypatch.setattr(codebook, "_assign", counted)
+    bow_features(descs, bundle.cb_static, bundle.cb_spacetime)
+    # one search per view, over every plane's descriptors
+    assert calls == [sum(len(s) for s, _ in descs), sum(len(t) for _, t in descs)]
+    # a view without any descriptor needs no search
+    calls.clear()
+    x, y = bow_features([(static, []) for static, _ in descs[:3]],
+                        bundle.cb_static, bundle.cb_spacetime)
+    assert len(calls) == 1 and not y.any()
 
 
 def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
