@@ -2,6 +2,7 @@
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class ManifestRecord:
     @property
     def plane_class(self):
         """Class id of a standard plane, or -1 for the non-standard slot."""
-        idx = int(np.argmax(self.plane_onehot))
+        idx = self.plane_onehot.index(1)  # one-hot, checked on construction
         return idx if idx < len(self.plane_onehot) - 1 else -1
 
     @property
@@ -45,26 +46,35 @@ class DatasetManifest:
 
     @property
     def volumes(self):
-        seen = []
+        return list(dict.fromkeys(r.volume for r in self.records))
+
+    @cached_property
+    def _truth(self):
+        """{(volume, plane class): sorted candidate indices}, from one read
+        of each record's plane_class."""
+        truth = {}
         for r in self.records:
-            if r.volume not in seen:
-                seen.append(r.volume)
-        return seen
+            truth.setdefault((r.volume, r.plane_class), []).append(r.cand_index)
+        for indices in truth.values():
+            indices.sort()
+        return truth
 
     @property
     def plane_classes(self):
-        return sorted({r.plane_class for r in self.records if r.plane_class >= 0})
+        return sorted({cls for _, cls in self._truth if cls >= 0})
 
     def ground_truth(self, volume, plane_class):
         """Candidate indices labeled as that standard plane in a volume."""
-        return sorted(r.cand_index for r in self.records
-                      if r.volume == volume and r.plane_class == plane_class)
+        return list(self._truth.get((volume, plane_class), ()))
 
     def validate(self, candidate_count=None):
         if not self.records:
             raise ManifestError("empty manifest")
+        exists = {}
         for r in self.records:
-            if not os.path.exists(r.volume):
+            if r.volume not in exists:
+                exists[r.volume] = os.path.exists(r.volume)
+            if not exists[r.volume]:
                 raise ManifestError("missing volume file %s" % r.volume)
             if r.cand_index < 0 or (candidate_count is not None
                                     and r.cand_index >= candidate_count):
@@ -77,9 +87,10 @@ class DatasetManifest:
             lengths = sorted({len(getattr(r, name)) for r in self.records})
             if len(lengths) > 1:
                 raise ManifestError("%s lengths differ between records: %s" % (name, lengths))
+        classes = self.plane_classes
         for vol in self.volumes:
-            for cls in self.plane_classes:
-                if not self.ground_truth(vol, cls):
+            for cls in classes:
+                if (vol, cls) not in self._truth:
                     raise ManifestError(
                         "volume %s lacks ground truth for class %d" % (vol, cls)
                     )

@@ -1,3 +1,7 @@
+import hashlib
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -6,6 +10,7 @@ import pytest
 from scipy.spatial.distance import cdist
 
 from oracles import kmeans_inertia
+import planefinder
 from planefinder import codebook
 from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, CodebookWarning,
                                   quantize, quantize_planes, train_codebook)
@@ -129,6 +134,47 @@ def test_kmeanspp_seed_with_duplicate_rows_picks_rows_of_direct_formula(seed):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeanspp_seed_on_unit_rows_near_k_distinct_picks_rows_of_direct_formula(seed):
+    # single-precision weights are least exact here: every squared norm is
+    # 1, a taken row's copies have D² = 0 only up to float32 rounding, and
+    # with k close to the 150 distinct rows the last draws share a small total
+    rows = np.random.default_rng(40 + seed).normal(size=(150, 128))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    data = rows[np.random.default_rng(seed).permutation(np.repeat(np.arange(150), 4))]
+    got = codebook._kmeanspp_seed(data, 145, np.random.default_rng(seed))
+    want = _kmeanspp_direct(data, 145, np.random.default_rng(seed))
+    assert np.array_equal(got, want)
+
+
+# fit's pool shapes: 2,488 static descriptors at k = 2,000 (seeding, and a
+# few Lloyd passes) and 600 space-time descriptors at k = 200; prints a
+# digest of both codebooks' centroids
+CODEBOOK_THREAD_PROBE = """
+import hashlib
+import warnings
+import numpy as np
+from planefinder.codebook import CodebookWarning, train_codebook
+warnings.simplefilter("ignore", CodebookWarning)
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for shape, k, max_iter in (((2488, 128), 2000, 3), ((600, 192), 200, 100)):
+    h.update(train_codebook(rng.random(shape), k, seed=1, max_iter=max_iter).centroids.tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_codebook_bits_do_not_depend_on_blas_threads():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(planefinder.__file__)))
+    runs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        runs[threads] = subprocess.run([sys.executable, "-c", CODEBOOK_THREAD_PROBE],
+                                       env=env, check=True, capture_output=True, text=True,
+                                       timeout=120).stdout.split()
+    assert runs["1"] == runs["2"]
+
+
 def _seeded_with(monkeypatch, rows):
     monkeypatch.setattr(codebook, "_kmeanspp_seed",
                         lambda data, k, rng: np.array(rows, dtype=np.float64))
@@ -149,6 +195,35 @@ def test_empty_cluster_takes_farthest_point(monkeypatch):
         members = data[assign == j]
         assert members.shape[0] > 0
         assert np.abs(members.mean(axis=0) - cb.centroids[j]).max() <= 1e-9
+
+
+def test_lloyd_update_matches_add_at_oracle(monkeypatch):
+    # signed data with -0.0 entries: a group whose first column is -0.0 in
+    # every row, and a farthest point, re-seeded into the empty cluster 1,
+    # with -0.0 in two columns
+    rng = np.random.default_rng(13)
+    data = rng.normal(size=(300, 6))
+    data[::7, 2] = -0.0
+    group = rng.normal(size=(25, 6)) + [0.0, 40.0, 0.0, 0.0, 0.0, 0.0]
+    group[:, 0] = -0.0
+    far = np.array([-0.0, -90.0, 3.0, -0.0, 1.0, -2.0])
+    data = np.vstack([data, group, far])
+    seeds = np.vstack([data[[0, 0, 1, 2, 3]], [0.0, 40.0, 0.0, 0.0, 0.0, 0.0]])
+    _seeded_with(monkeypatch, seeds)
+    assign = cdist(data, seeds).argmin(axis=1)
+    assert np.bincount(assign, minlength=6)[1] == 0
+    assign[-1] = 1
+    counts = np.bincount(assign, minlength=6)
+    sums = np.zeros_like(seeds)
+    np.add.at(sums, assign, data)
+    want = sums / counts[:, None]
+    with pytest.warns(CodebookWarning):
+        once = train_codebook(data, k=6, max_iter=1)
+    assert once.centroids.tobytes() == want.tobytes()
+    assert np.array_equal(once.centroids[1], far)
+    # sums start from +0.0, so a cell summing only -0.0 entries reads +0.0
+    zeros = once.centroids[[1, 1, 5], [0, 3, 0]]
+    assert not zeros.any() and not np.signbit(zeros).any()
 
 
 def test_reseed_that_empties_a_cluster_reseeds_it(monkeypatch):

@@ -266,6 +266,37 @@ def test_manifest_ground_truth_lookup(tmp_path):
     assert m.ground_truth("v", 2) == []
 
 
+def test_manifest_checks_read_each_record_once(tmp_path, monkeypatch):
+    # 20 volumes of 400 candidates, classes 0-2 at indices 0-2 and the rest
+    # non-standard: validation plus every (volume, class) ground-truth lookup
+    # read each record's plane_class at most once and stat each volume once
+    reads = []
+    plane_class = ManifestRecord.plane_class
+    monkeypatch.setattr(ManifestRecord, "plane_class",
+                        property(lambda r: reads.append(r) or plane_class.fget(r)))
+    records = []
+    for v in range(20):
+        vol = tmp_path / ("v%d.vol4" % v)
+        vol.write_text("")
+        for i in range(400):
+            onehot = [0, 0, 0, 0]
+            onehot[min(i, 3)] = 1
+            records.append(ManifestRecord(volume=str(vol), cand_index=i,
+                                          plane_onehot=tuple(onehot), diag_onehot=(0, 1),
+                                          condition="normal"))
+    stats = []
+    exists = os.path.exists
+    monkeypatch.setattr(os.path, "exists", lambda p: stats.append(p) or exists(p))
+    m = DatasetManifest(records=tuple(records)).validate(candidate_count=400)
+    monkeypatch.setattr(os.path, "exists", exists)
+    assert m.plane_classes == [0, 1, 2]
+    for vol in m.volumes:
+        for cls in m.plane_classes:
+            assert m.ground_truth(vol, cls) == [cls]
+    assert len(reads) <= len(records)
+    assert sorted(stats) == sorted(m.volumes)
+
+
 def test_manifest_malformed_line(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("only\tthree\tfields\n")
