@@ -75,9 +75,9 @@ def cmd_eval(args):
             rows.append((cid, cond, "%.4f" % acc))
     else:
         report = evaluate_volumes(bundle, manifest, cache=cache)
-        rows = [("class", "mean_f1")]
+        rows = [("class", "mean_f1", "top1_hit_rate")]
         for cid, f1 in sorted(report.f1.items()):
-            rows.append((cid, "%.4f" % f1))
+            rows.append((cid, "%.4f" % f1, "%.4f" % report.top1[cid]))
     _write_report(rows, args.report_out)
 
 

@@ -6,9 +6,16 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# descriptors one _assign block measures against every centroid; the block's
-# distances fill one (ASSIGN_BLOCK, k) float64 buffer
+# descriptors one block measures against every centroid: _nearest screens a
+# block in one reused (ASSIGN_BLOCK, k) float32 buffer (5 MB at k = 5,000),
+# and _assign, which decides the rows the screen leaves unsure, every row
+# when float32 could overflow, and every row of a Lloyd pass that left a
+# cluster empty, fills one float64 buffer of at most that shape
 ASSIGN_BLOCK = 256
+
+# _nearest's float32 screen holds |x|², |c|² and their sum below this, far
+# from float32's 2^128 overflow; unit descriptors have norms near 1
+SCREEN_LIMIT = 2.0 ** 100
 
 
 class CodebookError(Exception):
@@ -31,7 +38,7 @@ class Codebook:
                                 "one row, got shape %s" % (c.shape,))
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
-        # squared centroid norms for _assign, computed once; not a field, so
+        # squared centroid norms for the search, computed once; not a field, so
         # equality, repr and the bundle hash see only the centroids
         c2 = (c ** 2).sum(axis=1)
         c2.flags.writeable = False
@@ -119,6 +126,60 @@ def _assign(data, centroids, c2):
     return assign, min_d2
 
 
+def _nearest(data, centroids, c2):
+    """_assign's assignments (ties -> lowest index), screened in single
+    precision and decided in double.
+
+    Each block's y = c2 - 2 x·c, the squared distance less the row's own
+    |x|², is computed by one float32 GEMM into one reused buffer, each block
+    cast on the fly. A row whose minimum y is the only entry within `band`
+    of it is decided there; the rest, all near-ties, go to _assign, which
+    keeps the tie rule in one place.
+
+    The band is twice a bound on |x2 + y - d2| per entry, d2 being _assign's
+    float64 x2 - 2 x·c + c2 for d-dimensional rows, plus _assign's 1e-12 tie
+    band. With u = 2^-24 and sum |x_i c_i| <= (x2 + c2) / 2, the float32 error
+    of y is at most (d + 5) u (x2 + c2) to first order:
+      - casting x and -2c to float32 (-2c is exact): 2u;
+      - the d-term float32 dot in any summation order, FMA or not: d u;
+      - casting c2 to float32, and adding it: u + 2u.
+    One more u each covers second-order terms, d2's own float64 rounding (a
+    2^-29 part of these) and the float64 threshold, and 2^-100 absolute covers
+    float32 underflow (under 3d 2^-150 per entry). Hence
+    err = (d + 8) u (x2 + max c2) + 2^-100. If y's minimum, at centroid j, is
+    the only entry within 2 err + 1e-12 of it, every other centroid's d2
+    exceeds both d2[j] and 0 by more than 1e-12, so _assign picks j too.
+    """
+    n, d = data.shape
+    x2 = np.einsum("ij,ij->i", data, data)
+    if np.max(x2, initial=0.0) + c2.max() >= SCREEN_LIMIT:
+        return _assign(data, centroids, c2)[0]
+    cm2 = centroids.astype(np.float32)
+    cm2 *= -2.0
+    c2_32 = c2.astype(np.float32)
+    band = 2.0 * ((d + 8) * 2.0 ** -24 * (x2 + c2.max()) + 2.0 ** -100) + 1e-12
+    assign = np.empty(n, dtype=np.int64)
+    sure = np.empty(n, dtype=bool)
+    buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]), dtype=np.float32)
+    for lo in range(0, n, ASSIGN_BLOCK):
+        hi = min(lo + ASSIGN_BLOCK, n)
+        y = buf[:hi - lo]
+        np.matmul(data[lo:hi].astype(np.float32), cm2.T, out=y)
+        y += c2_32
+        rows = np.arange(hi - lo)
+        best = y.argmin(axis=1)
+        # the threshold stays float64: rounded to float32 it could shrink the band
+        limit = y[rows, best] + band[lo:hi]
+        y[rows, best] = np.inf
+        sure[lo:hi] = y.min(axis=1) > limit
+        assign[lo:hi] = best
+    del buf  # _assign allocates its own
+    unsure = np.flatnonzero(~sure)
+    if unsure.size:
+        assign[unsure] = _assign(data[unsure], centroids, c2)[0]
+    return assign
+
+
 def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static"):
     """Lloyd's k-means with k-means++ seeding and farthest-point re-seeding
     of empty clusters. Deterministic for a fixed seed. Emits CodebookWarning
@@ -132,13 +193,18 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     centroids = _kmeanspp_seed(data, k, rng)
     assign = np.full(data.shape[0], -1)
     for _ in range(max_iter):
-        new_assign, min_d2 = _assign(data, centroids, (centroids ** 2).sum(axis=1))
+        c2 = (centroids ** 2).sum(axis=1)
+        new_assign = _nearest(data, centroids, c2)
         counts = np.bincount(new_assign, minlength=k)
+        empty = list(np.flatnonzero(counts == 0))
+        if empty:
+            # re-seeding reads every row's distance: _assign's exact one, with
+            # the same assignments
+            min_d2 = _assign(data, centroids, c2)[1]
         # each empty cluster, in ascending index, takes the current farthest
         # point; a cluster that this leaves empty is re-seeded in turn. A
         # re-seeded point is never taken again, so each cluster is re-seeded
         # at most once and the loop ends.
-        empty = list(np.flatnonzero(counts == 0))
         while empty:
             j = empty.pop(0)
             far = int(np.argmax(min_d2))
@@ -217,7 +283,7 @@ def quantize_planes(planes, cb):
     data = _descriptor_matrix([d for plane in planes for d in plane], cb.centroids.shape[1])
     if data.shape[0] == 0:
         return hist
-    assign, _ = _assign(data, cb.centroids, cb._sq_norms)
+    assign = _nearest(data, cb.centroids, cb._sq_norms)
     plane = np.repeat(np.arange(len(planes)), [len(p) for p in planes])
     counts = np.bincount(plane * k + assign, minlength=len(planes) * k).reshape(-1, k)
     totals = counts.sum(axis=1, keepdims=True)

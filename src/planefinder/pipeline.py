@@ -33,6 +33,9 @@ class PipelineError(Exception):
 class EvaluationReport:
     accuracy: dict = field(default_factory=dict)  # (class_id, condition) -> value
     f1: dict = field(default_factory=dict)        # class_id -> mean F1 over volumes
+    # class_id -> share of volumes whose best-scored candidate (ties to the
+    # lower index, as in locate) is a ground-truth one
+    top1: dict = field(default_factory=dict)
 
 
 def candidate_planes(vol, cfg):
@@ -218,8 +221,8 @@ def _score(clf, manifest, record_codes=None, volume_codes=None):
 
     `record_codes` (one row per manifest record) gives the per-class,
     per-condition binary accuracy; `volume_codes` ({volume path: one row per
-    candidate}) gives the per-class retrieval F1 against the manifest's
-    ground truth, averaged over volumes.
+    candidate}) gives the per-class retrieval F1 and top-1 hit rate against
+    the manifest's ground truth, averaged over volumes.
     """
     report = EvaluationReport()
     if record_codes is not None:
@@ -236,6 +239,7 @@ def _score(clf, manifest, record_codes=None, volume_codes=None):
                         np.mean(pred_pos[sel] == true_pos[sel]))
     if volume_codes is not None:
         per_class = {cid: [] for cid in clf.class_ids}
+        hits = {cid: [] for cid in clf.class_ids}
         for vol_path, codes in volume_codes.items():
             scores = _machine_scores(clf, codes)
             for cid in clf.class_ids:
@@ -245,8 +249,11 @@ def _score(clf, manifest, record_codes=None, volume_codes=None):
                         "volume %s lacks ground truth for class %d" % (vol_path, cid))
                 predicted = set(np.nonzero(scores[cid] > 0)[0].tolist())
                 per_class[cid].append(_f1(predicted, truth))
+                # argmax takes the first of equal maxima
+                hits[cid].append(int(np.argmax(scores[cid])) in truth)
         for cid, values in per_class.items():
             report.f1[cid] = float(np.mean(values))
+            report.top1[cid] = float(np.mean(hits[cid]))
     return report
 
 
@@ -262,7 +269,8 @@ def evaluate_synthetic(bundle, manifest, cache=None):
 def evaluate_volumes(bundle, manifest, cache=None):
     """Retrieval F1 per class: positives among all candidates of each volume
     against the manifest's ground-truth candidate indices, averaged over
-    volumes."""
+    volumes; beside it, the share of volumes whose best candidate is a
+    ground-truth one."""
     manifest.validate(candidate_count=bundle.config.candidates_n)
     cache = cache or VolumeFeatureCache(bundle.config)
     codes = {v: candidate_codes(cache.volume(v), bundle,

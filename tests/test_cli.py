@@ -82,9 +82,9 @@ def test_eval_volume_report(cli_workspace, tmp_path):
                "--mode", "volume", "--report-out", report])
     assert rc == 0
     lines = [l.split("\t") for l in open(report).read().strip().splitlines()]
-    assert lines[0] == ["class", "mean_f1"]
+    assert lines[0] == ["class", "mean_f1", "top1_hit_rate"]
     assert [row[0] for row in lines[1:]] == ["0", "1"]
-    assert all(0.0 <= float(row[1]) <= 1.0 for row in lines[1:])
+    assert all(0.0 <= float(v) <= 1.0 for row in lines[1:] for v in row[1:])
 
 
 def test_bench_command_removed(capsys):

@@ -1,12 +1,16 @@
+import contextlib
 import hashlib
 import os
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 from oracles import kmeans_inertia
@@ -397,6 +401,79 @@ def test_assign_matches_unblocked_oracle(n):
     assert np.array_equal(assign, want_assign)
     assert np.array_equal(min_d2, want_d2)
     assert (assign[2::5] == 3).all() and (assign[3::5] == 10).all()
+    # the screen defers every tied row to _assign and decides the rest itself
+    with _deferred_rows() as deferred:
+        assert np.array_equal(codebook._nearest(data, cents, (cents ** 2).sum(axis=1)), assign)
+    ties = len(data[2::5]) + len(data[3::5])
+    assert ties <= sum(deferred) <= ties + n // 10
+
+
+@contextlib.contextmanager
+def _deferred_rows():
+    """The row count of each _assign call made inside the block."""
+    with mock.patch.object(codebook, "_assign", wraps=codebook._assign) as spy:
+        rows = []
+        yield rows
+        rows.extend(call.args[0].shape[0] for call in spy.call_args_list)
+
+
+@pytest.mark.parametrize("name", ["random", "duplicated", "equidistant"])
+def test_nearest_matches_assign_on_oracle_cases(name):
+    cents_list, data = _oracle_case(name)
+    for cents in cents_list:
+        c2 = (cents ** 2).sum(axis=1)
+        assert np.array_equal(codebook._nearest(data, cents, c2),
+                              codebook._assign(data, cents, c2)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(dim=st.sampled_from([2, 16, 128, 192]), scale=st.floats(-7.0, 3.0),
+       gap=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, scale, gap,
+                                                                       seed):
+    # one row, a nearest centroid at squared distance r², a second one at
+    # r² + gap·band, and three far ones, in a random order; `band` is that of
+    # _nearest (twice its float32 error bound, plus _assign's 1e-12)
+    def band_of(x, c2_max):
+        return 2.0 * ((dim + 8) * 2.0 ** -24 * (x @ x + c2_max) + 2.0 ** -100) + 1e-12
+
+    rng = np.random.default_rng(seed)
+    s = 10.0 ** scale
+    x = s * rng.normal(size=dim)
+    units = rng.normal(size=(5, dim))
+    units /= np.linalg.norm(units, axis=1, keepdims=True)
+    band = band_of(x, (np.linalg.norm(x) + 10.0 * s) ** 2)
+    r2 = s * s + 4.0 * band
+    radii = np.sqrt([r2, r2 + gap * band, 100.0 * r2, 100.0 * r2, 100.0 * r2])
+    cents = (x + radii[:, None] * units)[rng.permutation(5)]
+    c2 = (cents ** 2).sum(axis=1)
+    with _deferred_rows() as deferred:
+        got = codebook._nearest(x[None], cents, c2)
+    assert np.array_equal(got, codebook._assign(x[None], cents, c2)[0])
+    # the gap in bands of the centroids as built
+    offset = abs(gap) * band / band_of(x, c2.max())
+    if offset <= 0.5:
+        assert deferred == [1]
+    if offset >= 1.5:
+        assert deferred == []
+
+
+@pytest.mark.parametrize("data_scale, cent_scale, screened", [
+    (1e20, 1.0, False), (1.0, 1e20, False), (1e60, 1e60, False), (2.0 ** 49, 2.0 ** 49, False),
+    (1e13, 1e13, True)])
+def test_nearest_defers_every_row_when_float32_could_overflow(data_scale, cent_scale,
+                                                              screened):
+    # 16-D rows at 2^49 have squared norms near 2^102, past the guard's 2^100,
+    # though each float32 product would still be finite; at 1e13 they are
+    # far below it and the screen runs
+    rng = np.random.default_rng(7)
+    cents = cent_scale * rng.normal(size=(40, 16))
+    data = data_scale * rng.normal(size=(300, 16))
+    c2 = (cents ** 2).sum(axis=1)
+    want = codebook._assign(data, cents, c2)[0]
+    with _deferred_rows() as deferred:
+        assert np.array_equal(codebook._nearest(data, cents, c2), want)
+    assert (sum(deferred) < 300) if screened else deferred == [300]
 
 
 @pytest.mark.filterwarnings("ignore::planefinder.codebook.CodebookWarning")
@@ -417,6 +494,68 @@ def test_lloyd_memory_is_bounded(monkeypatch):
 
     assert peak() < bound
     # measuring every descriptor against every centroid at once breaks the bound
+    monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
+    assert peak() > bound
+
+
+def _lloyd_pool(name):
+    if name == "reseeds mid-run":
+        # this pool and seed leave a cluster empty in Lloyd's third pass
+        return np.random.default_rng(53).random((300, 2)), 40, 53
+    # fit's static shape, a third of the rows noisy copies of others, so
+    # that the screen defers some rows in the first pass
+    rng = np.random.default_rng(2)
+    data = rng.random((2488, 128))
+    data[-800:] = data[rng.integers(1688, size=800)] + 0.01 * rng.normal(size=(800, 128))
+    return data, 2000, 0
+
+
+@pytest.mark.parametrize("name", ["reseeds mid-run", "fit-shaped"])
+def test_lloyd_matches_exact_search(monkeypatch, name):
+    data, k, seed = _lloyd_pool(name)
+    nearest, assign = codebook._nearest, codebook._assign
+    passes, deferred = [], []
+
+    def counted_nearest(rows, *args):
+        passes.append(rows.shape[0])
+        return nearest(rows, *args)
+
+    def counted_assign(rows, *args):
+        deferred.append((len(passes), rows.shape[0]))
+        return assign(rows, *args)
+
+    monkeypatch.setattr(codebook, "_nearest", counted_nearest)
+    monkeypatch.setattr(codebook, "_assign", counted_assign)
+    screened = train_codebook(data, k=k, seed=seed)
+    if name == "reseeds mid-run":
+        # a full-pool _assign for re-seeding, after a pass other than the first
+        assert any(p > 1 and rows == len(data) for p, rows in deferred)
+    else:
+        assert 0 < deferred[0][1] < len(data) and deferred[0][0] == 1
+    monkeypatch.setattr(codebook, "_nearest", lambda rows, *args: assign(rows, *args)[0])
+    exact = train_codebook(data, k=k, seed=seed)
+    assert screened.centroids.tobytes() == exact.centroids.tobytes()
+
+
+def test_quantize_planes_memory_is_bounded(monkeypatch):
+    # a fit locate: 1,300 static descriptors over 100 planes against k = 2,000
+    rng = np.random.default_rng(4)
+    cb = Codebook(centroids=rng.random((2000, 128)))
+    planes = [list(rows) for rows in np.array_split(rng.random((1300, 128)), 100)]
+    bound = 7 << 20
+
+    def peak():
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        try:
+            quantize_planes(planes, cb)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    assert peak() < bound
+    # screening every descriptor against every centroid at once breaks the bound
     monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
     assert peak() > bound
 

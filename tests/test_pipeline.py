@@ -133,6 +133,33 @@ def test_evaluate_volumes_report(workspace):
     assert set(rep.f1) == {0, 1}
     for v in rep.f1.values():
         assert 0.0 <= v <= 1.0
+    # the top-1 hit rate is the share of volumes that locate's first
+    # candidate hits
+    test_m, cache = workspace["test"], workspace["cache"]
+    for cid in (0, 1):
+        hits = [locate_standard_planes(cache.volume(v), workspace["bundle"], cid, 1,
+                                       cache_descs=cache.all_descriptors(v))[0][0]
+                in test_m.ground_truth(v, cid) for v in test_m.volumes]
+        assert rep.top1[cid] == np.mean(hits)
+
+
+def test_top1_hit_breaks_ties_to_the_lower_index(workspace, monkeypatch):
+    # every ground-truth candidate of any volume and class shares the top
+    # score, so the lowest of them is each volume's best
+    test_m = workspace["test"]
+    truth = {(v, cid): test_m.ground_truth(v, cid) for v in test_m.volumes for cid in (0, 1)}
+    tied = sorted(set().union(*truth.values()))
+    assert len(tied) > 1
+
+    def tied_scores(clf, codes):
+        scores = np.zeros(len(codes))
+        scores[tied] = 1.0
+        return {cid: scores for cid in clf.class_ids}
+
+    monkeypatch.setattr(pipeline, "_machine_scores", tied_scores)
+    rep = evaluate_volumes(workspace["bundle"], test_m, cache=workspace["cache"])
+    for cid in (0, 1):
+        assert rep.top1[cid] == np.mean([tied[0] in truth[v, cid] for v in test_m.volumes])
 
 
 def test_baseline_proposed_scores_like_product_evaluation(workspace):
@@ -182,13 +209,13 @@ def test_bow_features_searches_once_per_view(workspace, monkeypatch):
     bundle = workspace["bundle"]
     descs = workspace["cache"].all_descriptors(workspace["test"].volumes[0])
     calls = []
-    assign = codebook._assign
+    nearest = codebook._nearest
 
     def counted(data, *args):
         calls.append(data.shape[0])
-        return assign(data, *args)
+        return nearest(data, *args)
 
-    monkeypatch.setattr(codebook, "_assign", counted)
+    monkeypatch.setattr(codebook, "_nearest", counted)
     bow_features(descs, bundle.cb_static, bundle.cb_spacetime)
     # one search per view, over every plane's descriptors
     assert calls == [sum(len(s) for s, _ in descs), sum(len(t) for _, t in descs)]
