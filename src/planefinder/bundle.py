@@ -9,7 +9,7 @@ import numpy as np
 from . import matio
 from .classifier import FeatureScaler, MulticlassModel, SvmModel
 from .codebook import Codebook, CodebookError
-from .config import (ConfigError, PipelineConfig, config_text, load_config, read_lines,
+from .config import (ConfigError, PipelineConfig, config_text, load_config, read_fields,
                      save_config)
 from .embedding import EmbeddingModel
 
@@ -112,10 +112,7 @@ def load_bundle(path):
     if not os.path.exists(mpath):
         raise BundleError("no bundle.manifest under %s" % path)
     meta = {}
-    for lineno, line in enumerate(read_lines(mpath, BundleError, "bundle manifest"), 1):
-        key, sep, val = line.rstrip("\n").partition("=")
-        if not sep:
-            raise BundleError("%s line %d: expected key=value" % (mpath, lineno))
+    for _, key, val in read_fields(mpath, BundleError, "bundle manifest"):
         meta.setdefault(key, []).append(val)
 
     def one(key, parse=str):

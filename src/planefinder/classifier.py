@@ -88,8 +88,9 @@ class MulticlassModel:
 
 
 def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
-    """Maximal-violating-pair SMO for the dual soft-margin problem; raises
-    ClassifierError if the KKT gap is still above tol after max_iter steps."""
+    """Maximal-violating-pair SMO for the dual soft-margin problem; returns
+    (alpha, bias). Raises ClassifierError if the KKT gap is still above tol
+    after max_iter steps."""
     n = y.shape[0]
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of 1/2 a'Qa - e'a with Q = yy' * K
@@ -125,7 +126,13 @@ def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
         alpha[i] = old_i + y[i] * delta
         alpha[j] = old_j - y[j] * delta
         grad += qi * (alpha[i] - old_i) + qj * (alpha[j] - old_j)
-    return alpha, grad
+    # bias from free support vectors, else midpoint of the violation bounds
+    free = (alpha > ALPHA_KEEP) & (alpha < box - ALPHA_KEEP)
+    if free.any():
+        return alpha, float(ygrad[free].mean())
+    hi = ygrad[up].max() if up.any() else 0.0
+    lo = ygrad[low].min() if low.any() else 0.0
+    return alpha, float(0.5 * (hi + lo))
 
 
 def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
@@ -144,20 +151,8 @@ def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
     zs = apply_scaler(z, scaler)
     gram = kernel_matrix(zs, zs, kernel)
     box = np.where(y > 0, c * class_weights[0], c * class_weights[1])
-    alpha, grad = _smo(gram, y, box, tol=tol)
-
+    alpha, bias = _smo(gram, y, box, tol=tol)
     keep = alpha > ALPHA_KEEP
-    # bias from free support vectors, else midpoint of the violation bounds
-    ygrad = -y * grad
-    free = keep & (alpha < box - ALPHA_KEEP)
-    if free.any():
-        bias = float(ygrad[free].mean())
-    else:
-        up = ((y > 0) & (alpha < box)) | ((y < 0) & (alpha > 0))
-        low = ((y < 0) & (alpha < box)) | ((y > 0) & (alpha > 0))
-        hi = ygrad[up].max() if up.any() else 0.0
-        lo = ygrad[low].min() if low.any() else 0.0
-        bias = float(0.5 * (hi + lo))
     return SvmModel(support_vectors=zs[keep], dual_coefs=alpha[keep] * y[keep],
                     bias=bias, c=float(c), class_weights=tuple(class_weights),
                     kernel=kernel, scaler=scaler)

@@ -236,13 +236,9 @@ def _kmeanspp_seed(data, k, rng):
     float32 copy of `data` (0.5 KB per 128-D row, freed on return), while the
     squared norms, the running minimum D², the cdf and the copied centroid
     rows stay float64. k-means++ needs weights only proportional to D², and
-    these are close to the float64 formula's: on the `fit` benchmark's
-    seed-1 pools, max |d2_32 - d2_64| is 2.4e-7, and the L1 distance between
-    the two normalized weight vectors, summed over all draws, is 5.2e-4
-    (static, k = 2,000) and 2.4e-5 (space-time, k = 200). A draw differs from
-    the float64 formula's only when its uniform falls between the two cdfs:
-    none did on the benchmark's seeds, and 2 of 320 trainings over `fit`
-    pools parted from it, after draw 1,756 or later of 2,000.
+    single precision halves the bytes each step's dot products read. A draw
+    differs from the float64 formula's when its uniform falls between the
+    two cdfs, so the rows drawn can differ from that formula's.
     """
     n = data.shape[0]
     x2 = (data ** 2).sum(axis=1)

@@ -50,19 +50,27 @@ def read_lines(path, error, what):
         raise error("cannot read %s %s: %s" % (what, path, exc)) from exc
 
 
+def read_fields(path, error, what):
+    """(line number, key, value) of each key=value line of a text file, key
+    and value stripped. Blank lines and lines starting with # are skipped;
+    any other line without = raises `error`."""
+    for lineno, line in enumerate(read_lines(path, error, what), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, val = line.partition("=")
+        if not sep:
+            raise error("%s:%d: expected key=value" % (path, lineno))
+        yield lineno, key.strip(), val.strip()
+
+
 def load_config(path):
     """Parse a key=value config file over the defaults; unknown and repeated
     keys are an error. A file that cannot be read, is not UTF-8 or holds a
     bad value raises ConfigError."""
     known = {f.name: f.type for f in fields(PipelineConfig)}
     overrides = {}
-    for lineno, line in enumerate(read_lines(path, ConfigError, "config"), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError("%s:%d: expected key=value" % (path, lineno))
-        key, val = (s.strip() for s in line.split("=", 1))
+    for lineno, key, val in read_fields(path, ConfigError, "config"):
         if key not in known:
             raise ConfigError("%s:%d: unknown config key %r" % (path, lineno, key))
         if key in overrides:

@@ -20,27 +20,6 @@ class EmbeddingError(Exception):
 
 
 @dataclass(frozen=True)
-class SemanticLabels:
-    """One-hot plane label (last slot = non-standard) and diagnosis label
-    (last slot = normal)."""
-
-    plane: np.ndarray
-    diagnosis: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.plane, dtype=np.float64)
-        d = np.asarray(self.diagnosis, dtype=np.float64)
-        for vec, name in ((p, "plane"), (d, "diagnosis")):
-            if vec.ndim != 1 or np.count_nonzero(vec == 1.0) != 1 \
-                    or np.count_nonzero(vec) != 1:
-                raise EmbeddingError("%s label must be one-hot" % name)
-        p.flags.writeable = False
-        d.flags.writeable = False
-        object.__setattr__(self, "plane", p)
-        object.__setattr__(self, "diagnosis", d)
-
-
-@dataclass(frozen=True)
 class EmbeddingModel:
     w_x: np.ndarray
     w_y: np.ndarray
@@ -95,15 +74,15 @@ def _one_blas_thread(fn):
     return pinned
 
 
-def build_similarity_matrix(labels):
-    n = len(labels)
-    if n < 2:
-        raise EmbeddingError("need at least 2 labeled samples")
-    planes = np.stack([l.plane for l in labels])
-    diags = np.stack([l.diagnosis for l in labels])
-    plane_dot = planes @ planes.T
-    s = np.where(plane_dot > 0, 1.0 + diags @ diags.T, 0.0)
-    return s
+def build_similarity_matrix(plane, diagnosis):
+    """S from the (n, P) plane and (n, D) diagnosis one-hot rows: 0 between
+    different plane types, else 1 + diagnosis agreement."""
+    plane = np.asarray(plane, dtype=np.float64)
+    diagnosis = np.asarray(diagnosis, dtype=np.float64)
+    if len(plane) < 2 or len(plane) != len(diagnosis):
+        raise EmbeddingError("need at least 2 labeled samples, with one plane and "
+                             "one diagnosis row each")
+    return np.where(plane @ plane.T > 0, 1.0 + diagnosis @ diagnosis.T, 0.0)
 
 
 def _whitener(xc, c, epsilon):

@@ -4,10 +4,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
 from .config import read_lines
-from .embedding import SemanticLabels
 
 
 class ManifestError(Exception):
@@ -16,6 +13,9 @@ class ManifestError(Exception):
 
 @dataclass(frozen=True)
 class ManifestRecord:
+    """One labeled candidate plane. The plane one-hot's last slot is the
+    non-standard plane, the diagnosis one-hot's last slot is normal."""
+
     volume: str  # path to the .vol4 header
     cand_index: int
     plane_onehot: tuple
@@ -33,11 +33,6 @@ class ManifestRecord:
         """Class id of a standard plane, or -1 for the non-standard slot."""
         idx = self.plane_onehot.index(1)  # one-hot, checked on construction
         return idx if idx < len(self.plane_onehot) - 1 else -1
-
-    @property
-    def labels(self):
-        return SemanticLabels(plane=np.asarray(self.plane_onehot, dtype=np.float64),
-                              diagnosis=np.asarray(self.diag_onehot, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -83,6 +78,9 @@ class DatasetManifest:
                 )
             if r.condition not in ("normal", "abnormal"):
                 raise ManifestError("bad condition flag %r" % r.condition)
+            if (r.condition == "normal") != (r.diag_onehot[-1] == 1):
+                raise ManifestError("condition %s contradicts diagnosis %s" % (
+                    r.condition, ",".join(map(str, r.diag_onehot))))
         for name in ("plane_onehot", "diag_onehot"):
             lengths = sorted({len(getattr(r, name)) for r in self.records})
             if len(lengths) > 1:

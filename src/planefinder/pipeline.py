@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import pgm
-from .bundle import ModelBundle, save_bundle
+from .bundle import ModelBundle
 from .classifier import decision_values, fit_scaler, identity_scaler, train_multiclass
 # quantize stays bound here: the benchmark's traced runs wrap pipeline.quantize
 from .codebook import quantize, quantize_planes, train_codebook  # noqa: F401
@@ -107,9 +107,8 @@ class VolumeFeatureCache:
 class TrainData:
     x: np.ndarray
     y: np.ndarray
-    labels: list
+    similarity: np.ndarray  # label similarity S between the training records
     plane_classes: np.ndarray
-    conditions: list
     cb_static: object
     cb_spacetime: object
 
@@ -136,9 +135,9 @@ def prepare_training_data(manifest, cfg, cache=None):
     x, y = bow_features(descs, cb_s, cb_t)
     return TrainData(
         x=x, y=y,
-        labels=[rec.labels for rec in manifest.records],
+        similarity=build_similarity_matrix([rec.plane_onehot for rec in manifest.records],
+                                           [rec.diag_onehot for rec in manifest.records]),
         plane_classes=np.array([rec.plane_class for rec in manifest.records]),
-        conditions=[rec.condition for rec in manifest.records],
         cb_static=cb_s, cb_spacetime=cb_t)
 
 
@@ -161,8 +160,7 @@ def compute_codes(x, y, emb, view):
 
 
 def train_from_data(td, cfg):
-    s = build_similarity_matrix(td.labels)
-    emb = fit_embedding(td.x, td.y, s, cfg.embed_c)
+    emb = fit_embedding(td.x, td.y, td.similarity, cfg.embed_c)
     codes = compute_codes(td.x, td.y, emb, cfg.view)
     scaler = fit_scaler(codes)
     clf = train_multiclass(codes, td.plane_classes, c=cfg.svm_c,
@@ -296,10 +294,8 @@ def _f1(predicted, truth):
 
 def _representations(td, cfg):
     """Feature matrices per method, shared across train and test."""
-    s_sup = build_similarity_matrix(td.labels)
-    s_id = np.eye(len(td.labels))
-    emb_sup = fit_embedding(td.x, td.y, s_sup, cfg.embed_c)
-    emb_cca = fit_embedding(td.x, td.y, s_id, cfg.embed_c)
+    emb_sup = fit_embedding(td.x, td.y, td.similarity, cfg.embed_c)
+    emb_cca = fit_embedding(td.x, td.y, np.eye(len(td.x)), cfg.embed_c)
 
     def make(x, y, method):
         if method == "static":

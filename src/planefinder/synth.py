@@ -8,8 +8,7 @@ import numpy as np
 from .manifest import DatasetManifest, ManifestRecord, write_manifest
 from .phantom import PhantomSpec, synth_phantom
 from .pipeline import candidate_planes
-from .volume import (Volume4D, generate_candidates, plane_angle, plane_offset,
-                     save_volume)
+from .volume import Volume4D, plane_angle, plane_offset, save_volume
 
 GT_ANGLE_GUARD = math.radians(10.0)
 GT_OFFSET_GUARD = 5.0

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import read_lines
+from .config import read_fields
 
 DTYPE_CODES = {"u8": np.uint8, "f32": np.float32}
 
@@ -157,14 +157,10 @@ class PlaneSequence:
 
 def _parse_header(path):
     fields = {}
-    for line in read_lines(path, VolumeError, "volume header"):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise VolumeError("malformed header line %r in %s" % (line, path))
-        key, val = line.split("=", 1)
-        fields[key.strip()] = val.strip()
+    for lineno, key, val in read_fields(path, VolumeError, "volume header"):
+        if key in fields:
+            raise VolumeError("%s:%d: header field %r given twice" % (path, lineno, key))
+        fields[key] = val
     for key in ("dims", "spacing", "frames", "dtype", "data"):
         if key not in fields:
             raise VolumeError("header %s missing field %r" % (path, key))

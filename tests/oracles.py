@@ -40,13 +40,14 @@ def dual_objective(model_or_alpha, gram=None, y=None):
 
 
 def semantic_similarity(a, b):
-    """0 for different plane types, else 1 + diagnosis agreement."""
-    if a.plane.shape != b.plane.shape or a.diagnosis.shape != b.diagnosis.shape:
+    """0 for different plane types, else 1 + diagnosis agreement, between two
+    (plane one-hot, diagnosis one-hot) pairs."""
+    (plane_a, diag_a), (plane_b, diag_b) = a, b
+    if len(plane_a) != len(plane_b) or len(diag_a) != len(diag_b):
         raise EmbeddingError("label dimension mismatch")
-    plane_dot = float(np.dot(a.plane, b.plane))
-    if plane_dot == 0.0:
+    if plane_a.index(1) != plane_b.index(1):
         return 0.0
-    return 1.0 + float(np.dot(a.diagnosis, b.diagnosis))
+    return 2.0 if diag_a.index(1) == diag_b.index(1) else 1.0
 
 
 def embedding_objective(x, y, w_x, w_y, s, c):

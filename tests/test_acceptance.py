@@ -17,7 +17,7 @@ from oracles import (benchmark_representations, dual_objective, embedding_object
 from planefinder.classifier import (decision_values, hik_matrix, identity_scaler,
                                     kernel_matrix, train_svm)
 from planefinder.config import PipelineConfig
-from planefinder.embedding import SemanticLabels, build_similarity_matrix, fit_embedding
+from planefinder.embedding import build_similarity_matrix, fit_embedding
 from planefinder.manifest import read_manifest
 from planefinder.pipeline import (VolumeFeatureCache, evaluate_synthetic,
                                   evaluate_volumes, locate_standard_planes,
@@ -39,8 +39,8 @@ def onehot(i, n):
 def test_criterion_1_similarity_cross_product():
     t0 = time.perf_counter()
     pairs = list(itertools.product(range(4), range(2)))
-    s = build_similarity_matrix([SemanticLabels(plane=onehot(p, 4), diagnosis=onehot(d, 2))
-                                 for p, d in pairs])
+    s = build_similarity_matrix([onehot(p, 4) for p, _ in pairs],
+                                [onehot(d, 2) for _, d in pairs])
     values = set()
     for (i, (pi, di)), (j, (pj, dj)) in itertools.product(enumerate(pairs), repeat=2):
         got = float(s[i, j])
@@ -91,9 +91,8 @@ def test_criterion_2_cca_subspaces_and_gradient_ascent():
         rng = np.random.default_rng(100 + seed)
         x = rng.random((6, 4))
         y = rng.random((6, 3))
-        labs = [SemanticLabels(plane=onehot(i % 2, 3), diagnosis=onehot(i % 2, 2))
-                for i in range(6)]
-        s = build_similarity_matrix(labs)
+        s = build_similarity_matrix([onehot(i % 2, 3) for i in range(6)],
+                                    [onehot(i % 2, 2) for i in range(6)])
         m = fit_embedding(x, y, s, c=1, epsilon=eps)
         xc = x - m.mean_x
         yc = y - m.mean_y

@@ -9,33 +9,28 @@ from scipy.linalg import inv, sqrtm, subspace_angles
 from oracles import embedding_objective, semantic_similarity, trace_objective
 import planefinder
 from planefinder import embedding
-from planefinder.embedding import (EmbeddingError, SemanticLabels,
-                                   build_similarity_matrix, embed, embed_fused,
-                                   fit_embedding)
+from planefinder.embedding import (EmbeddingError, build_similarity_matrix, embed,
+                                   embed_fused, fit_embedding)
 
 
 def onehot(i, n):
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
+    return tuple(int(j == i) for j in range(n))
 
 
 def labels(plane, diag, n_plane=4, n_diag=2):
-    return SemanticLabels(plane=onehot(plane, n_plane), diagnosis=onehot(diag, n_diag))
+    """(plane one-hot, diagnosis one-hot) of one sample, as in a manifest."""
+    return onehot(plane, n_plane), onehot(diag, n_diag)
+
+
+def similarity(labs):
+    return build_similarity_matrix([p for p, _ in labs], [d for _, d in labs])
 
 
 def random_problem(rng, n=40, d_x=12, d_y=9):
     x = rng.random((n, d_x))
     y = rng.random((n, d_y))
     labs = [labels(int(rng.integers(4)), int(rng.integers(2))) for _ in range(n)]
-    return x, y, build_similarity_matrix(labs)
-
-
-def test_label_one_hot_enforced():
-    with pytest.raises(EmbeddingError):
-        SemanticLabels(plane=np.array([1.0, 1.0, 0.0]), diagnosis=np.array([1.0, 0.0]))
-    with pytest.raises(EmbeddingError):
-        SemanticLabels(plane=np.array([0.5, 0.5]), diagnosis=np.array([1.0, 0.0]))
+    return x, y, similarity(labs)
 
 
 def test_similarity_values():
@@ -50,17 +45,24 @@ def test_similarity_symmetric_and_dim_checked():
     a, b = labels(2, 1), labels(2, 0)
     assert semantic_similarity(a, b) == semantic_similarity(b, a)
     with pytest.raises(EmbeddingError):
-        semantic_similarity(a, SemanticLabels(plane=onehot(0, 3),
-                                              diagnosis=onehot(0, 2)))
+        semantic_similarity(a, labels(0, 0, n_plane=3))
 
 
 def test_similarity_matrix_matches_pairwise():
     rng = np.random.default_rng(0)
     labs = [labels(int(rng.integers(4)), int(rng.integers(2))) for _ in range(15)]
-    s = build_similarity_matrix(labs)
+    s = similarity(labs)
     for i in range(15):
         for j in range(15):
             assert s[i, j] == semantic_similarity(labs[i], labs[j])
+
+
+def test_similarity_matrix_row_counts_checked():
+    plane, diag = labels(0, 0)
+    with pytest.raises(EmbeddingError, match="at least 2"):
+        build_similarity_matrix([plane], [diag])
+    with pytest.raises(EmbeddingError, match="one plane and one diagnosis row"):
+        build_similarity_matrix([plane, plane], [diag])
 
 
 def test_fit_shape_and_determinism():
@@ -200,7 +202,7 @@ def test_rank_deficient_epsilon_zero_raises():
     x = base @ rng.random((2, 10))  # rank 2
     y = rng.random((30, 6))
     labs = [labels(i % 3, i % 2) for i in range(30)]
-    s = build_similarity_matrix(labs)
+    s = similarity(labs)
     with pytest.raises(EmbeddingError, match="rank"):
         fit_embedding(x, y, s, c=5, epsilon=0.0)
 
@@ -256,7 +258,7 @@ def test_supervised_codes_separate_classes():
     x = lat @ rng.normal(size=(1, 10)) + 0.3 * rng.normal(size=(n, 10))
     y = lat @ rng.normal(size=(1, 8)) + 0.3 * rng.normal(size=(n, 8))
     labs = [labels(int(c), 0, n_plane=3) for c in cls]
-    s = build_similarity_matrix(labs)
+    s = similarity(labs)
     m = fit_embedding(x, y, s, c=2)
     z = embed_fused(x, y, m)
     same = [np.linalg.norm(z[i] - z[j]) for i in range(n) for j in range(i + 1, n)

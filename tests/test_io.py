@@ -222,13 +222,6 @@ def test_manifest_roundtrip_relative_paths(tmp_path):
     assert back.plane_classes == [0, 1]
 
 
-def test_manifest_labels_property():
-    r = _records("x")[1]
-    labs = r.labels
-    assert labs.plane.tolist() == [0.0, 1.0, 0.0]
-    assert labs.diagnosis.tolist() == [0.0, 1.0]
-
-
 def test_manifest_validate_errors(tmp_path):
     with pytest.raises(ManifestError, match="empty"):
         DatasetManifest(records=()).validate()
@@ -247,6 +240,19 @@ def test_manifest_validate_errors(tmp_path):
                               condition="normal"),)
     with pytest.raises(ManifestError, match="missing"):
         DatasetManifest(records=missing).validate()
+
+
+@pytest.mark.parametrize("diag, condition", [((0, 1), "abnormal"), ((1, 0), "normal")])
+def test_manifest_condition_contradicts_diagnosis(tmp_path, diag, condition):
+    # training reads the diagnosis one-hot (last slot = normal), evaluation
+    # groups by the condition flag: the two must agree
+    vol = tmp_path / "v.vol4"
+    vol.write_text("")
+    recs = _records(str(vol))[:2] + (
+        ManifestRecord(volume=str(vol), cand_index=2, plane_onehot=(0, 0, 1),
+                       diag_onehot=diag, condition=condition),)
+    with pytest.raises(ManifestError, match="condition %s contradicts diagnosis" % condition):
+        DatasetManifest(records=recs).validate()
 
 
 def test_manifest_negative_index_out_of_range(tmp_path):
@@ -425,7 +431,7 @@ def _rewrite_manifest(out, edit):
 def test_bundle_manifest_line_without_equals(tmp_path):
     out = _saved_bundle(tmp_path)
     _rewrite_manifest(out, lambda lines: lines[:2] + ["no separator"] + lines[2:])
-    with pytest.raises(BundleError, match="line 3"):
+    with pytest.raises(BundleError, match=":3:"):
         load_bundle(out)
 
 

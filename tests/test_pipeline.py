@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from oracles import benchmark_representations
+from oracles import benchmark_representations, semantic_similarity
 from planefinder import codebook, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
@@ -188,10 +188,20 @@ def test_codes_views_consistent(workspace):
     zs = compute_codes(td.x, td.y, emb, "static")
     zt = compute_codes(td.x, td.y, emb, "spacetime")
     zf = compute_codes(td.x, td.y, emb, "fused")
-    assert zs.shape == zt.shape == zf.shape == (len(td.labels), emb.c)
+    assert zs.shape == zt.shape == zf.shape == (len(td.x), emb.c)
     assert np.allclose(zf, 0.5 * (zs + zt), atol=1e-12)
     with pytest.raises(PipelineError):
         compute_codes(td.x, td.y, emb, "both")
+
+
+def test_training_similarity_from_manifest_labels(workspace):
+    td = prepare_training_data(workspace["train"], workspace["cfg"],
+                               cache=workspace["cache"])
+    labs = [(r.plane_onehot, r.diag_onehot) for r in workspace["train"].records]
+    assert td.similarity.shape == (len(labs), len(labs))
+    for i, a in enumerate(labs):
+        for j, b in enumerate(labs):
+            assert td.similarity[i, j] == semantic_similarity(a, b)
 
 
 def test_bow_feature_shapes(workspace):

@@ -58,6 +58,13 @@ def test_load_negative_dims(tmp_path):
         load_volume(str(header))
 
 
+def test_load_header_field_given_twice(tmp_path):
+    header = write_raw_volume(tmp_path)
+    header.write_text(header.read_text() + "frames=1\n")
+    with pytest.raises(VolumeError, match=r":6: header field 'frames' given twice"):
+        load_volume(str(header))
+
+
 def test_load_header_not_utf8(tmp_path):
     header = write_raw_volume(tmp_path)
     header.write_bytes(header.read_bytes() + b"# \xff\xfe\n")
