@@ -30,8 +30,12 @@ ORIENTATION_BINS = 36
 # describe_spacetime block may hold; the block's other temporaries bring its
 # peak to about 2.2 times this
 SPACETIME_BLOCK_BYTES = 12 << 20
-# pixels whose 27 DoG neighbours one extremum-test block gathers: an (n, 27)
-# index and an (n, 27) value array, 0.9 MB together
+# keypoints one describe_static block describes: the temporaries of their
+# 16 x 16 samples take about 26 kB a keypoint, 1.7 MB a block
+STATIC_BLOCK = 64
+# pixels one extremum-test block screens by their 6 face neighbours, and at
+# most as many whose 27 neighbours it then gathers: an (n, 27) index and an
+# (n, 27) value array, 0.9 MB together
 EXTREMUM_BLOCK = 2048
 
 
@@ -105,6 +109,8 @@ def _gaussian_nearest(arr, sigmas):
 
 # (level or t, y, x) offsets of a point's 3x3x3 neighbourhood, itself included
 _NEIGHBOURS = np.mgrid[-1:2, -1:2, -1:2].reshape(3, 27)
+# the columns of its 6 face neighbours: one step along one axis
+_FACES = np.flatnonzero(np.abs(_NEIGHBOURS).sum(axis=0) == 1)
 
 
 def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
@@ -112,22 +118,29 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     by level, each level frame by frame in row-major order.
 
     Only pixels with |d| >= contrast_threshold off the 2-pixel border can be
-    kept, so just their 27 neighbours are gathered, EXTREMUM_BLOCK pixels at
-    a time through one flat index; they all lie inside the pixel's frame, so
+    kept, so just their neighbours are gathered, EXTREMUM_BLOCK pixels at a
+    time through one flat index; they all lie inside the pixel's frame, so
     the max/min comparisons are those of a per-frame size-3 filter with
-    mode="nearest", ties included. The edge test and the orientations work
-    in float64 on the gathered values."""
+    mode="nearest", ties included. An extremum of the 27 is one of its 6 face
+    neighbours too (Lowe, IJCV 2004), so the 27 are gathered only for pixels
+    at or beyond their faces' max or min. The edge test and the orientations
+    work in float64 on the gathered values."""
     factor = 2.0 ** octave
     _, _, h, w = dogs.shape
     ts, ls, ys, xs = np.nonzero(np.abs(dogs[:, 1:-1, 2:-2, 2:-2]) >= contrast_threshold)
     flat = np.ravel_multi_index((ts, ls + 1, ys + 2, xs + 2), dogs.shape)
     values = dogs.ravel()
     offsets = np.dot((h * w, w, 1), _NEIGHBOURS)
-    keep = np.empty(flat.size, dtype=bool)
+    face_offsets = offsets[_FACES]
+    keep = np.zeros(flat.size, dtype=bool)
     for lo in range(0, flat.size, EXTREMUM_BLOCK):
-        near = values[flat[lo:lo + EXTREMUM_BLOCK, None] + offsets]
-        d = near[:, 13]
-        keep[lo:lo + EXTREMUM_BLOCK] = (d == near.max(axis=1)) | (d == near.min(axis=1))
+        block = flat[lo:lo + EXTREMUM_BLOCK]
+        d = values[block]
+        faces = values[block[:, None] + face_offsets]
+        maybe = np.flatnonzero((d >= faces.max(axis=1)) | (d <= faces.min(axis=1)))
+        near = values[block[maybe, None] + offsets]
+        d = d[maybe]
+        keep[lo + maybe] = (d == near.max(axis=1)) | (d == near.min(axis=1))
     flat = flat[keep]
     ts, ls, ys, xs = np.unravel_index(flat, dogs.shape)
     # own level, indexed [dy + 1, dx + 1]
@@ -161,17 +174,21 @@ def _orientations(frames, ts, ys, xs, sigma):
     differences over a window clipped to [1, n - 1).
 
     _octave_extrema clears a 2-pixel border, so every window spans >= 3 pixels.
+    The differences are taken at the window pixels only, in the stack's
+    precision: np.gradient's (f[i + 1] - f[i - 1]) / 2 at every pixel off
+    the frame's edge.
     """
     radius = max(2, int(round(3.0 * 1.5 * sigma)))
     _, ny, nx = frames.shape
-    gy, gx = np.gradient(frames, axis=(1, 2))
     off = np.arange(-radius, radius + 1)
     wy = ys[:, None, None] + off[:, None]
     wx = xs[:, None, None] + off
     inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
     pick = ((ts[:, None, None] * ny + wy) * nx + wx)[inside]
     point = np.broadcast_to(np.arange(ys.size)[:, None, None], inside.shape)[inside]
-    vy, vx = gy.ravel()[pick].astype(np.float64), gx.ravel()[pick].astype(np.float64)
+    f = frames.ravel()
+    vy = ((f[pick + nx] - f[pick - nx]) / 2).astype(np.float64)
+    vx = ((f[pick + 1] - f[pick - 1]) / 2).astype(np.float64)
     mag = np.hypot(vx, vy)
     ok = ~(np.bincount(point, weights=mag, minlength=ys.size) < DEGENERATE_ENERGY)
     ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
@@ -194,16 +211,31 @@ def _unit_rows(rows):
 def describe_static(frames, keypoints):
     """128-D gradient-orientation descriptors of (n, 5) keypoint rows (x, y,
     t, scale, orientation) of a (T, H, W) stack: 4x4 grid x 8 bins over frame
-    t, rotated to the keypoint orientation, clamped at 0.2 and re-normalized."""
+    t, rotated to the keypoint orientation, clamped at 0.2 and re-normalized.
+
+    Keypoints are described STATIC_BLOCK at a time; each one's bins are its
+    own, so the blocks change no value."""
     stack = np.asarray(frames, dtype=np.float64)
     if len(keypoints) == 0:
         return []
-    gy, gx = np.gradient(stack, axis=(1, 2))
-    t_count, ny, nx = stack.shape
-    n, n_samples = len(keypoints), 16
-    kx, ky, kt, scale, ori = np.asarray(keypoints, dtype=np.float64).T[:, :, None, None]
-    if np.any((kt < 0) | (kt > t_count - 1) | (kt != np.rint(kt))):
+    keypoints = np.asarray(keypoints, dtype=np.float64)
+    kt = keypoints[:, 2]
+    if np.any((kt < 0) | (kt > stack.shape[0] - 1) | (kt != np.rint(kt))):
         raise FeatureError("keypoint t is not a frame index of the stack")
+    gy, gx = np.gradient(stack, axis=(1, 2))
+    blocks = [_static_histograms(gx, gy, keypoints[lo:lo + STATIC_BLOCK])
+              for lo in range(0, len(keypoints), STATIC_BLOCK)]
+    vals, ok = (np.concatenate(parts) for parts in zip(*blocks))
+    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
+
+
+def _static_histograms(gx, gy, keypoints):
+    """describe_static's descriptor values, and whether each is not
+    degenerate, of (n, 5) keypoint rows with integer t, from the (T, H, W)
+    gradients of the stack."""
+    _, ny, nx = gx.shape
+    n, n_samples = len(keypoints), 16
+    kx, ky, kt, scale, ori = keypoints.T[:, :, None, None]
     cos_o, sin_o = np.cos(ori), np.sin(ori)
     # sample grid in the rotated keypoint frame, spacing = scale
     lin = (np.arange(n_samples) - (n_samples - 1) / 2.0) * scale.reshape(n, 1)
@@ -213,10 +245,7 @@ def describe_static(frames, keypoints):
     inside = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
     if not inside.any(axis=(1, 2)).all():
         raise FeatureError("keypoint patch fully outside image")
-    # at an integer t the trilinear sample is frame t's bilinear one, bit for bit
-    at = (np.broadcast_to(kt, px.shape), py, px)
-    vx = np.where(inside, ndimage.map_coordinates(gx, at, order=1, mode="nearest"), 0.0)
-    vy = np.where(inside, ndimage.map_coordinates(gy, at, order=1, mode="nearest"), 0.0)
+    vx, vy = (np.where(inside, v, 0.0) for v in _frame_samples((gx, gy), kt, py, px))
     mag = np.hypot(vx, vy)
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
     ang = np.mod(np.arctan2(vy, vx) - ori, 2.0 * math.pi)
@@ -229,7 +258,36 @@ def describe_static(frames, keypoints):
                        minlength=n * STATIC_DESCRIPTOR_DIM).reshape(n, STATIC_DESCRIPTOR_DIM)
     vals = np.zeros_like(hist)
     vals[ok] = _unit_rows(np.minimum(_unit_rows(hist[ok]), 0.2))
-    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
+    return vals, ok
+
+
+def _frame_samples(fields, t, y, x):
+    """Each (T, H, W) field of `fields` sampled at the points (t, y, x), t an
+    integer. Inside the frame the samples are those of
+    ndimage.map_coordinates(order=1, mode="nearest"), bit for bit: weights
+    w0 = 1 - f and w1 = 1 - w0, and the terms (v * wy) * wx of frame t's 4
+    corners summed from 0.0 in row-major order. The trilinear sample's other
+    4 terms, of the next frame, are +-0 at an integer t and change no sum.
+    Points outside the frame are clamped into it, for the caller to mask.
+    One set of corners and weights serves every field."""
+    _, ny, nx = fields[0].shape
+    frame = np.asarray(t).astype(np.intp) * ny
+    out = [np.zeros(np.broadcast(t, y, x).shape) for _ in fields]
+    for row, w_row in _corners(y, ny):
+        for col, w_col in _corners(x, nx):
+            at = (frame + row) * nx + col
+            for field, sample in zip(fields, out):
+                sample += field.ravel()[at] * w_row * w_col
+    return out
+
+
+def _corners(c, n):
+    """The two (index, weight) pairs of coordinates c clamped to [0, n - 1]."""
+    c = np.clip(c, 0, n - 1)
+    lo = np.floor(c)
+    w = 1.0 - (c - lo)
+    lo = lo.astype(np.intp)
+    return (lo, w), (np.minimum(lo + 1, n - 1), 1.0 - w)
 
 
 def detect_spacetime_points(seq):

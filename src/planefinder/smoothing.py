@@ -65,7 +65,11 @@ def _l0_smooth_stack(imgs, lam):
     the precision of its transform: float32 for float32 images, else float64.
 
     rfft2(I) and the Laplacian symbol are loop invariants, so each beta step
-    costs one rfft2 and one inverse transform over the whole stack.
+    costs one rfft2 and one inverse transform over the whole stack. A step
+    that keeps no gradient (the first steps, while lam/beta is large) has
+    h = v = 0 and skips their transform: the right-hand side is rfft2(I)
+    itself, since adding the transform of divergence(0, 0), all zeros,
+    leaves the bits of every nonzero component as they are.
     """
     # 0 < 2*lam < BETA_MAX, so the schedule takes a step; NaN fails both tests
     if not 0 < lam < BETA_MAX / 2:
@@ -78,22 +82,25 @@ def _l0_smooth_stack(imgs, lam):
     s = imgs
     beta = 2.0 * lam
     while beta <= BETA_MAX:
-        h, v = threshold_gradients(s, lam, beta)
-        s = _poisson_solve(f_img, h, v, beta, lap)
+        h, v, keep = threshold_gradients(s, lam, beta)
+        if keep.any():
+            s = _poisson_solve(f_img, h, v, beta, lap)
+        else:
+            s = _inverse_solve(f_img.copy(), beta, lap, imgs.shape[-1])
         beta *= KAPPA
     return s
 
 
 def threshold_gradients(s, lam, beta):
     """(h, v) subproblem: keep the gradient where its energy exceeds lam/beta,
-    zero it otherwise."""
+    zero it otherwise. Returns h, v and the mask of the kept gradients."""
     h, v = forward_diff(s)
     energy = h * h
     energy += v * v
     keep = energy > lam / beta
     h *= keep
     v *= keep
-    return h, v
+    return h, v, keep
 
 
 def _poisson_solve(f_img, h, v, beta, lap):
@@ -101,13 +108,19 @@ def _poisson_solve(f_img, h, v, beta, lap):
     numer = rfft2(divergence(h, v))
     numer *= beta
     numer += f_img
+    return _inverse_solve(numer, beta, lap, h.shape[-1])
+
+
+def _inverse_solve(numer, beta, lap, nx):
+    """The screened-Poisson solution whose right-hand side has the transform
+    numer, which it overwrites."""
     # numpy divides a complex value by a real d as (re * (1/d), im * (1/d)):
     # multiplying by 1/d gives the quotient's bits without complex division
     numer *= 1.0 / (1.0 + beta * lap)
     # the inverse transform one axis at a time scales by 1/ny, then by 1/nx,
     # as numpy.fft.irfft2 does; one 2-D scipy.fft.irfft2 scales by 1/(ny nx),
     # which differs in the last bit when ny is not a power of two
-    return irfft(ifft(numer, axis=-2, overwrite_x=True), n=h.shape[-1], axis=-1)
+    return irfft(ifft(numer, axis=-2, overwrite_x=True), n=nx, axis=-1)
 
 
 def _laplacian_symbol(ny, nx, dtype):

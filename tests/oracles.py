@@ -3,9 +3,9 @@
 Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
-per-frame plane sampler, one screened-Poisson solve of the L0 loop (and its
-step with a complex division), and the synthetic timing workload of
-criterion 7.
+per-frame plane sampler, the L0 loop with every step solved (and one
+screened-Poisson solve, also as a step with a complex division), and the
+synthetic timing workload of criterion 7.
 """
 
 import time
@@ -17,7 +17,8 @@ from scipy.fft import ifft, irfft, rfft2
 from planefinder.classifier import ClassifierError, decision_values, train_svm
 from planefinder.codebook import _assign, _descriptor_matrix
 from planefinder.embedding import EmbeddingError
-from planefinder.smoothing import _laplacian_symbol, _poisson_solve, divergence, forward_diff
+from planefinder.smoothing import (BETA_MAX, KAPPA, _laplacian_symbol, _poisson_solve,
+                                   divergence, forward_diff, threshold_gradients)
 from planefinder.volume import VolumeError, _plane_coords
 
 
@@ -83,6 +84,20 @@ def solve_screened_poisson(img, h, v, beta):
     """Exact periodic solve of min_S ||S-I||^2 + beta(||dxS-h||^2+||dyS-v||^2)."""
     f_img = rfft2(img)
     return _poisson_solve(f_img, h, v, beta, _laplacian_symbol(*img.shape[-2:], f_img.real.dtype))
+
+
+def l0_smooth_every_step(imgs, lam):
+    """The L0 beta loop over a (T, H, W) stack with a transform of h and v
+    at every step, also where the step keeps no gradient."""
+    f_img = rfft2(imgs)
+    lap = _laplacian_symbol(*imgs.shape[-2:], f_img.real.dtype)
+    s = imgs
+    beta = 2.0 * lam
+    while beta <= BETA_MAX:
+        h, v, _ = threshold_gradients(s, lam, beta)
+        s = _poisson_solve(f_img, h, v, beta, lap)
+        beta *= KAPPA
+    return s
 
 
 def poisson_solve_dividing(f_img, h, v, beta, lap):

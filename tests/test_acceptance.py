@@ -185,7 +185,7 @@ def test_criterion_4_smoothing_suite():
     assert np.abs(out - img).max() <= 1e-6
     # per-pixel (h, v) optimality against the only two candidates
     lam, beta = 0.02, 0.08
-    h, v = threshold_gradients(img, lam, beta)
+    h, v, _ = threshold_gradients(img, lam, beta)
     dx, dy = forward_diff(img)
     chosen = beta * ((dx - h) ** 2 + (dy - v) ** 2) + lam * ((np.abs(h) + np.abs(v)) > 0)
     assert np.all(chosen <= beta * (dx ** 2 + dy ** 2) + 1e-12)

@@ -8,10 +8,10 @@ from scipy import ndimage
 from planefinder import features, pipeline
 from planefinder.config import PipelineConfig
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
-                                  FeatureError, _gaussian_nearest, _harris_response,
-                                  _octave_extrema, _orientations, describe_spacetime,
-                                  describe_static, detect_spacetime_points,
-                                  detect_static_keypoints)
+                                  FeatureError, _frame_samples, _gaussian_nearest,
+                                  _harris_response, _octave_extrema, _orientations,
+                                  describe_spacetime, describe_static,
+                                  detect_spacetime_points, detect_static_keypoints)
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import smooth_sequence
 from planefinder.volume import PlaneParams, PlaneSequence, Volume4D, extract_plane_sequence
@@ -332,9 +332,10 @@ def _reference_orientation(img, x, y, sigma, n_bins=36):
     ny, nx = img.shape
     y0, y1 = max(1, y - radius), min(ny - 1, y + radius + 1)
     x0, x1 = max(1, x - radius), min(nx - 1, x + radius + 1)
+    # differences in the image's precision (float32 DoG levels), then float64
     gy, gx = np.gradient(img[y0 - 1:y1 + 1, x0 - 1:x1 + 1])
-    gy = gy[1:-1, 1:-1]
-    gx = gx[1:-1, 1:-1]
+    gy = gy[1:-1, 1:-1].astype(np.float64)
+    gx = gx[1:-1, 1:-1].astype(np.float64)
     mag = np.hypot(gx, gy)
     if mag.sum() < features.DEGENERATE_ENERGY:
         return None
@@ -443,14 +444,17 @@ def test_orientations_match_reference_at_every_pixel(size, sigma):
     rng = np.random.default_rng(size)
     img = blob_image([(size / 3, size / 2)], sigma=3.0, size=size) + 0.1 * rng.random((size, size))
     img[:size // 2, :size // 2] = 0.5  # flat corner: degenerate windows at 40 px
-    # a flat frame between two busy ones
+    # a flat frame between two busy ones, in float64 and in the float32 of
+    # the DoG levels
     frames = np.stack([img, np.full((size, size), 0.5), img[::-1, ::-1].T])
     ts, ys, xs = np.mgrid[0:3, 2:size - 2, 2:size - 2].reshape(3, -1)
-    ori, ok = _orientations(frames, ts, ys, xs, sigma)
-    expected = [_reference_orientation(frames[t], x, y, sigma) for t, y, x in zip(ts, ys, xs)]
-    assert ok.tolist() == [e is not None for e in expected]
-    assert ori[ok].tolist() == [e for e in expected if e is not None]
-    assert ok[ts != 1].any() and not ok[ts == 1].any()
+    for frames in (frames, frames.astype(np.float32)):
+        ori, ok = _orientations(frames, ts, ys, xs, sigma)
+        expected = [_reference_orientation(frames[t], x, y, sigma)
+                    for t, y, x in zip(ts, ys, xs)]
+        assert ok.tolist() == [e is not None for e in expected]
+        assert ori[ok].tolist() == [e for e in expected if e is not None]
+        assert ok[ts != 1].any() and not ok[ts == 1].any()
 
 
 def test_spacetime_points_match_filter_reference(monkeypatch):
@@ -592,12 +596,63 @@ def test_static_stack_matches_per_frame_reference():
     _assert_static_descriptors_match(frames, rows, got)
 
 
+def test_frame_samples_are_map_coordinates_bits():
+    # both gradient stacks at integer t: points at exactly 0 and n - 1,
+    # half-integers, integers and random points; describe_static masks the
+    # samples of points outside the frame, which need not match
+    rng = np.random.default_rng(19)
+    gy, gx = np.gradient(rng.random((3, 20, 24)) - 0.5, axis=(1, 2))
+    ys = np.concatenate([[0.0, 19.0, 0.5, 18.5, 7.0, -0.5, 19.5, -3.0, 25.0],
+                         rng.uniform(-2.0, 21.0, 60)])
+    xs = np.concatenate([[0.0, 23.0, 22.5, 0.5, 11.0, 24.0, -1e-9, 30.0, -7.5],
+                         rng.uniform(-2.0, 25.0, 60)])
+    t = np.arange(ys.size) % 3
+    inside = (ys >= 0) & (ys <= 19) & (xs >= 0) & (xs <= 23)
+    assert {0.0, 19.0} <= set(ys[inside]) and {0.0, 23.0} <= set(xs[inside])
+    assert 40 < inside.sum() < ys.size - 10
+    for field, got in zip((gx, gy), _frame_samples((gx, gy), t, ys, xs)):
+        expected = ndimage.map_coordinates(field, (t.astype(float), ys, xs), order=1,
+                                           mode="nearest")
+        assert np.where(inside, got, 0.0).tobytes() == np.where(inside, expected, 0.0).tobytes()
+
+
+def test_static_descriptors_one_keypoint_blocks(monkeypatch):
+    frames = _busy_stack()
+    kps = detect_static_keypoints(frames)
+    whole = describe_static(frames, kps)
+    monkeypatch.setattr(features, "STATIC_BLOCK", 1)
+    for a, b in zip(whole, describe_static(frames, kps), strict=True):
+        assert a.degenerate == b.degenerate
+        assert a.values.tobytes() == b.values.tobytes()
+
+
+def test_static_describe_memory_is_bounded():
+    # eight 128^2 frames of smoothed noise with 685 keypoints: describing
+    # them all at once peaked at 18.9 MB
+    rng = np.random.default_rng(3)
+    frames = (4 * ndimage.gaussian_filter(rng.random((8, 128, 128)), (0, 1.5, 1.5))
+              ).astype(np.float32)
+    kps = detect_static_keypoints(frames)
+    assert len(kps) > 600
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        descriptors = describe_static(frames, kps)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(descriptors) == len(kps)
+    assert peak < 8 << 20
+
+
 def test_static_path_memory_is_bounded(monkeypatch):
-    # four frames of high-contrast noise: about 17,000 octave-0 pixels pass
-    # the contrast test, and each gathers 27 neighbours
-    frames = 10.0 * np.random.default_rng(2).random((4, 48, 48))
+    # eight float32 frames of high-contrast noise: about 35,000 octave-0
+    # pixels pass the contrast test; each is screened by its 6 face
+    # neighbours, and the survivors gather all 27
+    frames = (10.0 * np.random.default_rng(2).random((8, 48, 48))).astype(np.float32)
     dogs = np.diff([_gaussian_nearest(frames, (s, s)) for s in features._OCTAVE_SIGMAS], axis=0)
-    assert (np.abs(dogs[1:-1, :, 2:-2, 2:-2]) >= features.CONTRAST_THRESHOLD).sum() > 15000
+    assert (np.abs(dogs[1:-1, :, 2:-2, 2:-2]) >= features.CONTRAST_THRESHOLD).sum() > 33000
     bound = 4 << 20
 
     def peak():
@@ -611,7 +666,7 @@ def test_static_path_memory_is_bounded(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < bound
-    # gathering every pixel's neighbourhood at once breaks the bound
+    # screening every pixel in one block breaks the bound
     monkeypatch.setattr(features, "EXTREMUM_BLOCK", 1 << 30)
     assert peak() > bound
 

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from scipy.fft import rfft2
 
-from oracles import gradient_count, poisson_solve_dividing, solve_screened_poisson
+from oracles import (gradient_count, l0_smooth_every_step, poisson_solve_dividing,
+                     solve_screened_poisson)
+from planefinder import smoothing
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import (BETA_MAX, KAPPA, LAM, SmoothingError, _l0_smooth_stack,
                                    _laplacian_symbol, _poisson_solve, forward_diff,
@@ -90,7 +92,7 @@ def test_hv_subproblem_pointwise_optimal():
     rng = np.random.default_rng(2)
     s = rng.random((24, 24))
     lam, beta = 0.02, 0.08
-    h, v = threshold_gradients(s, lam, beta)
+    h, v, _ = threshold_gradients(s, lam, beta)
     dx, dy = forward_diff(s)
     cost_chosen = beta * ((dx - h) ** 2 + (dy - v) ** 2) \
         + lam * ((np.abs(h) + np.abs(v)) > 0)
@@ -104,7 +106,7 @@ def test_screened_poisson_normal_equations():
     rng = np.random.default_rng(3)
     img = rng.random((32, 32))
     beta = 4.0
-    h, v = threshold_gradients(img, 0.02, beta)
+    h, v, _ = threshold_gradients(img, 0.02, beta)
     s = solve_screened_poisson(img, h, v, beta)
     dx, dy = forward_diff(s)
     lhs = s + beta * divergence(dx, dy)
@@ -122,11 +124,37 @@ def test_poisson_step_has_the_bits_of_complex_division(shape, dtype):
     lap = _laplacian_symbol(*shape[-2:], f_img.real.dtype)
     beta = 2.0 * LAM
     while beta <= BETA_MAX:
-        h, v = threshold_gradients(imgs, LAM, beta)
+        h, v, _ = threshold_gradients(imgs, LAM, beta)
         got = _poisson_solve(f_img, h, v, beta, lap)
         ref = poisson_solve_dividing(f_img, h, v, beta, lap)
         assert got.dtype == dtype and got.tobytes() == ref.tobytes()
         beta *= KAPPA
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("jump, empty_first_steps", [(0.6, 1), (0.3, 3), (1.0, 0)])
+def test_steps_that_keep_nothing_skip_no_bits(monkeypatch, dtype, jump, empty_first_steps):
+    # step images: a jump j is kept once j^2 > lam / beta, so the first
+    # steps keep no gradient where j is small, and every step keeps some
+    # where j = 1; float64 is the `planefinder smooth` path
+    rng = np.random.default_rng(9)
+    imgs = np.full((3, 32, 40), 0.2)
+    imgs[:, :, 20:] += jump
+    imgs += rng.normal(0.0, 0.01, imgs.shape)
+    imgs = imgs.astype(dtype)
+    kept = []
+
+    def recorded(s, lam, beta):
+        h, v, keep = threshold_gradients(s, lam, beta)
+        kept.append(keep.any())
+        return h, v, keep
+
+    monkeypatch.setattr(smoothing, "threshold_gradients", recorded)
+    got = _l0_smooth_stack(imgs, LAM)
+    assert len(kept) == 22 and kept.index(True) == empty_first_steps and all(
+        kept[empty_first_steps:])
+    assert got.dtype == dtype
+    assert got.tobytes() == l0_smooth_every_step(imgs, LAM).tobytes()
 
 
 def _sequence(frames):
@@ -170,7 +198,7 @@ def _reference_l0(img, lam):
     s = img.copy()
     beta = 2.0 * lam
     while beta <= BETA_MAX:
-        h, v = threshold_gradients(s, lam, beta)
+        h, v, _ = threshold_gradients(s, lam, beta)
         numer = np.fft.fft2(img) + beta * (np.conj(otf_x) * np.fft.fft2(h)
                                            + np.conj(otf_y) * np.fft.fft2(v))
         s = np.real(np.fft.ifft2(numer / (1.0 + beta * lap)))
