@@ -43,6 +43,9 @@ class Codebook:
         c2 = (c ** 2).sum(axis=1)
         c2.flags.writeable = False
         object.__setattr__(self, "_sq_norms", c2)
+        # train_codebook's converged assignment of its pool, None for a
+        # codebook built from centroids alone; not a field either
+        object.__setattr__(self, "pool_assignment", None)
 
     def __eq__(self, other):
         if not isinstance(other, Codebook):
@@ -96,26 +99,52 @@ def _distinct_rows(data):
     return 1 + np.count_nonzero(rows[1:] != rows[:-1])
 
 
-def _assign(data, centroids, c2):
+def _blocks(n):
+    """(lo, hi) bounds of near-equal blocks of at most ASSIGN_BLOCK rows, none
+    under ASSIGN_BLOCK / 2 once n exceeds it: BLAS takes other kernels,
+    rounded differently, for products of few rows."""
+    nblocks = -(-n // ASSIGN_BLOCK)
+    return [(b * n // nblocks, (b + 1) * n // nblocks) for b in range(nblocks)]
+
+
+def _error64(x2, c2max, d):
+    """A bound on |d2 - D| for _assign's float64 d2 = x2 - 2 x·c + c2 of
+    d-dimensional rows with squared norms `x2`, against centroids with squared
+    norms at most `c2max`, D being the exact squared distance.
+
+    With u = 2^-53 and sum |x_i c_i| <= (x2 + c2) / 2, to first order: the
+    dot in any summation order, FMA or not, d u (x2 + c2) once doubled; the
+    norms x2 and c2 (squares, then sums) (d + 1) u each; the two additions,
+    whose results stay under 2 (x2 + c2), 4 u (x2 + c2). That is
+    (2 d + 5) u (x2 + c2); (d + 8) 2^-52 leaves 11 u spare for second-order
+    terms and for rounding where the bound is used, and 2^-1000 absolute
+    covers underflow (under 3 d 2^-1075 per entry).
+    """
+    return (d + 8) * 2.0 ** -52 * (x2 + c2max) + 2.0 ** -1000
+
+
+def _assign(data, centroids, c2, lower=None):
     """Nearest-centroid assignment (ties -> lowest index) and min distances;
     `c2` holds the squared centroid norms. Every block's squared distances
-    are computed in place in one buffer, allocated once per call."""
-    n = data.shape[0]
+    are computed in place in one buffer, allocated once per call.
+
+    Given `lower`, an array of one entry per row, writes into it a lower
+    bound on each row's distance to every centroid but its own: the second
+    smallest d2 less twice _error64, which leaves one _error64 for rounding.
+    """
+    n, d = data.shape
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
-    # near-equal blocks, none under ASSIGN_BLOCK / 2 rows once n exceeds it:
-    # BLAS takes other kernels, rounded differently, for products of few rows
-    nblocks = -(-n // ASSIGN_BLOCK)
     buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]))
-    for b in range(nblocks):
-        lo, hi = b * n // nblocks, (b + 1) * n // nblocks
+    for lo, hi in _blocks(n):
         block = data[lo:hi]
         d2 = buf[:hi - lo]
+        x2 = (block ** 2).sum(axis=1)
         # x2 - 2 (block @ C.T) + c2: doubling and negation are exact and the
         # additions commute, so this is bit-equal to x2 - (2 block) @ C.T + c2
         np.matmul(block, centroids.T, out=d2)
         d2 *= -2.0
-        d2 += (block ** 2).sum(axis=1)[:, None]
+        d2 += x2[:, None]
         d2 += c2[None, :]
         # clamping the minimum, not every entry, selects the same near-ties:
         # best >= 0, so a negative entry passes the test either way
@@ -123,10 +152,14 @@ def _assign(data, centroids, c2):
         # lowest index among near-ties, stable across float noise
         assign[lo:hi] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
         min_d2[lo:hi] = best
+        if lower is not None:
+            d2[np.arange(hi - lo), assign[lo:hi]] = np.inf
+            second = d2.min(axis=1) - 2.0 * _error64(x2, c2.max(), d)
+            lower[lo:hi] = np.sqrt(np.maximum(second, 0.0))
     return assign, min_d2
 
 
-def _nearest(data, centroids, c2):
+def _nearest(data, centroids, c2, lower=None):
     """_assign's assignments (ties -> lowest index), screened in single
     precision and decided in double.
 
@@ -149,11 +182,17 @@ def _nearest(data, centroids, c2):
     err = (d + 8) u (x2 + max c2) + 2^-100. If y's minimum, at centroid j, is
     the only entry within 2 err + 1e-12 of it, every other centroid's d2
     exceeds both d2[j] and 0 by more than 1e-12, so _assign picks j too.
+
+    Given `lower`, writes into it, as _assign does, a lower bound on each
+    row's distance to every centroid but its own. For a row decided here it
+    is the square root of x2 plus y's second smallest entry, less the band:
+    every other centroid's exact squared distance exceeds that by err, which
+    covers rounding the bound in float64.
     """
     n, d = data.shape
     x2 = np.einsum("ij,ij->i", data, data)
     if np.max(x2, initial=0.0) + c2.max() >= SCREEN_LIMIT:
-        return _assign(data, centroids, c2)[0]
+        return _assign(data, centroids, c2, lower)[0]
     cm2 = centroids.astype(np.float32)
     cm2 *= -2.0
     c2_32 = c2.astype(np.float32)
@@ -171,32 +210,95 @@ def _nearest(data, centroids, c2):
         # the threshold stays float64: rounded to float32 it could shrink the band
         limit = y[rows, best] + band[lo:hi]
         y[rows, best] = np.inf
-        sure[lo:hi] = y.min(axis=1) > limit
+        second = y.min(axis=1)
+        sure[lo:hi] = second > limit
         assign[lo:hi] = best
+        if lower is not None:
+            lower[lo:hi] = np.sqrt(np.maximum(x2[lo:hi] + second - band[lo:hi], 0.0))
     del buf  # _assign allocates its own
     unsure = np.flatnonzero(~sure)
     if unsure.size:
-        assign[unsure] = _assign(data[unsure], centroids, c2)[0]
+        bound = None if lower is None else np.empty(unsure.size)
+        assign[unsure] = _assign(data[unsure], centroids, c2, bound)[0]
+        if lower is not None:
+            lower[unsure] = bound
     return assign
+
+
+def _distance_above(a, b):
+    """An upper bound on each row's distance |a_i - b_i|: the float64 norm of
+    the difference is within (d + 3) 2^-53 of it, relative, for d columns,
+    and 2^-500 absolute covers underflow."""
+    diff = a - b
+    return (np.sqrt(np.einsum("ij,ij->i", diff, diff)) * (1.0 + (a.shape[1] + 8) * 2.0 ** -52)
+            + 2.0 ** -500)
+
+
+def _rows_to_search(data, centroids, assign, upper, lower, margin):
+    """Blocks of at most ASSIGN_BLOCK rows: the rows of a Lloyd pass whose
+    Hamerly bounds leave their nearest centroid open.
+
+    `upper` bounds each row's distance to its own centroid a from above,
+    `lower` its distance to every other centroid from below, and `margin` is
+    2 E + 1e-12, E being the row's _error64. A row keeps a when
+    lower² - upper² > margin: then every other centroid's _assign d2 is at
+    least lower² - E > upper² + E + 1e-12 >= d2[a] + 1e-12, and above 1e-12,
+    so _assign picks a alone, and so does _nearest. lower² and upper² stay
+    under 2 (x2 + max c2) when the test passes, so E's spare covers rounding
+    them and their difference. A row that fails the test first tightens
+    `upper` to its distance to a, and is searched only if it fails again.
+    """
+    rows = np.flatnonzero(~(lower * lower - upper * upper > margin))
+    for lo, hi in _blocks(rows.size):
+        block = rows[lo:hi]
+        upper[block] = _distance_above(data[block], centroids[assign[block]])
+    rows = rows[~(lower[rows] ** 2 - upper[rows] ** 2 > margin[rows])]
+    return [rows[lo:hi] for lo, hi in _blocks(rows.size)]
 
 
 def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static"):
     """Lloyd's k-means with k-means++ seeding and farthest-point re-seeding
     of empty clusters. Deterministic for a fixed seed. Emits CodebookWarning
     if the assignment still changes on the last of `max_iter` passes; the
-    codebook is returned all the same."""
+    codebook is returned all the same.
+
+    A pass searches only the rows whose Hamerly bounds (Hamerly, SDM 2010)
+    leave their nearest centroid open (see _rows_to_search); the others
+    provably keep theirs, so the result is that of searching every row. The
+    first pass, and each pass after a re-seed, searches every row.
+
+    When Lloyd converges with no re-seed in its final pass, the final
+    centroids are the means of the final assignment, as were the centroids
+    that assignment was searched against: the codebook carries it as
+    `pool_assignment`, _nearest's answer for every descriptor.
+    """
     data = _descriptor_matrix(descriptors)
     if data.shape[0] < k or _distinct_rows(data) < k:
         raise CodebookError("need at least k=%d distinct descriptors" % k)
-    d = data.shape[1]
+    n, d = data.shape
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(data, k, rng)
-    assign = np.full(data.shape[0], -1)
+    x2 = np.einsum("ij,ij->i", data, data)
+    assign = np.full(n, -1)
+    upper, lower = np.empty(n), np.empty(n)
+    reseeded = True  # the first pass searches every row
+    pool_assignment = None
     for _ in range(max_iter):
         c2 = (centroids ** 2).sum(axis=1)
-        new_assign = _nearest(data, centroids, c2)
+        if reseeded:
+            new_assign = _nearest(data, centroids, c2, lower)
+            upper.fill(np.inf)
+        else:
+            new_assign = assign.copy()
+            margin = 2.0 * _error64(x2, c2.max(), d) + 1e-12
+            for rows in _rows_to_search(data, centroids, assign, upper, lower, margin):
+                bound = np.empty(rows.size)
+                new_assign[rows] = _nearest(data[rows], centroids, c2, bound)
+                lower[rows] = bound
+                upper[rows] = np.inf
         counts = np.bincount(new_assign, minlength=k)
         empty = list(np.flatnonzero(counts == 0))
+        reseeded = bool(empty)
         if empty:
             # re-seeding reads every row's distance: _assign's exact one, with
             # the same assignments
@@ -215,17 +317,30 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
             new_assign[far] = j
             counts[j] = 1
             min_d2[far] = -np.inf
-        # each cell summed in row order from 0.0, as np.add.at would
-        cell = (new_assign[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(cell, weights=data.ravel(), minlength=k * d).reshape(k, d)
-        centroids = sums / counts[:, None]
+        # each cell summed in row order from 0.0, as np.add.at would; the
+        # index and the sums are freed before the drift below is taken
+        moved, centroids = centroids, np.bincount(
+            (new_assign[:, None] * d + np.arange(d)).ravel(), weights=data.ravel(),
+            minlength=k * d).reshape(k, d) / counts[:, None]
         if np.array_equal(new_assign, assign):
+            if not reseeded:
+                pool_assignment = new_assign
             break
         assign = new_assign
+        # the bounds follow the centroids (triangle inequality), each rounded
+        # outward by one ulp
+        drift = _distance_above(centroids, moved)
+        upper += drift[assign]
+        np.nextafter(upper, np.inf, out=upper)
+        lower -= drift.max()
+        np.nextafter(lower, -np.inf, out=lower)
+        np.maximum(lower, 0.0, out=lower)
     else:
         warnings.warn("k-means did not converge in max_iter=%d passes" % max_iter,
                       CodebookWarning, stacklevel=2)
-    return Codebook(centroids=centroids, descriptor_kind=descriptor_kind)
+    cb = Codebook(centroids=centroids, descriptor_kind=descriptor_kind)
+    object.__setattr__(cb, "pool_assignment", pool_assignment)
+    return cb
 
 
 def _kmeanspp_seed(data, k, rng):
@@ -245,6 +360,12 @@ def _kmeanspp_seed(data, k, rng):
     single = data.astype(np.float32)
     centroids = np.empty((k, data.shape[1]))
     d2 = np.full(n, np.inf)
+    # each step's temporaries, allocated once and written in the order the
+    # direct expressions evaluate: the dot products, then D² to the new
+    # centroid (its buffer first holds the weights), and the cdf
+    dot = np.empty(n, dtype=np.float32)
+    dj = np.empty(n)
+    cdf = np.empty(n)
     idx = int(rng.integers(n))
     for j in range(k):
         if j:
@@ -254,13 +375,18 @@ def _kmeanspp_seed(data, k, rng):
             else:
                 # the draw of rng.choice(n, p=d2 / total), without its
                 # validation passes over p: the same uniform, the same index
-                cdf = np.cumsum(d2 / total)
+                np.divide(d2, total, out=dj)
+                np.cumsum(dj, out=cdf)
                 cdf /= cdf[-1]
                 idx = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[j] = data[idx]
         # squared distance to the new centroid by the expansion _assign uses,
-        # its dot products in single precision
-        dj = x2 - 2.0 * (single @ single[idx]) + x2[idx]
+        # x2 - 2 (single @ single[idx]) + x2[idx], its dot products in single
+        # precision
+        np.matmul(single, single[idx], out=dot)
+        dot *= 2.0
+        np.subtract(x2, dot, out=dj)
+        dj += x2[idx]
         np.maximum(dj, 0.0, out=dj)
         dj[idx] = 0.0
         np.minimum(d2, dj, out=d2)
@@ -274,14 +400,19 @@ def quantize_planes(planes, cb):
     Ties go to the lowest centroid index; a plane without descriptors gets
     an all-zero row.
     """
-    k = cb.k
-    hist = np.zeros((len(planes), k))
     data = _descriptor_matrix([d for plane in planes for d in plane], cb.centroids.shape[1])
     if data.shape[0] == 0:
-        return hist
-    assign = _nearest(data, cb.centroids, cb._sq_norms)
-    plane = np.repeat(np.arange(len(planes)), [len(p) for p in planes])
-    counts = np.bincount(plane * k + assign, minlength=len(planes) * k).reshape(-1, k)
+        return np.zeros((len(planes), cb.k))
+    return plane_histograms(_nearest(data, cb.centroids, cb._sq_norms),
+                            [len(p) for p in planes], cb.k)
+
+
+def plane_histograms(assign, sizes, k):
+    """quantize_planes' rows from the centroid index of every descriptor,
+    the planes' descriptors in order, `sizes` giving each plane's count."""
+    hist = np.zeros((len(sizes), k))
+    plane = np.repeat(np.arange(len(sizes)), sizes)
+    counts = np.bincount(plane * k + assign, minlength=len(sizes) * k).reshape(-1, k)
     totals = counts.sum(axis=1, keepdims=True)
     return np.divide(counts, totals, out=hist, where=totals > 0)
 

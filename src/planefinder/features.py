@@ -37,6 +37,9 @@ STATIC_BLOCK = 64
 # most as many whose 27 neighbours it then gathers: an (n, 27) index and an
 # (n, 27) value array, 0.9 MB together
 EXTREMUM_BLOCK = 2048
+# DoG points one _orientations block takes: the temporaries of a point's
+# window take about 27 kB at level 1 and 63 kB at level 3, 1.7-4 MB a block
+ORIENTATION_BLOCK = 64
 
 
 class FeatureError(Exception):
@@ -176,29 +179,34 @@ def _orientations(frames, ts, ys, xs, sigma):
     _octave_extrema clears a 2-pixel border, so every window spans >= 3 pixels.
     The differences are taken at the window pixels only, in the stack's
     precision: np.gradient's (f[i + 1] - f[i - 1]) / 2 at every pixel off
-    the frame's edge.
+    the frame's edge. Points are taken ORIENTATION_BLOCK at a time; each
+    one's histogram is its own, so the blocks change no value.
     """
     radius = max(2, int(round(3.0 * 1.5 * sigma)))
     _, ny, nx = frames.shape
     off = np.arange(-radius, radius + 1)
-    wy = ys[:, None, None] + off[:, None]
-    wx = xs[:, None, None] + off
-    inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
-    pick = ((ts[:, None, None] * ny + wy) * nx + wx)[inside]
-    point = np.broadcast_to(np.arange(ys.size)[:, None, None], inside.shape)[inside]
-    f = frames.ravel()
-    vy = ((f[pick + nx] - f[pick - nx]) / 2).astype(np.float64)
-    vx = ((f[pick + 1] - f[pick - 1]) / 2).astype(np.float64)
-    mag = np.hypot(vx, vy)
-    ok = ~(np.bincount(point, weights=mag, minlength=ys.size) < DEGENERATE_ENERGY)
-    ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
-    bins = np.minimum((ang / (2.0 * math.pi) * ORIENTATION_BINS).astype(int),
-                      ORIENTATION_BINS - 1)
     w = np.exp(-(off[None, :] ** 2 + off[:, None] ** 2) / (2.0 * (1.5 * sigma) ** 2))
-    weight = mag * np.broadcast_to(w, inside.shape)[inside]
-    hist = np.bincount(point * ORIENTATION_BINS + bins, weights=weight,
-                       minlength=ys.size * ORIENTATION_BINS)
-    best = hist.reshape(ys.size, ORIENTATION_BINS).argmax(axis=1)
+    f = frames.ravel()
+    best = np.empty(ys.size, dtype=np.int64)
+    ok = np.empty(ys.size, dtype=bool)
+    for lo in range(0, ys.size, ORIENTATION_BLOCK):
+        hi = min(lo + ORIENTATION_BLOCK, ys.size)
+        wy = ys[lo:hi, None, None] + off[:, None]
+        wx = xs[lo:hi, None, None] + off
+        inside = (wy >= 1) & (wy < ny - 1) & (wx >= 1) & (wx < nx - 1)
+        pick = ((ts[lo:hi, None, None] * ny + wy) * nx + wx)[inside]
+        point = np.broadcast_to(np.arange(hi - lo)[:, None, None], inside.shape)[inside]
+        vy = ((f[pick + nx] - f[pick - nx]) / 2).astype(np.float64)
+        vx = ((f[pick + 1] - f[pick - 1]) / 2).astype(np.float64)
+        mag = np.hypot(vx, vy)
+        ok[lo:hi] = ~(np.bincount(point, weights=mag, minlength=hi - lo) < DEGENERATE_ENERGY)
+        ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
+        bins = np.minimum((ang / (2.0 * math.pi) * ORIENTATION_BINS).astype(int),
+                          ORIENTATION_BINS - 1)
+        weight = mag * np.broadcast_to(w, inside.shape)[inside]
+        hist = np.bincount(point * ORIENTATION_BINS + bins, weights=weight,
+                           minlength=(hi - lo) * ORIENTATION_BINS)
+        best[lo:hi] = hist.reshape(hi - lo, ORIENTATION_BINS).argmax(axis=1)
     return (best + 0.5) * 2.0 * math.pi / ORIENTATION_BINS, ok
 
 

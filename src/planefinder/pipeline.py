@@ -10,7 +10,8 @@ from . import pgm
 from .bundle import ModelBundle
 from .classifier import decision_values, fit_scaler, identity_scaler, train_multiclass
 # quantize stays bound here: the benchmark's traced runs wrap pipeline.quantize
-from .codebook import quantize, quantize_planes, train_codebook  # noqa: F401
+from .codebook import (plane_histograms, quantize, quantize_planes,  # noqa: F401
+                       train_codebook)
 from .config import PipelineConfig
 from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
 from .features import (describe_spacetime, describe_static, detect_spacetime_points,
@@ -126,19 +127,31 @@ def prepare_training_data(manifest, cfg, cache=None):
             raise PipelineError(
                 "feature extraction failed for volume %s candidate %d: %s"
                 % (rec.volume, rec.cand_index, exc)) from exc
-    pool_s = _pool([d for s, _ in descs for d in s], POOL_SEED)
-    pool_t = _pool([d for _, t in descs for d in t], POOL_SEED + 1)
+    static = [s for s, _ in descs]
+    spacetime = [t for _, t in descs]
+    pool_s = _pool([d for s in static for d in s], POOL_SEED)
+    pool_t = _pool([d for t in spacetime for d in t], POOL_SEED + 1)
     cb_s = train_codebook(pool_s, cfg.k_static, seed=KMEANS_SEED,
                           max_iter=cfg.kmeans_max_iter, descriptor_kind="static")
     cb_t = train_codebook(pool_t, cfg.k_spacetime, seed=KMEANS_SEED,
                           max_iter=cfg.kmeans_max_iter, descriptor_kind="spacetime")
-    x, y = bow_features(descs, cb_s, cb_t)
     return TrainData(
-        x=x, y=y,
+        x=_training_histograms(static, cb_s), y=_training_histograms(spacetime, cb_t),
         similarity=build_similarity_matrix([rec.plane_onehot for rec in manifest.records],
                                            [rec.diag_onehot for rec in manifest.records]),
         plane_classes=np.array([rec.plane_class for rec in manifest.records]),
         cb_static=cb_s, cb_spacetime=cb_t)
+
+
+def _training_histograms(planes, cb):
+    """quantize_planes(planes, cb) for the planes whose descriptors, in order,
+    were pooled to train cb. A pool of all of them (not capped by
+    DESCRIPTOR_CAP, which leaves fewer) is quantized by cb's training
+    assignment, when it has one; otherwise the planes are searched."""
+    sizes = [len(p) for p in planes]
+    if cb.pool_assignment is None or len(cb.pool_assignment) != sum(sizes):
+        return quantize_planes(planes, cb)
+    return plane_histograms(cb.pool_assignment, sizes, cb.k)
 
 
 def _pool(descriptors, seed):

@@ -9,13 +9,15 @@ synthetic timing workload of criterion 7.
 """
 
 import time
+import warnings
 
 import numpy as np
 from scipy import ndimage
 from scipy.fft import ifft, irfft, rfft2
 
 from planefinder.classifier import ClassifierError, decision_values, train_svm
-from planefinder.codebook import _assign, _descriptor_matrix
+from planefinder.codebook import (CodebookWarning, _assign, _descriptor_matrix,
+                                  _kmeanspp_seed, _nearest)
 from planefinder.embedding import EmbeddingError
 from planefinder.smoothing import (BETA_MAX, KAPPA, _laplacian_symbol, _poisson_solve,
                                    divergence, forward_diff, threshold_gradients)
@@ -72,6 +74,65 @@ def kmeans_inertia(descriptors, cb):
     data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
     _, min_d2 = _assign(data, cb.centroids, cb._sq_norms)
     return float(min_d2.sum())
+
+
+def lloyd_every_row(descriptors, k, seed=0, max_iter=100):
+    """train_codebook's Lloyd loop without bounds: every pass searches every
+    row. Returns the centroids and the last pass's assignment."""
+    data = _descriptor_matrix(descriptors)
+    d = data.shape[1]
+    rng = np.random.default_rng(seed)
+    centroids = _kmeanspp_seed(data, k, rng)
+    assign = np.full(data.shape[0], -1)
+    for _ in range(max_iter):
+        c2 = (centroids ** 2).sum(axis=1)
+        new_assign = _nearest(data, centroids, c2)
+        counts = np.bincount(new_assign, minlength=k)
+        empty = list(np.flatnonzero(counts == 0))
+        if empty:
+            min_d2 = _assign(data, centroids, c2)[1]
+        while empty:
+            j = empty.pop(0)
+            far = int(np.argmax(min_d2))
+            old = new_assign[far]
+            counts[old] -= 1
+            if counts[old] == 0:
+                empty.append(old)
+            new_assign[far] = j
+            counts[j] = 1
+            min_d2[far] = -np.inf
+        cell = (new_assign[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(cell, weights=data.ravel(), minlength=k * d).reshape(k, d)
+        centroids = sums / counts[:, None]
+        if np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+    else:
+        warnings.warn("k-means did not converge in max_iter=%d passes" % max_iter,
+                      CodebookWarning, stacklevel=2)
+    return centroids, new_assign
+
+
+def kmeanspp_seed_allocating(data, k, first, choose):
+    """_kmeanspp_seed with a new array for each operation's result, its first
+    row `first` and each later uniform choose(cdf), given the step's cdf."""
+    n = data.shape[0]
+    x2 = (data ** 2).sum(axis=1)
+    single = data.astype(np.float32)
+    centroids = np.empty((k, data.shape[1]))
+    d2 = np.full(n, np.inf)
+    idx = first
+    for j in range(k):
+        if j:
+            cdf = np.cumsum(d2 / d2.sum())
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(choose(cdf), side="right"))
+        centroids[j] = data[idx]
+        dj = x2 - 2.0 * (single @ single[idx]) + x2[idx]
+        np.maximum(dj, 0.0, out=dj)
+        dj[idx] = 0.0
+        np.minimum(d2, dj, out=d2)
+    return centroids
 
 
 def gradient_count(img, tol=1e-6):

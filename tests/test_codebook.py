@@ -9,11 +9,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from oracles import kmeans_inertia
+from oracles import kmeans_inertia, kmeanspp_seed_allocating, lloyd_every_row
 import planefinder
 from planefinder import codebook
 from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, CodebookWarning,
@@ -149,6 +149,31 @@ def test_kmeanspp_seed_on_unit_rows_near_k_distinct_picks_rows_of_direct_formula
     got = codebook._kmeanspp_seed(data, 145, np.random.default_rng(seed))
     want = _kmeanspp_direct(data, 145, np.random.default_rng(seed))
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_kmeanspp_seed_draws_on_cdf_values_as_the_allocating_oracle(seed):
+    # every uniform is exactly one of the oracle's cdf values, so a draw
+    # moves if the weights' bits differ from the oracle's at that entry
+    rng = np.random.default_rng(50 + seed)
+    data = rng.normal(size=(500, 128))
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    uniforms = []
+
+    def choose(cdf):
+        uniforms.append(cdf[rng.choice(np.flatnonzero(cdf < 1.0))])
+        return uniforms[-1]
+
+    want = kmeanspp_seed_allocating(data, 200, 7, choose)
+
+    class Replay:
+        def integers(self, n):
+            return 7
+
+        def random(self):
+            return uniforms.pop(0)
+
+    assert codebook._kmeanspp_seed(data, 200, Replay()).tobytes() == want.tobytes()
 
 
 # fit's pool shapes: 2,488 static descriptors at k = 2,000 (seeding, and a
@@ -447,9 +472,20 @@ def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, sca
     radii = np.sqrt([r2, r2 + gap * band, 100.0 * r2, 100.0 * r2, 100.0 * r2])
     cents = (x + radii[:, None] * units)[rng.permutation(5)]
     c2 = (cents ** 2).sum(axis=1)
+    lower = np.empty(1)
     with _deferred_rows() as deferred:
-        got = codebook._nearest(x[None], cents, c2)
+        got = codebook._nearest(x[None], cents, c2, lower)
     assert np.array_equal(got, codebook._assign(x[None], cents, c2)[0])
+    # the bound on the distance to every other centroid holds, and is within
+    # the band (the screen) or 3 float64 error bounds (_assign) of it
+    exact = np.sqrt(((x.astype(np.longdouble) - cents) ** 2).sum(axis=1))
+    second = np.delete(exact, got[0]).min()
+    assert second ** 2 - 2.0 * band_of(x, c2.max()) <= lower[0] ** 2
+    assert lower[0] <= second
+    codebook._assign(x[None], cents, c2, lower)
+    error64 = (dim + 8) * 2.0 ** -52 * (x @ x + c2.max()) + 2.0 ** -1000
+    assert second ** 2 - 3.0 * error64 <= lower[0] ** 2
+    assert lower[0] <= second
     # the gap in bands of the centroids as built
     offset = abs(gap) * band / band_of(x, c2.max())
     if offset <= 0.5:
@@ -481,6 +517,14 @@ def test_lloyd_memory_is_bounded(monkeypatch):
     # fit's static pool: 2,488 descriptors against k = 2,000 centroids
     data = np.random.default_rng(4).random((2488, 128))
     bound = 16 << 20
+    searched = []
+    nearest = codebook._nearest
+
+    def counted(rows, *args):
+        searched.append(rows.shape[0])
+        return nearest(rows, *args)
+
+    monkeypatch.setattr(codebook, "_nearest", counted)
 
     def peak():
         tracemalloc.start()
@@ -493,6 +537,9 @@ def test_lloyd_memory_is_bounded(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < bound
+    # the second pass searches a subset, gathered a block at a time
+    assert searched[0] == len(data) and 0 < sum(searched[1:]) < len(data)
+    assert max(searched[1:]) <= codebook.ASSIGN_BLOCK
     # measuring every descriptor against every centroid at once breaks the bound
     monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
     assert peak() > bound
@@ -535,6 +582,111 @@ def test_lloyd_matches_exact_search(monkeypatch, name):
     monkeypatch.setattr(codebook, "_nearest", lambda rows, *args: assign(rows, *args)[0])
     exact = train_codebook(data, k=k, seed=seed)
     assert screened.centroids.tobytes() == exact.centroids.tobytes()
+
+
+def _train_and_oracle(data, k, seed, max_iter):
+    """train_codebook and lloyd_every_row on one pool, with whether each
+    warned that it hit max_iter."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", CodebookWarning)
+        cb = train_codebook(data, k=k, seed=seed, max_iter=max_iter)
+        cb_warned = len(caught)
+        centroids, assign = lloyd_every_row(data, k, seed=seed, max_iter=max_iter)
+        oracle_warned = len(caught) - cb_warned
+    return cb, cb_warned, centroids, assign, oracle_warned
+
+
+def _check_against_oracle(data, k, seed, max_iter):
+    cb, cb_warned, centroids, assign, oracle_warned = _train_and_oracle(data, k, seed,
+                                                                        max_iter)
+    assert cb.centroids.tobytes() == centroids.tobytes()
+    assert cb_warned == oracle_warned <= 1
+    if cb.pool_assignment is not None:
+        assert not cb_warned
+        assert cb.pool_assignment.tobytes() == assign.tobytes()
+        # the assignment is the search of the pool against the final centroids
+        assert np.array_equal(cb.pool_assignment,
+                              codebook._nearest(data, cb.centroids, cb._sq_norms))
+    return cb, cb_warned
+
+
+@settings(max_examples=150, deadline=None)
+# pools on which an upper bound left where its centroid moved, and a skip
+# test without its margin, each part from the oracle
+@example(seed=136, n=297, dim=4, kind="uniform", max_iter=100)
+@example(seed=113, n=92, dim=2, kind="clustered at 1e-6", max_iter=100)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(8, 300), dim=st.integers(1, 24),
+       kind=st.sampled_from(["uniform", "clustered", "clustered at 1e-6",
+                             "unit near-duplicates", "exact duplicates"]),
+       max_iter=st.sampled_from([1, 2, 3, 100]))
+def test_bounded_lloyd_matches_every_row_oracle(seed, n, dim, kind, max_iter):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        data = rng.random((n, dim))
+    elif kind.startswith("clustered"):
+        # at 1e-6, squared distances are near _assign's 1e-12 tie band
+        centres = 10.0 * rng.normal(size=(rng.integers(2, 9), dim))
+        data = centres[rng.integers(len(centres), size=n)] + rng.normal(size=(n, dim))
+        if kind.endswith("1e-6"):
+            data *= 1e-6
+    else:
+        # rows drawn again and again from a few, as copies (the screen
+        # defers their near-ties to _assign) or exact duplicates
+        base = rng.normal(size=(max(2, n // 4), dim))
+        base /= np.linalg.norm(base, axis=1, keepdims=True)
+        data = base[rng.integers(len(base), size=n)]
+        if kind == "unit near-duplicates":
+            data = data + 1e-4 * rng.normal(size=data.shape)
+    distinct = len(np.unique(data, axis=0))
+    if distinct < 2:
+        return
+    k = int(rng.integers(2, min(distinct, 40) + 1))
+    _check_against_oracle(data, k, int(rng.integers(100)), max_iter)
+
+
+@pytest.mark.parametrize("name", ["reseeds mid-run", "fit-shaped"])
+def test_bounded_lloyd_skips_rows_and_matches_the_oracle(monkeypatch, name):
+    data, k, seed = _lloyd_pool(name)
+    nearest, assign = codebook._nearest, codebook._assign
+    events = []
+
+    def counted_nearest(rows, *args):
+        events.append(("search", rows.shape[0]))
+        return nearest(rows, *args)
+
+    def counted_assign(rows, *args):
+        if rows.shape[0] == len(data) and len(args) == 2:
+            events.append(("reseed", None))
+        return assign(rows, *args)
+
+    monkeypatch.setattr(codebook, "_nearest", counted_nearest)
+    monkeypatch.setattr(codebook, "_assign", counted_assign)
+    cb, _ = _check_against_oracle(data, k, seed, 100)
+    assert cb.pool_assignment is not None
+    # a pass searches either every row at once or blocks of a subset
+    passes = []
+    for event, rows in events:
+        if event == "search" and rows < len(data) and passes and passes[-1][0] == "subset":
+            passes[-1][1] += rows
+        elif event == "search":
+            passes.append(["every" if rows == len(data) else "subset", rows])
+        else:
+            passes.append(["reseed", None])
+    assert passes[0] == ["every", len(data)]
+    assert any(kind == "subset" and rows < len(data) for kind, rows in passes)
+    if name == "reseeds mid-run":
+        # the pass after a re-seed searches every row again
+        at = passes.index(["reseed", None])
+        assert at > 1 and passes[at + 1] == ["every", len(data)]
+
+
+def test_lloyd_after_the_cap_gives_no_pool_assignment():
+    data, k, seed = _lloyd_pool("reseeds mid-run")
+    cb, warned = _check_against_oracle(data, k, seed, 2)
+    assert warned and cb.pool_assignment is None
+    cb, warned = _check_against_oracle(data, k, seed, 100)
+    assert not warned and cb.pool_assignment is not None
+    assert Codebook(centroids=cb.centroids).pool_assignment is None
 
 
 def test_quantize_planes_memory_is_bounded(monkeypatch):

@@ -236,6 +236,55 @@ def test_bow_features_searches_once_per_view(workspace, monkeypatch):
     assert len(calls) == 1 and not y.any()
 
 
+@pytest.mark.parametrize("capped", [False, True])
+def test_training_histograms_equal_a_search(workspace, monkeypatch, capped):
+    # an uncapped pool's training assignment gives X and Y without a search;
+    # a pool capped by DESCRIPTOR_CAP is quantized by one search per view
+    descs = [workspace["cache"].descriptors(r.volume, r.cand_index)
+             for r in workspace["train"].records]
+    sizes = [sum(len(s) for s, _ in descs), sum(len(t) for _, t in descs)]
+    if capped:
+        monkeypatch.setattr(pipeline, "DESCRIPTOR_CAP", min(sizes) - 5)
+    searched = []
+    quantize_planes = pipeline.quantize_planes
+
+    def counted(planes, cb):
+        searched.append(cb.descriptor_kind)
+        return quantize_planes(planes, cb)
+
+    monkeypatch.setattr(pipeline, "quantize_planes", counted)
+    td = prepare_training_data(workspace["train"], workspace["cfg"], cache=workspace["cache"])
+    assert searched == (["static", "spacetime"] if capped else [])
+    for cb, pool in ((td.cb_static, sizes[0]), (td.cb_spacetime, sizes[1])):
+        assert (cb.pool_assignment is not None
+                and len(cb.pool_assignment) == (pipeline.DESCRIPTOR_CAP if capped else pool))
+    x, y = bow_features(descs, td.cb_static, td.cb_spacetime)
+    assert td.x.tobytes() == x.tobytes() and td.y.tobytes() == y.tobytes()
+
+
+def test_training_histograms_from_a_fit_shaped_assignment_equal_quantize_planes(
+        monkeypatch):
+    # fit's static shape: 2,488 unit descriptors, a third of them noisy copies,
+    # over 200 planes (some without any), at k = 2,000
+    rng = np.random.default_rng(5)
+    data = rng.normal(size=(2488, 128))
+    data[-800:] = data[rng.integers(1688, size=800)] + 0.01 * rng.normal(size=(800, 128))
+    data /= np.linalg.norm(data, axis=1, keepdims=True)
+    cuts = np.sort(rng.integers(0, len(data) + 1, size=199))
+    planes = [list(rows) for rows in np.split(data, cuts)]
+    assert any(not p for p in planes)
+    cb = codebook.train_codebook([d for p in planes for d in p], 2000, seed=7)
+    assert cb.pool_assignment is not None
+    want = codebook.quantize_planes(planes, cb)
+
+    def no_search(*args):
+        raise AssertionError("the training assignment needs no search")
+
+    monkeypatch.setattr(codebook, "_nearest", no_search)
+    got = pipeline._training_histograms(planes, cb)
+    assert got.tobytes() == want.tobytes()
+
+
 def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
     # pins the current policy: a view with no descriptors is a flagged empty
     # histogram, and bow_features gives it an all-zero row
