@@ -163,9 +163,8 @@ def load_bundle(path):
         c=one("embed_c", int), epsilon=one("embed_epsilon", float),
         train_n=one("embed_train_n", int))
     try:
-        cb_static = Codebook(centroids=mat("codebook_static"), descriptor_kind="static")
-        cb_spacetime = Codebook(centroids=mat("codebook_spacetime"),
-                                descriptor_kind="spacetime")
+        cb_static = Codebook(centroids=mat("codebook_static"))
+        cb_spacetime = Codebook(centroids=mat("codebook_spacetime"))
     except CodebookError as exc:
         raise BundleError("bundle codebook: %s" % exc) from exc
     bundle = ModelBundle(

@@ -29,7 +29,6 @@ class CodebookWarning(UserWarning):
 @dataclass(frozen=True)
 class Codebook:
     centroids: np.ndarray
-    descriptor_kind: str = "static"
 
     def __post_init__(self):
         c = np.asarray(self.centroids, dtype=np.float64)
@@ -50,8 +49,7 @@ class Codebook:
     def __eq__(self, other):
         if not isinstance(other, Codebook):
             return NotImplemented
-        return (self.descriptor_kind == other.descriptor_kind
-                and np.array_equal(self.centroids, other.centroids))
+        return np.array_equal(self.centroids, other.centroids)
 
     @property
     def k(self):
@@ -61,7 +59,6 @@ class Codebook:
 @dataclass(frozen=True)
 class BoWHistogram:
     values: np.ndarray
-    descriptor_kind: str = "static"
     empty: bool = False
 
     def __post_init__(self):
@@ -123,28 +120,22 @@ def _error64(x2, c2max, d):
     return (d + 8) * 2.0 ** -52 * (x2 + c2max) + 2.0 ** -1000
 
 
-def _assign(data, centroids, c2, lower=None):
+def _assign(data, centroids, c2):
     """Nearest-centroid assignment (ties -> lowest index) and min distances;
     `c2` holds the squared centroid norms. Every block's squared distances
-    are computed in place in one buffer, allocated once per call.
-
-    Given `lower`, an array of one entry per row, writes into it a lower
-    bound on each row's distance to every centroid but its own: the second
-    smallest d2 less twice _error64, which leaves one _error64 for rounding.
-    """
-    n, d = data.shape
+    are computed in place in one buffer, allocated once per call."""
+    n = data.shape[0]
     assign = np.empty(n, dtype=np.int64)
     min_d2 = np.empty(n)
     buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]))
     for lo, hi in _blocks(n):
         block = data[lo:hi]
         d2 = buf[:hi - lo]
-        x2 = (block ** 2).sum(axis=1)
         # x2 - 2 (block @ C.T) + c2: doubling and negation are exact and the
         # additions commute, so this is bit-equal to x2 - (2 block) @ C.T + c2
         np.matmul(block, centroids.T, out=d2)
         d2 *= -2.0
-        d2 += x2[:, None]
+        d2 += (block ** 2).sum(axis=1)[:, None]
         d2 += c2[None, :]
         # clamping the minimum, not every entry, selects the same near-ties:
         # best >= 0, so a negative entry passes the test either way
@@ -152,10 +143,6 @@ def _assign(data, centroids, c2, lower=None):
         # lowest index among near-ties, stable across float noise
         assign[lo:hi] = np.argmax(d2 <= best[:, None] + 1e-12, axis=1)
         min_d2[lo:hi] = best
-        if lower is not None:
-            d2[np.arange(hi - lo), assign[lo:hi]] = np.inf
-            second = d2.min(axis=1) - 2.0 * _error64(x2, c2.max(), d)
-            lower[lo:hi] = np.sqrt(np.maximum(second, 0.0))
     return assign, min_d2
 
 
@@ -183,16 +170,18 @@ def _nearest(data, centroids, c2, lower=None):
     the only entry within 2 err + 1e-12 of it, every other centroid's d2
     exceeds both d2[j] and 0 by more than 1e-12, so _assign picks j too.
 
-    Given `lower`, writes into it, as _assign does, a lower bound on each
-    row's distance to every centroid but its own. For a row decided here it
-    is the square root of x2 plus y's second smallest entry, less the band:
-    every other centroid's exact squared distance exceeds that by err, which
-    covers rounding the bound in float64.
+    Given `lower`, writes into it a lower bound on each row's distance to
+    every centroid but its own. For a row decided here it is the square root
+    of x2 plus y's second smallest entry, less the band: every other
+    centroid's exact squared distance exceeds that by err, which covers
+    rounding the bound in float64. A row left to _assign gets 0.
     """
     n, d = data.shape
     x2 = np.einsum("ij,ij->i", data, data)
     if np.max(x2, initial=0.0) + c2.max() >= SCREEN_LIMIT:
-        return _assign(data, centroids, c2, lower)[0]
+        if lower is not None:
+            lower.fill(0.0)
+        return _assign(data, centroids, c2)[0]
     cm2 = centroids.astype(np.float32)
     cm2 *= -2.0
     c2_32 = c2.astype(np.float32)
@@ -218,10 +207,9 @@ def _nearest(data, centroids, c2, lower=None):
     del buf  # _assign allocates its own
     unsure = np.flatnonzero(~sure)
     if unsure.size:
-        bound = None if lower is None else np.empty(unsure.size)
-        assign[unsure] = _assign(data[unsure], centroids, c2, bound)[0]
+        assign[unsure] = _assign(data[unsure], centroids, c2)[0]
         if lower is not None:
-            lower[unsure] = bound
+            lower[unsure] = 0.0
     return assign
 
 
@@ -234,25 +222,23 @@ def _distance_above(a, b):
             + 2.0 ** -500)
 
 
-def _rows_to_search(data, centroids, assign, upper, lower, margin):
+def _rows_to_search(data, centroids, assign, lower, margin):
     """Blocks of at most ASSIGN_BLOCK rows: the rows of a Lloyd pass whose
-    Hamerly bounds leave their nearest centroid open.
+    Hamerly bound leaves their nearest centroid open.
 
-    `upper` bounds each row's distance to its own centroid a from above,
-    `lower` its distance to every other centroid from below, and `margin` is
-    2 E + 1e-12, E being the row's _error64. A row keeps a when
+    `lower` bounds each row's distance to every centroid but its own, a,
+    from below, and `margin` is 2 E + 1e-12, E being the row's _error64.
+    With upper the row's _distance_above to a, it keeps a when
     lower² - upper² > margin: then every other centroid's _assign d2 is at
     least lower² - E > upper² + E + 1e-12 >= d2[a] + 1e-12, and above 1e-12,
     so _assign picks a alone, and so does _nearest. lower² and upper² stay
     under 2 (x2 + max c2) when the test passes, so E's spare covers rounding
-    them and their difference. A row that fails the test first tightens
-    `upper` to its distance to a, and is searched only if it fails again.
+    them and their difference.
     """
+    upper = np.empty(len(data))
+    for lo, hi in _blocks(len(data)):
+        upper[lo:hi] = _distance_above(data[lo:hi], centroids[assign[lo:hi]])
     rows = np.flatnonzero(~(lower * lower - upper * upper > margin))
-    for lo, hi in _blocks(rows.size):
-        block = rows[lo:hi]
-        upper[block] = _distance_above(data[block], centroids[assign[block]])
-    rows = rows[~(lower[rows] ** 2 - upper[rows] ** 2 > margin[rows])]
     return [rows[lo:hi] for lo, hi in _blocks(rows.size)]
 
 
@@ -262,8 +248,8 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     if the assignment still changes on the last of `max_iter` passes; the
     codebook is returned all the same.
 
-    A pass searches only the rows whose Hamerly bounds (Hamerly, SDM 2010)
-    leave their nearest centroid open (see _rows_to_search); the others
+    A pass searches only the rows whose Hamerly bound (Hamerly, SDM 2010)
+    leaves their nearest centroid open (see _rows_to_search); the others
     provably keep theirs, so the result is that of searching every row. The
     first pass, and each pass after a re-seed, searches every row.
 
@@ -273,29 +259,29 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     `pool_assignment`, _nearest's answer for every descriptor.
     """
     data = _descriptor_matrix(descriptors)
-    if data.shape[0] < k or _distinct_rows(data) < k:
-        raise CodebookError("need at least k=%d distinct descriptors" % k)
+    distinct = _distinct_rows(data) if data.size else 0
+    if distinct < k:
+        raise CodebookError("%s pool has %d distinct descriptors, need at least k=%d"
+                            % (descriptor_kind, distinct, k))
     n, d = data.shape
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(data, k, rng)
     x2 = np.einsum("ij,ij->i", data, data)
     assign = np.full(n, -1)
-    upper, lower = np.empty(n), np.empty(n)
+    lower = np.empty(n)
     reseeded = True  # the first pass searches every row
     pool_assignment = None
     for _ in range(max_iter):
         c2 = (centroids ** 2).sum(axis=1)
         if reseeded:
             new_assign = _nearest(data, centroids, c2, lower)
-            upper.fill(np.inf)
         else:
             new_assign = assign.copy()
             margin = 2.0 * _error64(x2, c2.max(), d) + 1e-12
-            for rows in _rows_to_search(data, centroids, assign, upper, lower, margin):
+            for rows in _rows_to_search(data, centroids, assign, lower, margin):
                 bound = np.empty(rows.size)
                 new_assign[rows] = _nearest(data[rows], centroids, c2, bound)
                 lower[rows] = bound
-                upper[rows] = np.inf
         counts = np.bincount(new_assign, minlength=k)
         empty = list(np.flatnonzero(counts == 0))
         reseeded = bool(empty)
@@ -327,18 +313,15 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
                 pool_assignment = new_assign
             break
         assign = new_assign
-        # the bounds follow the centroids (triangle inequality), each rounded
-        # outward by one ulp
-        drift = _distance_above(centroids, moved)
-        upper += drift[assign]
-        np.nextafter(upper, np.inf, out=upper)
-        lower -= drift.max()
+        # the bound follows the centroids (triangle inequality), rounded
+        # down by one ulp
+        lower -= _distance_above(centroids, moved).max()
         np.nextafter(lower, -np.inf, out=lower)
         np.maximum(lower, 0.0, out=lower)
     else:
         warnings.warn("k-means did not converge in max_iter=%d passes" % max_iter,
                       CodebookWarning, stacklevel=2)
-    cb = Codebook(centroids=centroids, descriptor_kind=descriptor_kind)
+    cb = Codebook(centroids=centroids)
     object.__setattr__(cb, "pool_assignment", pool_assignment)
     return cb
 
@@ -360,12 +343,6 @@ def _kmeanspp_seed(data, k, rng):
     single = data.astype(np.float32)
     centroids = np.empty((k, data.shape[1]))
     d2 = np.full(n, np.inf)
-    # each step's temporaries, allocated once and written in the order the
-    # direct expressions evaluate: the dot products, then D² to the new
-    # centroid (its buffer first holds the weights), and the cdf
-    dot = np.empty(n, dtype=np.float32)
-    dj = np.empty(n)
-    cdf = np.empty(n)
     idx = int(rng.integers(n))
     for j in range(k):
         if j:
@@ -375,18 +352,13 @@ def _kmeanspp_seed(data, k, rng):
             else:
                 # the draw of rng.choice(n, p=d2 / total), without its
                 # validation passes over p: the same uniform, the same index
-                np.divide(d2, total, out=dj)
-                np.cumsum(dj, out=cdf)
+                cdf = np.cumsum(d2 / total)
                 cdf /= cdf[-1]
                 idx = int(cdf.searchsorted(rng.random(), side="right"))
         centroids[j] = data[idx]
         # squared distance to the new centroid by the expansion _assign uses,
-        # x2 - 2 (single @ single[idx]) + x2[idx], its dot products in single
-        # precision
-        np.matmul(single, single[idx], out=dot)
-        dot *= 2.0
-        np.subtract(x2, dot, out=dj)
-        dj += x2[idx]
+        # its dot products in single precision
+        dj = x2 - 2.0 * (single @ single[idx]) + x2[idx]
         np.maximum(dj, 0.0, out=dj)
         dj[idx] = 0.0
         np.minimum(d2, dj, out=d2)
@@ -421,5 +393,4 @@ def quantize(descriptors, cb):
     """The one-plane case of quantize_planes, as a histogram flagged empty
     when there are no descriptors."""
     values = quantize_planes([descriptors], cb)[0]
-    return BoWHistogram(values=values, descriptor_kind=cb.descriptor_kind,
-                        empty=not values.any())
+    return BoWHistogram(values=values, empty=not values.any())

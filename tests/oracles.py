@@ -114,8 +114,8 @@ def lloyd_every_row(descriptors, k, seed=0, max_iter=100):
 
 
 def kmeanspp_seed_allocating(data, k, first, choose):
-    """_kmeanspp_seed with a new array for each operation's result, its first
-    row `first` and each later uniform choose(cdf), given the step's cdf."""
+    """_kmeanspp_seed's direct expressions, with its first row `first` and
+    each later uniform choose(cdf), given the step's cdf."""
     n = data.shape[0]
     x2 = (data ** 2).sum(axis=1)
     single = data.astype(np.float32)

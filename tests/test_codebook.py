@@ -317,11 +317,26 @@ def test_single_descriptor_histogram():
 
 
 def test_descriptor_kind_carried_through():
+    # the view names the pool in errors; a codebook is its centroids alone
     rng = np.random.default_rng(6)
     data = rng.random((50, 3))
     cb = train_codebook(data, k=4, seed=0, descriptor_kind="spacetime")
-    assert cb.descriptor_kind == "spacetime"
-    assert quantize(data, cb).descriptor_kind == "spacetime"
+    assert cb == train_codebook(data, k=4, seed=0)
+    with pytest.raises(CodebookError, match="^spacetime pool has 50 distinct"):
+        train_codebook(data, k=51, descriptor_kind="spacetime")
+
+
+@pytest.mark.parametrize("rows, k, kind, message", [
+    (30, 64, "static", "static pool has 12 distinct descriptors, need at least k=64"),
+    (30, 13, "spacetime", "spacetime pool has 12 distinct descriptors, need at least k=13"),
+    (0, 2, "static", "static pool has 0 distinct descriptors, need at least k=2")])
+def test_too_few_distinct_descriptors_names_the_pool_and_its_count(rows, k, kind, message):
+    # `rows` rows, each of 12 distinct ones at least twice when rows = 30:
+    # fewer rows than k, or enough rows but too few distinct, or none
+    base = np.random.default_rng(9).random((12, 8))
+    with pytest.raises(CodebookError) as info:
+        train_codebook(base[np.arange(rows) % 12], k=k, descriptor_kind=kind)
+    assert str(info.value) == message
 
 
 def test_quantize_planes_rows_are_per_plane_histograms():
@@ -476,16 +491,15 @@ def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, sca
     with _deferred_rows() as deferred:
         got = codebook._nearest(x[None], cents, c2, lower)
     assert np.array_equal(got, codebook._assign(x[None], cents, c2)[0])
-    # the bound on the distance to every other centroid holds, and is within
-    # the band (the screen) or 3 float64 error bounds (_assign) of it
+    # the bound on the distance to every other centroid holds; a row the
+    # screen decides gets one within the band of it, a row left to _assign 0
     exact = np.sqrt(((x.astype(np.longdouble) - cents) ** 2).sum(axis=1))
     second = np.delete(exact, got[0]).min()
-    assert second ** 2 - 2.0 * band_of(x, c2.max()) <= lower[0] ** 2
     assert lower[0] <= second
-    codebook._assign(x[None], cents, c2, lower)
-    error64 = (dim + 8) * 2.0 ** -52 * (x @ x + c2.max()) + 2.0 ** -1000
-    assert second ** 2 - 3.0 * error64 <= lower[0] ** 2
-    assert lower[0] <= second
+    if deferred:
+        assert lower[0] == 0.0
+    else:
+        assert second ** 2 - 2.0 * band_of(x, c2.max()) <= lower[0] ** 2
     # the gap in bands of the centroids as built
     offset = abs(gap) * band / band_of(x, c2.max())
     if offset <= 0.5:
@@ -507,9 +521,13 @@ def test_nearest_defers_every_row_when_float32_could_overflow(data_scale, cent_s
     data = data_scale * rng.normal(size=(300, 16))
     c2 = (cents ** 2).sum(axis=1)
     want = codebook._assign(data, cents, c2)[0]
+    lower = np.full(300, np.nan)
     with _deferred_rows() as deferred:
-        assert np.array_equal(codebook._nearest(data, cents, c2), want)
+        assert np.array_equal(codebook._nearest(data, cents, c2, lower), want)
     assert (sum(deferred) < 300) if screened else deferred == [300]
+    # every row left to _assign gets a lower bound of 0, and no row goes without
+    assert not np.isnan(lower).any()
+    assert (lower == 0.0).all() or screened
 
 
 @pytest.mark.filterwarnings("ignore::planefinder.codebook.CodebookWarning")
@@ -579,7 +597,14 @@ def test_lloyd_matches_exact_search(monkeypatch, name):
         assert any(p > 1 and rows == len(data) for p, rows in deferred)
     else:
         assert 0 < deferred[0][1] < len(data) and deferred[0][0] == 1
-    monkeypatch.setattr(codebook, "_nearest", lambda rows, *args: assign(rows, *args)[0])
+
+    def exact_search(rows, centroids, c2, lower=None):
+        # every row decided in float64, with the bound of a row left to _assign
+        if lower is not None:
+            lower.fill(0.0)
+        return assign(rows, centroids, c2)[0]
+
+    monkeypatch.setattr(codebook, "_nearest", exact_search)
     exact = train_codebook(data, k=k, seed=seed)
     assert screened.centroids.tobytes() == exact.centroids.tobytes()
 
@@ -655,7 +680,7 @@ def test_bounded_lloyd_skips_rows_and_matches_the_oracle(monkeypatch, name):
         return nearest(rows, *args)
 
     def counted_assign(rows, *args):
-        if rows.shape[0] == len(data) and len(args) == 2:
+        if rows.shape[0] == len(data):
             events.append(("reseed", None))
         return assign(rows, *args)
 
@@ -678,6 +703,33 @@ def test_bounded_lloyd_skips_rows_and_matches_the_oracle(monkeypatch, name):
         # the pass after a re-seed searches every row again
         at = passes.index(["reseed", None])
         assert at > 1 and passes[at + 1] == ["every", len(data)]
+
+
+def test_rows_left_to_assign_are_searched_in_the_next_pass(monkeypatch):
+    # the screen leaves some rows of this pool to _assign in the first pass;
+    # their bound is 0, so the second pass searches each of them again
+    data, k, seed = _lloyd_pool("fit-shaped")
+    index = {row.tobytes(): i for i, row in enumerate(data)}
+    assign, rows_to_search = codebook._assign, codebook._rows_to_search
+    deferred, searched = [], []
+
+    def counted_assign(rows, *args):
+        if not searched:  # the first pass, before any bounded one
+            deferred.extend(index[row.tobytes()] for row in rows)
+        return assign(rows, *args)
+
+    def counted_rows_to_search(*args):
+        blocks = rows_to_search(*args)
+        searched.append(set(np.concatenate(blocks).tolist()) if blocks else set())
+        return blocks
+
+    monkeypatch.setattr(codebook, "_assign", counted_assign)
+    monkeypatch.setattr(codebook, "_rows_to_search", counted_rows_to_search)
+    cb = train_codebook(data, k=k, seed=seed)
+    assert 0 < len(deferred) < len(data)
+    assert set(deferred) <= searched[0] and len(searched[0]) < len(data)
+    centroids, _ = lloyd_every_row(data, k, seed=seed)
+    assert cb.centroids.tobytes() == centroids.tobytes()
 
 
 def test_lloyd_after_the_cap_gives_no_pool_assignment():

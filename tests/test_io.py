@@ -363,8 +363,8 @@ def _tiny_bundle():
                 for cid in (0, 1)}
     bundle = ModelBundle(
         config=PipelineConfig(),
-        cb_static=Codebook(centroids=rng.random((4, 3)), descriptor_kind="static"),
-        cb_spacetime=Codebook(centroids=rng.random((3, 3)), descriptor_kind="spacetime"),
+        cb_static=Codebook(centroids=rng.random((4, 3))),
+        cb_spacetime=Codebook(centroids=rng.random((3, 3))),
         embedding=EmbeddingModel(w_x=rng.random((4, 2)), w_y=rng.random((3, 2)),
                                  mean_x=np.zeros(4), mean_y=np.zeros(3), c=2,
                                  epsilon=0.5, train_n=6),
@@ -393,13 +393,12 @@ def test_reloaded_bundle_quantizes_the_same(tmp_path):
 def test_codebook_norms_stay_out_of_equality_repr_and_hash():
     bundle = _tiny_bundle()
     cb = bundle.cb_static
-    same = Codebook(centroids=cb.centroids, descriptor_kind="static")
+    same = Codebook(centroids=cb.centroids)
     before = (compute_hash(bundle), repr(cb), cb == same)
     quantize(np.ones((2, 3)), cb)
     assert (compute_hash(bundle), repr(cb), cb == same) == before
     assert before[2]
-    assert [f.name for f in fields(Codebook)] == ["centroids", "descriptor_kind"]
-    assert cb != Codebook(centroids=cb.centroids, descriptor_kind="spacetime")
+    assert [f.name for f in fields(Codebook)] == ["centroids"]
 
 
 def test_codebook_equality_compares_centroid_values():
@@ -407,7 +406,6 @@ def test_codebook_equality_compares_centroid_values():
     assert Codebook(np.eye(2)) == Codebook(np.eye(2))
     assert Codebook(np.eye(2)) != Codebook(2.0 * np.eye(2))
     assert Codebook(np.eye(2)) != Codebook(np.eye(3))
-    assert Codebook(np.eye(2)) != Codebook(np.eye(2), descriptor_kind="spacetime")
     assert Codebook(np.eye(2)) != "codebook"
 
 

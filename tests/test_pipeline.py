@@ -249,12 +249,12 @@ def test_training_histograms_equal_a_search(workspace, monkeypatch, capped):
     quantize_planes = pipeline.quantize_planes
 
     def counted(planes, cb):
-        searched.append(cb.descriptor_kind)
+        searched.append(cb)
         return quantize_planes(planes, cb)
 
     monkeypatch.setattr(pipeline, "quantize_planes", counted)
     td = prepare_training_data(workspace["train"], workspace["cfg"], cache=workspace["cache"])
-    assert searched == (["static", "spacetime"] if capped else [])
+    assert searched == ([td.cb_static, td.cb_spacetime] if capped else [])
     for cb, pool in ((td.cb_static, sizes[0]), (td.cb_spacetime, sizes[1])):
         assert (cb.pool_assignment is not None
                 and len(cb.pool_assignment) == (pipeline.DESCRIPTOR_CAP if capped else pool))
