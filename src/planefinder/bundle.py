@@ -2,7 +2,7 @@
 
 import hashlib
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,10 +31,7 @@ class ModelBundle:
     content_hash: str = ""
 
     def with_hash(self):
-        return ModelBundle(config=self.config, cb_static=self.cb_static,
-                           cb_spacetime=self.cb_spacetime, embedding=self.embedding,
-                           classifier=self.classifier,
-                           content_hash=compute_hash(self))
+        return replace(self, content_hash=compute_hash(self))
 
 
 def _matrices(bundle):

@@ -298,15 +298,16 @@ def _corners(c, n):
     return (lo, w), (np.minimum(lo + 1, n - 1), 1.0 - w)
 
 
-def detect_spacetime_points(seq):
-    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t), as an
-    (n, 5) float64 array of rows (x, y, t, sigma_s, sigma_t).
+def detect_spacetime_points(frames):
+    """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t) of a
+    (T, H, W) stack, as an (n, 5) float64 array of rows (x, y, t, sigma_s,
+    sigma_t).
 
     A point is kept when its response reaches the threshold and equals the
     maximum of its 27 neighbours, gathered only for the pixels that reach it;
     t is clipped as mode="nearest" does, and the cleared 2-pixel border keeps
     y and x inside. The response is computed in the precision of the frames."""
-    frames = float_frames(seq.frames)
+    frames = float_frames(frames)
     t_count = frames.shape[0]
     if t_count < 5:
         raise FeatureError("need at least 5 frames for spatio-temporal detection")
@@ -348,14 +349,14 @@ N_AZIMUTH = 8
 N_ELEVATION = 3
 
 
-def describe_spacetime(seq, points):
-    """192-D descriptors of (n, 5) point rows (x, y, t, sigma_s, sigma_t):
-    2x2x2 spatio-temporal grid x 24-bin 3D orientation histogram over a
-    (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
+def describe_spacetime(frames, points):
+    """192-D descriptors of (n, 5) point rows (x, y, t, sigma_s, sigma_t) of
+    a (T, H, W) stack: 2x2x2 spatio-temporal grid x 24-bin 3D orientation
+    histogram over a (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
 
     Points whose windows share a shape are described together, in blocks
     whose gathers stay within SPACETIME_BLOCK_BYTES."""
-    frames = np.asarray(seq.frames, dtype=np.float64)
+    frames = np.asarray(frames, dtype=np.float64)
     if len(points) == 0:
         return []
     mag, code = _gradient_bins(frames)

@@ -1,6 +1,13 @@
 """Binary (P5) 8-bit PGM read/write for grayscale frames in [0,1]."""
 
+import re
+
 import numpy as np
+
+# Four header tokens, each after whitespace and '#' comments. A comment runs
+# to the end of its line and a token to the next whitespace: the lookaheads
+# keep either from ending early to make up four tokens the header lacks.
+_HEADER = re.compile(rb"(?:\s|#[^\n]*(?![^\n]))*([^\s#]\S*)(?!\S)" * 4)
 
 
 class PgmError(Exception):
@@ -13,32 +20,20 @@ def read_pgm(path):
             data = fh.read()
     except OSError as exc:
         raise PgmError("cannot read PGM %s: %s" % (path, exc)) from exc
-    tokens = []
-    i = 0
-    while len(tokens) < 4 and i < len(data):
-        if data[i:i + 1].isspace():
-            i += 1
-            continue
-        if data[i:i + 1] == b"#":
-            while i < len(data) and data[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < len(data) and not data[j:j + 1].isspace():
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    if len(tokens) < 4 or tokens[0] != b"P5":
+    header = _HEADER.match(data)
+    if header is None or header.group(1) != b"P5":
         raise PgmError("not a binary P5 PGM: %s" % path)
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+        width, height, maxval = (int(t) for t in header.groups()[1:])
     except ValueError as exc:
         raise PgmError("bad PGM header in %s: %s" % (path, exc)) from exc
     if width < 1 or height < 1:
         raise PgmError("PGM dimensions must be positive in %s" % path)
     if maxval != 255:
         raise PgmError("only 8-bit PGM supported")
-    pixels = np.frombuffer(data[i + 1:i + 1 + width * height], dtype=np.uint8)
+    # one whitespace byte ends the header
+    start = header.end() + 1
+    pixels = np.frombuffer(data[start:start + width * height], dtype=np.uint8)
     if pixels.size != width * height:
         raise PgmError("truncated PGM payload in %s" % path)
     return pixels.reshape(height, width).astype(np.float64) / 255.0

@@ -39,16 +39,15 @@ class EvaluationReport:
     top1: dict = field(default_factory=dict)
 
 
-def candidate_planes(vol, cfg):
-    return generate_candidates(vol, cfg.candidates_n, CANDIDATE_SEED,
+def candidate_planes(dims, cfg):
+    return generate_candidates(dims, cfg.candidates_n, CANDIDATE_SEED,
                                width=cfg.plane_size, height=cfg.plane_size)
 
 
 def _plane_sequence(vol, params):
     """The plane resampled in float64 and held in float32: smoothing, DoG and
     Harris3D run in float32, the describers in float64."""
-    seq = extract_plane_sequence(vol, params)
-    return PlaneSequence(params=params, frames=seq.frames.astype(np.float32))
+    return PlaneSequence(extract_plane_sequence(vol, params).frames.astype(np.float32))
 
 
 def sequence_descriptors(vol, params, cfg):
@@ -58,8 +57,8 @@ def sequence_descriptors(vol, params, cfg):
     kps = detect_static_keypoints(seq.frames)
     static = [d for d in describe_static(seq.frames, kps) if not d.degenerate]
     if seq.n_frames >= 5:
-        pts = detect_spacetime_points(seq)
-        spacetime = [d for d in describe_spacetime(seq, pts) if not d.degenerate]
+        pts = detect_spacetime_points(seq.frames)
+        spacetime = [d for d in describe_spacetime(seq.frames, pts) if not d.degenerate]
     else:
         spacetime = []
     return static, spacetime
@@ -89,7 +88,7 @@ class VolumeFeatureCache:
 
     def candidates(self, path):
         if path not in self._cands:
-            self._cands[path] = candidate_planes(self.volume(path), self.cfg)
+            self._cands[path] = candidate_planes(self.volume(path).dims, self.cfg)
         return self._cands[path]
 
     def descriptors(self, path, cand_index):
@@ -175,9 +174,7 @@ def compute_codes(x, y, emb, view):
 def train_from_data(td, cfg):
     emb = fit_embedding(td.x, td.y, td.similarity, cfg.embed_c)
     codes = compute_codes(td.x, td.y, emb, cfg.view)
-    scaler = fit_scaler(codes)
-    clf = train_multiclass(codes, td.plane_classes, c=cfg.svm_c,
-                           kernel=cfg.kernel, scaler=scaler)
+    clf = train_multiclass(codes, td.plane_classes, c=cfg.svm_c, kernel=cfg.kernel)
     return ModelBundle(config=cfg, cb_static=td.cb_static,
                        cb_spacetime=td.cb_spacetime, embedding=emb,
                        classifier=clf).with_hash()
@@ -190,20 +187,17 @@ def train_pipeline(manifest, cfg, cache=None):
     return train_from_data(td, cfg)
 
 
-def candidate_codes(vol, bundle, cache_descs=None):
-    """Codes of every candidate plane of `vol`, one row per candidate. The
-    candidates are generated and described only when `cache_descs` (one
-    descriptor pair per candidate) is not given."""
-    cfg = bundle.config
-    if cache_descs is None:
-        cache_descs = [sequence_descriptors(vol, p, cfg)
-                       for p in candidate_planes(vol, cfg)]
-    x, y = bow_features(cache_descs, bundle.cb_static, bundle.cb_spacetime)
-    return compute_codes(x, y, bundle.embedding, cfg.view)
+def candidate_codes(descs, bundle):
+    """Codes of a volume's candidate planes, one row per (static, spacetime)
+    descriptor pair."""
+    x, y = bow_features(descs, bundle.cb_static, bundle.cb_spacetime)
+    return compute_codes(x, y, bundle.embedding, bundle.config.view)
 
 
 def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
     """Rank all candidate planes of a volume by one class's decision value.
+    The candidates are generated and described only when `cache_descs` (one
+    descriptor pair per candidate) is not given.
 
     Ties break toward the lower candidate index.
     """
@@ -211,7 +205,10 @@ def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
         raise PipelineError("top_k must be >= 1")
     if plane_class not in bundle.classifier.class_ids:
         raise PipelineError("no machine for plane class %r" % plane_class)
-    codes = candidate_codes(vol, bundle, cache_descs=cache_descs)
+    if cache_descs is None:
+        cache_descs = [sequence_descriptors(vol, p, bundle.config)
+                       for p in candidate_planes(vol.dims, bundle.config)]
+    codes = candidate_codes(cache_descs, bundle)
     scores = decision_values(bundle.classifier.machines[plane_class], codes)
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(i), float(scores[i])) for i in order[:min(top_k, len(scores))]]
@@ -284,9 +281,7 @@ def evaluate_volumes(bundle, manifest, cache=None):
     ground-truth one."""
     manifest.validate(candidate_count=bundle.config.candidates_n)
     cache = cache or VolumeFeatureCache(bundle.config)
-    codes = {v: candidate_codes(cache.volume(v), bundle,
-                                cache_descs=cache.all_descriptors(v))
-             for v in manifest.volumes}
+    codes = {v: candidate_codes(cache.all_descriptors(v), bundle) for v in manifest.volumes}
     return _score(bundle.classifier, manifest, volume_codes=codes)
 
 

@@ -134,5 +134,4 @@ def _laplacian_symbol(ny, nx, dtype):
 def smooth_sequence(seq, lam=LAM):
     """Filter every frame of a plane sequence independently, in the precision
     of its frames (float32 in the pipeline)."""
-    frames = _l0_smooth_stack(seq.frames, lam)
-    return PlaneSequence(params=seq.params, frames=frames)
+    return PlaneSequence(_l0_smooth_stack(seq.frames, lam))

@@ -8,15 +8,10 @@ import numpy as np
 from .manifest import DatasetManifest, ManifestRecord, write_manifest
 from .phantom import PhantomSpec, synth_phantom
 from .pipeline import candidate_planes
-from .volume import Volume4D, plane_angle, plane_offset, save_volume
+from .volume import plane_angle, plane_offset, save_volume
 
 GT_ANGLE_GUARD = math.radians(10.0)
 GT_OFFSET_GUARD = 5.0
-
-
-def _reference_candidates(dims, cfg):
-    probe = Volume4D(voxels=np.zeros((1,) + tuple(reversed(dims)), dtype=np.uint8))
-    return candidate_planes(probe, cfg)
 
 
 def _pick_class_planes(cands, class_count, rng, dims, min_angle=math.radians(25.0),
@@ -47,8 +42,7 @@ def write_planes_sidecar(path, gt_planes):
     with open(path, "w") as fh:
         for cid in sorted(gt_planes):
             p = gt_planes[cid]
-            fh.write("%d %g %g %g %g %g %g %g %g %g\n"
-                     % ((cid,) + p.origin + p.axis_u + p.axis_v))
+            fh.write(("%d" + " %.17g" * 9 + "\n") % ((cid,) + p.origin + p.axis_u + p.axis_v))
 
 
 def build_phantom_dataset(out_dir, n_volumes, seed, cfg, class_count=3,
@@ -60,7 +54,7 @@ def build_phantom_dataset(out_dir, n_volumes, seed, cfg, class_count=3,
     Returns (train_manifest_path, test_manifest_path).
     """
     os.makedirs(out_dir, exist_ok=True)
-    cands = _reference_candidates(dims, cfg)
+    cands = candidate_planes(dims, cfg)
     n_plane = class_count + 1
     train_records = []
     test_records = []

@@ -140,7 +140,6 @@ class PlaneSequence:
     """Per-frame resampled images of one plane; frames shape (T, height, width),
     float32 frames kept as float32 and any others held as float64."""
 
-    params: PlaneParams
     frames: np.ndarray
 
     def __post_init__(self):
@@ -270,7 +269,7 @@ def extract_plane_sequence(vol, params):
         term *= weights[corner[1]][1]
         term *= weights[corner[2]][2]
         frames += term
-    return PlaneSequence(params=params, frames=frames.reshape(-1, params.height, params.width))
+    return PlaneSequence(frames.reshape(-1, params.height, params.width))
 
 
 def _orthobasis(normal, roll=0.0):
@@ -298,19 +297,17 @@ def plane_from_center(center, normal, width=128, height=128, roll=0.0):
                        width=width, height=height)
 
 
-def generate_candidates(vol, n, seed, width=128, height=128):
-    """Enumerate n candidate planes: Fibonacci-lattice hemisphere orientations
-    crossed with evenly spaced offsets along each normal.
-
-    Depends only on (dims, n, seed); intensity content is ignored.
-    """
+def generate_candidates(dims, n, seed, width=128, height=128):
+    """Enumerate n candidate planes of a volume with dims (nx, ny, nz):
+    Fibonacci-lattice hemisphere orientations crossed with evenly spaced
+    offsets along each normal."""
     if n < 1:
         raise VolumeError("need n >= 1 candidates")
     if n > CANDIDATE_CAPACITY:
         raise VolumeError(
             "n=%d exceeds the candidate grid capacity of %d" % (n, CANDIDATE_CAPACITY)
         )
-    nx, ny, nz = vol.dims
+    nx, ny, nz = dims
     center = np.array([(nx - 1) / 2.0, (ny - 1) / 2.0, (nz - 1) / 2.0])
     half = 0.3 * (min(nx, ny, nz) - 1)
 

@@ -4,8 +4,9 @@ Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
 per-frame plane sampler, the L0 loop with every step solved (and one
-screened-Poisson solve, also as a step with a complex division), and the
-synthetic timing workload of criterion 7.
+screened-Poisson solve, also as a step with a complex division), the PGM
+header tokenized byte by byte, and the synthetic timing workload of
+criterion 7.
 """
 
 import time
@@ -179,6 +180,28 @@ def sample_plane(vol, params, frame):
         raise VolumeError("frame %d out of range [0, %d)" % (frame, vol.n_frames))
     return ndimage.map_coordinates(vol.voxels[frame], _plane_coords(params), order=1,
                                    mode="grid-constant", cval=0.0)
+
+
+def pgm_header_tokens(data):
+    """Up to four PGM header tokens, read one byte at a time, and the offset
+    just past the last one read. Whitespace separates tokens, and a '#' that
+    does not continue a token starts a comment running to the next newline."""
+    tokens = []
+    i = 0
+    while len(tokens) < 4 and i < len(data):
+        if data[i:i + 1].isspace():
+            i += 1
+            continue
+        if data[i:i + 1] == b"#":
+            while i < len(data) and data[i] != 0x0A:
+                i += 1
+            continue
+        j = i
+        while j < len(data) and not data[j:j + 1].isspace():
+            j += 1
+        tokens.append(data[i:j])
+        i = j
+    return tokens, i
 
 
 def benchmark_representations(n_train=200, n_test=2000, d_static=5000,

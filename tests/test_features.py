@@ -14,7 +14,7 @@ from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DI
                                   detect_spacetime_points, detect_static_keypoints)
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import smooth_sequence
-from planefinder.volume import PlaneParams, PlaneSequence, Volume4D, extract_plane_sequence
+from planefinder.volume import Volume4D, extract_plane_sequence
 
 
 def blob_image(centers, sigma=2.5, amp=1.0, size=64):
@@ -23,12 +23,6 @@ def blob_image(centers, sigma=2.5, amp=1.0, size=64):
     for cx, cy in centers:
         img += amp * np.exp(-((xx - cx) ** 2 + (yy - cy) ** 2) / (2 * sigma ** 2))
     return img
-
-
-def _sequence(frames):
-    p = PlaneParams(origin=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                    width=frames.shape[2], height=frames.shape[1])
-    return PlaneSequence(params=p, frames=frames)
 
 
 @pytest.mark.parametrize("shape, sigmas", [
@@ -163,12 +157,12 @@ def test_descriptor_rotation_covariant():
 def test_spacetime_needs_five_frames():
     frames = np.zeros((4, 48, 48))
     with pytest.raises(FeatureError):
-        detect_spacetime_points(_sequence(frames))
+        detect_spacetime_points(frames)
 
 
 def test_static_sequence_no_spacetime_points():
     frame = blob_image([(20, 20), (36, 30)], size=48)
-    pts = detect_spacetime_points(_sequence(np.stack([frame] * 6)))
+    pts = detect_spacetime_points(np.stack([frame] * 6))
     assert pts.shape == (0, 5) and pts.dtype == np.float64
 
 
@@ -178,7 +172,7 @@ def test_pulsating_blob_detected():
         blob_image([(24, 24)], sigma=3.0, size=size,
                    amp=0.6 + 0.4 * math.sin(2 * math.pi * t / t_count))
         for t in range(t_count)])
-    pts = detect_spacetime_points(_sequence(frames))
+    pts = detect_spacetime_points(frames)
     assert len(pts)
     assert np.hypot(pts[:, 0] - 24, pts[:, 1] - 24).min() <= 4.0
 
@@ -189,9 +183,8 @@ def test_spacetime_descriptor_shape_and_norm():
         blob_image([(24, 24)], sigma=3.0, size=size,
                    amp=0.6 + 0.4 * math.sin(2 * math.pi * t / t_count))
         for t in range(t_count)])
-    seq = _sequence(frames)
-    pts = detect_spacetime_points(seq)
-    descs = [d for d in describe_spacetime(seq, pts) if not d.degenerate]
+    pts = detect_spacetime_points(frames)
+    descs = [d for d in describe_spacetime(frames, pts) if not d.degenerate]
     assert descs
     for d in descs:
         assert d.values.shape == (SPACETIME_DESCRIPTOR_DIM,)
@@ -199,23 +192,23 @@ def test_spacetime_descriptor_shape_and_norm():
 
 
 def test_spacetime_descriptor_flat_degenerate():
-    seq = _sequence(np.full((6, 48, 48), 0.3))
-    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 2.0]]))
+    frames = np.full((6, 48, 48), 0.3)
+    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 2.0]]))
     assert d.degenerate
 
 
 def test_spacetime_descriptor_window_outside():
-    seq = _sequence(np.zeros((6, 48, 48)))
+    frames = np.zeros((6, 48, 48))
     with pytest.raises(FeatureError):
-        describe_spacetime(seq, np.array([[500.0, 24.0, 3.0, 2.0, 2.0]]))
+        describe_spacetime(frames, np.array([[500.0, 24.0, 3.0, 2.0, 2.0]]))
 
 
 def test_spacetime_inplane_gradient_hits_middle_elevation():
     # frames constant in t, ramp in x: all gradient energy is in-plane and
     # points along +x, so only azimuth bin 0 of the middle elevation fires
     ramp = np.tile(np.linspace(0, 1, 48), (48, 1))
-    seq = _sequence(np.stack([ramp] * 6))
-    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
+    frames = np.stack([ramp] * 6)
+    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)  # (cells, elevation*azimuth)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert nz.tolist() == [1 * 8 + 0]
@@ -223,8 +216,7 @@ def test_spacetime_inplane_gradient_hits_middle_elevation():
 
 def test_spacetime_temporal_gradient_hits_top_elevation():
     frames = np.stack([np.full((48, 48), t / 5.0) for t in range(6)])
-    seq = _sequence(frames)
-    (d,) = describe_spacetime(seq, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
+    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert all(b >= 2 * 8 for b in nz)
@@ -348,8 +340,8 @@ def _reference_orientation(img, x, y, sigma, n_bins=36):
     return (int(np.argmax(hist)) + 0.5) * 2.0 * math.pi / n_bins
 
 
-def _reference_spacetime_points(seq):
-    frames = np.asarray(seq.frames, dtype=np.float64)
+def _reference_spacetime_points(frames):
+    frames = np.asarray(frames, dtype=np.float64)
     points = []
     for sigma_s, sigma_t in features.SPACETIME_SCALES:
         response = features._harris_response(frames, (sigma_t, sigma_s, sigma_s),
@@ -464,8 +456,7 @@ def test_spacetime_points_match_filter_reference(monkeypatch):
         blob_image([(12, 14)], sigma=2.0, size=size, amp=0.6 + 0.4 * math.cos(t))
         + blob_image([(24, 20)], sigma=3.0, size=size, amp=0.5 + 0.5 * math.sin(2 * t))
         for t in range(t_count)]) + 0.02 * rng.random((t_count, size, size))
-    seq = _sequence(frames)
-    assert np.array_equal(detect_spacetime_points(seq), _reference_spacetime_points(seq))
+    assert np.array_equal(detect_spacetime_points(frames), _reference_spacetime_points(frames))
     # responses from a few levels: plateaus, ties and maxima at t = 0 and
     # t = T - 1, where the neighbourhood is clipped in t
     # (the threshold, mean + 3 std, falls between 1 and 2, so a kept 2 must
@@ -474,8 +465,8 @@ def test_spacetime_points_match_filter_reference(monkeypatch):
                            p=[0.03, 0.9, 0.03, 0.02, 0.02])
     monkeypatch.setattr(features, "_harris_response", lambda *args: responses)
     monkeypatch.setattr(features, "SPACETIME_SCALES", ((2.0, 2.0),))
-    points = detect_spacetime_points(seq)
-    assert np.array_equal(points, _reference_spacetime_points(seq))
+    points = detect_spacetime_points(frames)
+    assert np.array_equal(points, _reference_spacetime_points(frames))
     assert {0.0, t_count - 1.0} <= set(points[:, 2])
     x, y, t = points[:, :3].astype(int).T
     assert {2.0, 3.0} <= set(responses[t, y, x])
@@ -498,7 +489,7 @@ def _spacetime_cases():
 def test_spacetime_descriptors_match_reference():
     # windows crossing t = 0, t = T - 1 and every image edge, at all scales
     frames, points = _spacetime_cases()
-    got = describe_spacetime(_sequence(frames), points)
+    got = describe_spacetime(frames, points)
     expected = [_reference_spacetime_descriptor(frames, pt) for pt in points]
     assert [d.degenerate for d in got] == [e is None for e in expected]
     assert 0 < sum(e is None for e in expected) < len(points)
@@ -507,16 +498,15 @@ def test_spacetime_descriptors_match_reference():
     # alone, a point's window is cut to the t-offsets that reach the
     # sequence from its own centre, mostly on one side of it
     for pt, d in zip(points, got):
-        (alone,) = describe_spacetime(_sequence(frames), pt[None])
+        (alone,) = describe_spacetime(frames, pt[None])
         assert alone.degenerate == d.degenerate and np.array_equal(alone.values, d.values)
 
 
 def test_spacetime_descriptors_one_point_blocks(monkeypatch):
     frames, points = _spacetime_cases()
-    seq = _sequence(frames)
-    whole = describe_spacetime(seq, points)
+    whole = describe_spacetime(frames, points)
     monkeypatch.setattr(features, "SPACETIME_BLOCK_BYTES", 1)
-    for a, b in zip(whole, describe_spacetime(seq, points)):
+    for a, b in zip(whole, describe_spacetime(frames, points)):
         assert a.degenerate == b.degenerate
         assert np.array_equal(a.values, b.values)
 
@@ -720,8 +710,8 @@ def test_no_points_no_descriptors():
     # the empty arrays a flat stack and a sequence constant in t give
     frames = np.full((2, 64, 64), 0.5)
     assert describe_static(frames, detect_static_keypoints(frames)) == []
-    seq = _sequence(np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6))
-    assert describe_spacetime(seq, detect_spacetime_points(seq)) == []
+    still = np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6)
+    assert describe_spacetime(still, detect_spacetime_points(still)) == []
 
 
 def test_float32_frames_keep_desk_phantom_points():
@@ -737,6 +727,6 @@ def test_float32_frames_keep_desk_phantom_points():
         kps = detect_static_keypoints(single.frames)
         assert len(kps) > 50
         assert np.array_equal(kps[:, :4], detect_static_keypoints(double.frames)[:, :4])
-        pts = detect_spacetime_points(single)
+        pts = detect_spacetime_points(single.frames)
         assert len(pts) > 10
-        assert np.array_equal(pts, detect_spacetime_points(double))
+        assert np.array_equal(pts, detect_spacetime_points(double.frames))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import pgm_header_tokens
 from planefinder import matio, pgm
 from planefinder.bundle import (BundleError, ModelBundle, compute_hash, load_bundle,
                                save_bundle)
@@ -84,6 +85,36 @@ def test_pgm_comment_and_errors(tmp_path):
     (tmp_path / "bad.pgm").write_bytes(b"P2\n2 2\n255\n")
     with pytest.raises(pgm.PgmError):
         pgm.read_pgm(str(tmp_path / "bad.pgm"))
+
+
+def test_pgm_comment_to_end_of_file_and_hash_inside_a_token(tmp_path):
+    # a comment with no newline runs to the end of the file: three tokens
+    (tmp_path / "a.pgm").write_bytes(b"P5 1 1 #255")
+    with pytest.raises(pgm.PgmError, match="not a binary P5"):
+        pgm.read_pgm(str(tmp_path / "a.pgm"))
+    # a '#' inside a token belongs to it and starts no comment
+    (tmp_path / "b.pgm").write_bytes(b"P5 1#1 1 255\n\x00")
+    with pytest.raises(pgm.PgmError, match="bad PGM header"):
+        pgm.read_pgm(str(tmp_path / "b.pgm"))
+
+
+_PGM_HEADER_BYTES = st.lists(st.sampled_from(
+    [b" ", b"\n", b"\r", b"\t", b"\x0b", b"#", b"P5", b"1", b"25", b"x", b"\x00"]),
+    max_size=24).map(b"".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_PGM_HEADER_BYTES, st.binary(max_size=40)))
+@example(b"P5 1 1 #255")
+@example(b"P5 1#1 1 255\n\x00")
+@example(b"P5 25 1")
+def test_pgm_header_pattern_matches_bytewise_tokenizer(data):
+    tokens, end = pgm_header_tokens(data)
+    header = pgm._HEADER.match(data)
+    if len(tokens) < 4:
+        assert header is None
+    else:
+        assert list(header.groups()) == tokens and header.end() == end
 
 
 def test_pgm_missing_file(tmp_path):

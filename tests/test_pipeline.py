@@ -19,6 +19,7 @@ from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_feature
                                   sequence_descriptors, train_from_data,
                                   train_pipeline, _f1)
 from planefinder.synth import build_phantom_dataset
+from planefinder.volume import PlaneParams, load_volume
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
 
@@ -60,6 +61,27 @@ def test_dataset_ground_truth_unique_per_class(workspace):
         for vol in m.volumes:
             for cls in (0, 1):
                 assert len(m.ground_truth(vol, cls)) == 1
+
+
+def test_sidecar_planes_are_the_ground_truth_candidates(tmp_path):
+    # non-cubic dims: candidates built from (nz, ny, nx) or any other axis
+    # order would differ from the ones the sidecar was written from
+    cfg = PipelineConfig(candidates_n=16, plane_size=64)
+    paths = build_phantom_dataset(str(tmp_path), 2, 1, cfg, dims=(64, 56, 72), n_frames=5)
+    checked = 0
+    for rec in (r for path in paths for r in read_manifest(path).records):
+        if rec.plane_class < 0:
+            continue
+        with open(rec.volume.replace(".vol4", ".planes")) as fh:
+            rows = [[float(s) for s in line.split()] for line in fh]
+        sidecar = {int(r[0]): PlaneParams(origin=tuple(r[1:4]), axis_u=tuple(r[4:7]),
+                                          axis_v=tuple(r[7:10]), width=cfg.plane_size,
+                                          height=cfg.plane_size)
+                   for r in rows}
+        cands = pipeline.candidate_planes(load_volume(rec.volume).dims, cfg)
+        assert cands[rec.cand_index] == sidecar[rec.plane_class]
+        checked += 1
+    assert checked == 6
 
 
 def test_training_deterministic(workspace):
@@ -308,8 +330,10 @@ def test_candidate_codes_cover_all_candidates(workspace, monkeypatch):
         raise AssertionError("cached descriptors need no candidate generation")
 
     monkeypatch.setattr(pipeline, "generate_candidates", no_candidates)
-    codes = candidate_codes(cache.volume(vol_path), workspace["bundle"], cache_descs=descs)
-    assert codes.shape[0] == 15
+    ranking = locate_standard_planes(cache.volume(vol_path), workspace["bundle"], 0, top_k=15,
+                                     cache_descs=descs)
+    assert sorted(i for i, _ in ranking) == list(range(15))
+    codes = candidate_codes(descs, workspace["bundle"])
     assert codes.shape == (15, workspace["bundle"].embedding.c)
 
 

@@ -10,7 +10,7 @@ from planefinder.smoothing import (BETA_MAX, KAPPA, LAM, SmoothingError, _l0_smo
                                    _laplacian_symbol, _poisson_solve, forward_diff,
                                    divergence, l0_smooth, smooth_sequence,
                                    threshold_gradients)
-from planefinder.volume import PlaneParams, PlaneSequence, extract_plane_sequence
+from planefinder.volume import PlaneSequence, extract_plane_sequence
 
 
 def step_image(rng, sigma=0.05):
@@ -22,7 +22,7 @@ def step_image(rng, sigma=0.05):
 def test_invalid_config():
     # lam must lie in (0, BETA_MAX / 2); NaN fails both comparisons
     img = np.random.default_rng(0).random((32, 32))
-    seq = _sequence(img[None])
+    seq = PlaneSequence(img[None])
     for lam in (np.nan, np.inf, 0.0, -1.0, BETA_MAX / 2):
         with pytest.raises(SmoothingError, match="lambda"):
             l0_smooth(img, lam)
@@ -157,31 +157,24 @@ def test_steps_that_keep_nothing_skip_no_bits(monkeypatch, dtype, jump, empty_fi
     assert got.tobytes() == l0_smooth_every_step(imgs, LAM).tobytes()
 
 
-def _sequence(frames):
-    p = PlaneParams(origin=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(0, 1, 0),
-                    width=frames.shape[2], height=frames.shape[1])
-    return PlaneSequence(params=p, frames=frames)
-
-
 def test_smooth_sequence_identical_frames():
     frame = np.random.default_rng(4).random((32, 32))
-    seq = _sequence(np.stack([frame, frame]))
+    seq = PlaneSequence(np.stack([frame, frame]))
     out = smooth_sequence(seq, 0.02)
     assert np.array_equal(out.frames[0], out.frames[1])
-    assert out.params == seq.params
 
 
 def test_smooth_single_frame_matches_l0():
     frame = np.random.default_rng(5).random((32, 32))
-    out = smooth_sequence(_sequence(frame[None]), 0.02)
+    out = smooth_sequence(PlaneSequence(frame[None]), 0.02)
     assert np.array_equal(out.frames[0], l0_smooth(frame, 0.02))
 
 
 def test_smooth_commutes_with_frame_permutation():
     frames = np.random.default_rng(6).random((3, 32, 32))
     perm = [2, 0, 1]
-    a = smooth_sequence(_sequence(frames[perm]), 0.02).frames
-    b = smooth_sequence(_sequence(frames), 0.02).frames[perm]
+    a = smooth_sequence(PlaneSequence(frames[perm]), 0.02).frames
+    b = smooth_sequence(PlaneSequence(frames), 0.02).frames[perm]
     assert np.array_equal(a, b)
 
 
@@ -209,7 +202,7 @@ def _reference_l0(img, lam):
 @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 33, 47), (3, 32, 31), (1, 40, 40)])
 def test_batched_real_fft_matches_complex_reference(shape):
     frames = np.random.default_rng(7).random(shape)
-    out = smooth_sequence(_sequence(frames), 0.02).frames
+    out = smooth_sequence(PlaneSequence(frames), 0.02).frames
     ref = np.stack([_reference_l0(f, 0.02) for f in frames])
     assert np.abs(out - ref).max() <= 1e-11
 

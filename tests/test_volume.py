@@ -440,30 +440,27 @@ def test_phantom_sequence_pulsates():
 
 
 def test_candidates_deterministic():
-    vol = Volume4D(voxels=np.zeros((1, 32, 32, 32)))
-    a = generate_candidates(vol, 50, seed=9, width=32, height=32)
-    b = generate_candidates(vol, 50, seed=9, width=32, height=32)
+    a = generate_candidates((32, 32, 32), 50, seed=9, width=32, height=32)
+    b = generate_candidates((32, 32, 32), 50, seed=9, width=32, height=32)
     assert a == b
 
 
 def test_candidates_content_invariant():
     dims = np.zeros((1, 32, 32, 32))
-    a = generate_candidates(Volume4D(voxels=dims), 40, seed=1, width=32, height=32)
-    b = generate_candidates(Volume4D(voxels=np.random.default_rng(0).random(dims.shape)),
+    a = generate_candidates(Volume4D(voxels=dims).dims, 40, seed=1, width=32, height=32)
+    b = generate_candidates(Volume4D(voxels=np.random.default_rng(0).random(dims.shape)).dims,
                             40, seed=1, width=32, height=32)
     assert a == b
 
 
 def test_candidate_centers_inside_volume():
-    vol = Volume4D(voxels=np.zeros((1, 40, 48, 56)))
-    for p in generate_candidates(vol, 400, seed=0, width=48, height=48):
+    for p in generate_candidates((56, 48, 40), 400, seed=0, width=48, height=48):
         c = p.center
         assert 0 <= c[0] <= 55 and 0 <= c[1] <= 47 and 0 <= c[2] <= 39
 
 
 def test_candidate_orientations_distinct():
-    vol = Volume4D(voxels=np.zeros((1, 32, 32, 32)))
-    cands = generate_candidates(vol, 400, seed=0, width=32, height=32)
+    cands = generate_candidates((32, 32, 32), 400, seed=0, width=32, height=32)
     normals = {tuple(np.round(p.normal, 12)) for p in cands}
     # 400 planes over 80 orientations x 5 offsets
     assert len(normals) == 80
@@ -474,9 +471,8 @@ def test_candidate_orientations_distinct():
 
 
 def test_candidate_capacity_error():
-    vol = Volume4D(voxels=np.zeros((1, 32, 32, 32)))
     with pytest.raises(VolumeError, match=str(CANDIDATE_CAPACITY)):
-        generate_candidates(vol, CANDIDATE_CAPACITY + 1, seed=0)
+        generate_candidates((32, 32, 32), CANDIDATE_CAPACITY + 1, seed=0)
 
 
 def test_plane_params_validation():
