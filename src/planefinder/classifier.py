@@ -159,17 +159,14 @@ def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
 
 
 def decision_values(model, z):
-    """Decision function for one vector or a stack of vectors."""
+    """Decision values of a (n, d) stack of feature rows, one per row."""
     z = np.asarray(z, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
-    if z.shape[1] != model.support_vectors.shape[1]:
-        raise ClassifierError("feature dimension mismatch")
+    if z.ndim != 2 or z.shape[1] != model.support_vectors.shape[1]:
+        raise ClassifierError("features must be a 2-D stack of width %d, got shape %s"
+                              % (model.support_vectors.shape[1], z.shape))
     zs = apply_scaler(z, model.scaler)
     k = kernel_matrix(zs, model.support_vectors, model.kernel)
-    f = k @ model.dual_coefs + model.bias
-    return float(f[0]) if single else f
+    return k @ model.dual_coefs + model.bias
 
 
 def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):

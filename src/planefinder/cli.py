@@ -3,14 +3,12 @@
 import argparse
 import sys
 
-import numpy as np
-
 from . import pgm
 from .bundle import load_bundle, save_bundle
 from .config import PipelineConfig, load_config
 from .manifest import read_manifest
-from .pipeline import (VolumeFeatureCache, dump_keypoint_overlays, evaluate_synthetic,
-                       evaluate_volumes, locate_standard_planes, train_pipeline)
+from .pipeline import (dump_keypoint_overlays, evaluate_synthetic, evaluate_volumes,
+                       locate_standard_planes, train_pipeline)
 from .smoothing import LAM, l0_smooth
 from .synth import build_phantom_dataset
 from .volume import load_volume
@@ -21,7 +19,7 @@ def _add_config_arg(p):
 
 
 def _load_cfg(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     return PipelineConfig()
 
@@ -67,14 +65,13 @@ def cmd_locate(args):
 def cmd_eval(args):
     bundle = load_bundle(args.bundle)
     manifest = read_manifest(args.manifest)
-    cache = VolumeFeatureCache(bundle.config)
     if args.mode == "synthetic":
-        report = evaluate_synthetic(bundle, manifest, cache=cache)
+        report = evaluate_synthetic(bundle, manifest)
         rows = [("class", "condition", "accuracy")]
         for (cid, cond), acc in sorted(report.accuracy.items()):
             rows.append((cid, cond, "%.4f" % acc))
     else:
-        report = evaluate_volumes(bundle, manifest, cache=cache)
+        report = evaluate_volumes(bundle, manifest)
         rows = [("class", "mean_f1", "top1_hit_rate")]
         for cid, f1 in sorted(report.f1.items()):
             rows.append((cid, "%.4f" % f1, "%.4f" % report.top1[cid]))
@@ -91,8 +88,7 @@ def cmd_keypoints(args):
 
 def cmd_smooth(args):
     img = pgm.read_pgm(args.infile)
-    out = l0_smooth(img, args.lam)
-    pgm.write_pgm(args.outfile, np.clip(out, 0.0, 1.0))
+    pgm.write_pgm(args.outfile, l0_smooth(img, args.lam))
     print("wrote %s" % args.outfile)
 
 

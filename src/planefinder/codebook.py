@@ -26,7 +26,7 @@ class CodebookWarning(UserWarning):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     centroids: np.ndarray
 
@@ -38,18 +38,13 @@ class Codebook:
         c.flags.writeable = False
         object.__setattr__(self, "centroids", c)
         # squared centroid norms for the search, computed once; not a field, so
-        # equality, repr and the bundle hash see only the centroids
+        # repr and the bundle hash see only the centroids
         c2 = (c ** 2).sum(axis=1)
         c2.flags.writeable = False
         object.__setattr__(self, "_sq_norms", c2)
         # train_codebook's converged assignment of its pool, None for a
         # codebook built from centroids alone; not a field either
         object.__setattr__(self, "pool_assignment", None)
-
-    def __eq__(self, other):
-        if not isinstance(other, Codebook):
-            return NotImplemented
-        return np.array_equal(self.centroids, other.centroids)
 
     @property
     def k(self):

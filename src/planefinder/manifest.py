@@ -62,7 +62,7 @@ class DatasetManifest:
         """Candidate indices labeled as that standard plane in a volume."""
         return list(self._truth.get((volume, plane_class), ()))
 
-    def validate(self, candidate_count=None):
+    def validate(self, candidate_count):
         if not self.records:
             raise ManifestError("empty manifest")
         exists = {}
@@ -71,8 +71,7 @@ class DatasetManifest:
                 exists[r.volume] = os.path.exists(r.volume)
             if not exists[r.volume]:
                 raise ManifestError("missing volume file %s" % r.volume)
-            if r.cand_index < 0 or (candidate_count is not None
-                                    and r.cand_index >= candidate_count):
+            if not 0 <= r.cand_index < candidate_count:
                 raise ManifestError(
                     "candidate index %d out of range for %s" % (r.cand_index, r.volume)
                 )

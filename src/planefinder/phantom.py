@@ -15,7 +15,7 @@ from .volume import Volume4D, VolumeError, plane_from_center
 # Primitive tuples:
 #   ("blob", du, dv, sigma, amp)
 #   ("bar",  du, dv, length_sigma, thickness_sigma, angle, amp)
-#   ("ring", radius, radial_sigma, amp)
+#   ("ring", radius, radial_sigma, amp, du, dv)
 # Index 0 is the primitive perturbed in abnormal volumes.
 def _hexagon(radius):
     return [(radius * math.cos(math.pi * k / 3.0),

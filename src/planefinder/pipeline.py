@@ -18,7 +18,7 @@ from .features import (describe_spacetime, describe_static, detect_spacetime_poi
                        detect_static_keypoints)
 from .smoothing import smooth_sequence
 from .volume import (PlaneSequence, extract_plane_sequence, generate_candidates,
-                     load_volume)
+                     load_volume, plane_from_center)
 
 KMEANS_SEED = 7
 POOL_SEED = 11  # the space-time pool draws with POOL_SEED + 1
@@ -40,8 +40,7 @@ class EvaluationReport:
 
 
 def candidate_planes(dims, cfg):
-    return generate_candidates(dims, cfg.candidates_n, CANDIDATE_SEED,
-                               width=cfg.plane_size, height=cfg.plane_size)
+    return generate_candidates(dims, cfg.candidates_n, CANDIDATE_SEED, cfg.plane_size)
 
 
 def _plane_sequence(vol, params):
@@ -50,7 +49,7 @@ def _plane_sequence(vol, params):
     return PlaneSequence(extract_plane_sequence(vol, params).frames.astype(np.float32))
 
 
-def sequence_descriptors(vol, params, cfg):
+def sequence_descriptors(vol, params):
     """Full feature path for one candidate plane: resample, smooth, detect and
     describe both feature kinds. Degenerate descriptors are dropped."""
     seq = smooth_sequence(_plane_sequence(vol, params))
@@ -96,7 +95,7 @@ class VolumeFeatureCache:
         if key not in self._descs:
             vol = self.volume(path)
             params = self.candidates(path)[cand_index]
-            self._descs[key] = sequence_descriptors(vol, params, self.cfg)
+            self._descs[key] = sequence_descriptors(vol, params)
         return self._descs[key]
 
     def all_descriptors(self, path):
@@ -206,7 +205,7 @@ def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
     if plane_class not in bundle.classifier.class_ids:
         raise PipelineError("no machine for plane class %r" % plane_class)
     if cache_descs is None:
-        cache_descs = [sequence_descriptors(vol, p, bundle.config)
+        cache_descs = [sequence_descriptors(vol, p)
                        for p in candidate_planes(vol.dims, bundle.config)]
     codes = candidate_codes(cache_descs, bundle)
     scores = decision_values(bundle.classifier.machines[plane_class], codes)
@@ -353,17 +352,14 @@ def run_baselines(train_manifest, test_manifest, cfg, methods=BASELINE_METHODS,
     return results
 
 
-def dump_keypoint_overlays(vol, bundle, out_dir, plane=None):
-    """Write original-frame and smoothed-frame overlays with detected static
-    points marked, for the given plane (default: the central axial plane)."""
+def dump_keypoint_overlays(vol, bundle, out_dir):
+    """Write original-frame and smoothed-frame overlays of the central axial
+    plane with detected static points marked."""
     os.makedirs(out_dir, exist_ok=True)
     cfg = bundle.config if bundle is not None else PipelineConfig()
-    if plane is None:
-        from .volume import plane_from_center
-        nx, ny, nz = vol.dims
-        plane = plane_from_center(((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2),
-                                  (0.0, 0.0, 1.0), width=cfg.plane_size,
-                                  height=cfg.plane_size)
+    nx, ny, nz = vol.dims
+    plane = plane_from_center(((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2), (0.0, 0.0, 1.0),
+                              width=cfg.plane_size, height=cfg.plane_size)
     seq = _plane_sequence(vol, plane)
     smoothed = smooth_sequence(seq)
     written = []

@@ -131,7 +131,7 @@ def _laplacian_symbol(ny, nx, dtype):
     return (wy[:, None] + wx[None, :]).astype(dtype, copy=False)
 
 
-def smooth_sequence(seq, lam=LAM):
-    """Filter every frame of a plane sequence independently, in the precision
-    of its frames (float32 in the pipeline)."""
-    return PlaneSequence(_l0_smooth_stack(seq.frames, lam))
+def smooth_sequence(seq):
+    """Filter every frame of a plane sequence independently with weight LAM,
+    in the precision of its frames (float32 in the pipeline)."""
+    return PlaneSequence(_l0_smooth_stack(seq.frames, LAM))

@@ -28,9 +28,9 @@ class Volume4D:
     """Time series of 3D scalar grids with values in [0,1], shape (T, nz, ny, nx).
 
     `stored` holds the array the volume was given and `divisor` decodes it:
-    values = stored / divisor. A uint8, float32 or float64 array is stored as
-    given with divisor 1, anything else as float64. Only `load_volume` sets
-    divisor 255, to keep a `u8` file's codes.
+    values = stored / divisor. A uint8 array holds `u8` codes, each standing
+    for code / 255 as in a loaded file, so its divisor is 255. A float32 or
+    float64 array is stored as given with divisor 1, anything else as float64.
     """
 
     stored: np.ndarray
@@ -38,19 +38,9 @@ class Volume4D:
     divisor: float
 
     def __init__(self, voxels, spacing=(1.0, 1.0, 1.0)):
-        v = np.asarray(voxels)
-        if v.dtype not in (np.uint8, np.float32):
-            v = np.asarray(v, dtype=np.float64)
-        self._hold(v, spacing, 1.0)
-
-    @classmethod
-    def _from_u8(cls, codes, spacing):
-        """The volume of a `u8` file's codes, each standing for code / 255."""
-        vol = cls.__new__(cls)
-        vol._hold(codes, spacing, 255.0)
-        return vol
-
-    def _hold(self, stored, spacing, divisor):
+        stored = np.asarray(voxels)
+        if stored.dtype not in (np.uint8, np.float32):
+            stored = np.asarray(stored, dtype=np.float64)
         if stored.ndim != 4:
             raise VolumeError("voxels must be 4D (T, nz, ny, nx), got ndim=%d" % stored.ndim)
         t, nz, ny, nx = stored.shape
@@ -58,6 +48,7 @@ class Volume4D:
             raise VolumeError("volume too small: dims=%s frames=%d" % ((nx, ny, nz), t))
         # code / 255 always lies in [0,1]. In any other array NaN and +-inf
         # carry into the extremes, so one min and one max pass check it all
+        divisor = 255.0 if stored.dtype == np.uint8 else 1.0
         if divisor == 1.0:
             lo, hi = stored.min(), stored.max()
             if np.isnan(lo):
@@ -196,9 +187,7 @@ def load_volume(path):
     data = np.fromfile(raw_path, dtype=np.dtype(dtype).newbyteorder("<"))
     data = data.reshape(t, nz, ny, nx)
     try:
-        if dtype_code == "u8":
-            return Volume4D._from_u8(data, spacing)
-        return Volume4D(voxels=data, spacing=spacing)
+        return Volume4D(data, spacing)
     except VolumeError as exc:
         raise VolumeError("%s in %s" % (exc, raw_path)) from exc
 
@@ -297,10 +286,10 @@ def plane_from_center(center, normal, width=128, height=128, roll=0.0):
                        width=width, height=height)
 
 
-def generate_candidates(dims, n, seed, width=128, height=128):
-    """Enumerate n candidate planes of a volume with dims (nx, ny, nz):
-    Fibonacci-lattice hemisphere orientations crossed with evenly spaced
-    offsets along each normal."""
+def generate_candidates(dims, n, seed, size):
+    """Enumerate n size x size candidate planes of a volume with dims
+    (nx, ny, nz): Fibonacci-lattice hemisphere orientations crossed with
+    evenly spaced offsets along each normal."""
     if n < 1:
         raise VolumeError("need n >= 1 candidates")
     if n > CANDIDATE_CAPACITY:
@@ -325,7 +314,7 @@ def generate_candidates(dims, n, seed, width=128, height=128):
         theta = GOLDEN_ANGLE * i
         normal = rot @ np.array([r * math.cos(theta), r * math.sin(theta), zc])
         for off in offsets:
-            planes.append(plane_from_center(center + off * normal, normal, width, height,
+            planes.append(plane_from_center(center + off * normal, normal, size, size,
                                             roll=rolls[i]))
             if len(planes) == n:
                 return planes

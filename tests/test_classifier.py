@@ -75,7 +75,7 @@ def test_two_point_analytic_solution():
                   scaler=identity_scaler(1))
     assert np.allclose(sorted(m.dual_coefs), [-0.5, 0.5], atol=1e-6)
     assert m.bias == pytest.approx(0.0, abs=1e-6)
-    assert decision_values(m, np.array([0.5])) == pytest.approx(0.5, abs=1e-6)
+    assert decision_values(m, np.array([[0.5]])) == pytest.approx([0.5], abs=1e-6)
 
 
 def _oracle_dual(gram, y, box):
@@ -186,6 +186,10 @@ def test_decision_dim_mismatch():
                   scaler=identity_scaler(2))
     with pytest.raises(ClassifierError):
         decision_values(m, np.zeros(3))
+    # a stack of the wrong width, or a vector or 3-D array of the right width
+    for bad in (np.zeros((1, 3)), np.zeros(2), np.zeros((1, 1, 2))):
+        with pytest.raises(ClassifierError, match="2-D stack of width 2"):
+            decision_values(m, bad)
 
 
 def test_multiclass_three_gaussians():

@@ -6,7 +6,6 @@ import pytest
 from scipy import ndimage
 
 from planefinder import features, pipeline
-from planefinder.config import PipelineConfig
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
                                   FeatureError, _frame_samples, _gaussian_nearest,
                                   _harris_response, _octave_extrema, _orientations,
@@ -698,7 +697,7 @@ def test_desk_plane_feature_path_memory_is_bounded():
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        static, spacetime = pipeline.sequence_descriptors(vol, gt[0], PipelineConfig())
+        static, spacetime = pipeline.sequence_descriptors(vol, gt[0])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

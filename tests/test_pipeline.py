@@ -9,7 +9,9 @@ from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.codebook import quantize
 from planefinder.config import PipelineConfig
+from planefinder.features import detect_static_keypoints
 from planefinder.manifest import read_manifest
+from planefinder.pgm import read_pgm
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_features,
                                   candidate_codes, compute_codes,
@@ -18,8 +20,9 @@ from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_feature
                                   prepare_training_data, run_baselines,
                                   sequence_descriptors, train_from_data,
                                   train_pipeline, _f1)
+from planefinder.smoothing import smooth_sequence
 from planefinder.synth import build_phantom_dataset
-from planefinder.volume import PlaneParams, load_volume
+from planefinder.volume import PlaneParams, Volume4D, load_volume, plane_from_center
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
 
@@ -310,10 +313,10 @@ def test_training_histograms_from_a_fit_shaped_assignment_equal_quantize_planes(
 def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
     # pins the current policy: a view with no descriptors is a flagged empty
     # histogram, and bow_features gives it an all-zero row
-    cfg, bundle = workspace["cfg"], workspace["bundle"]
+    bundle = workspace["bundle"]
     vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
                                         n_frames=4))
-    static, spacetime = sequence_descriptors(vol, gt[0], cfg)
+    static, spacetime = sequence_descriptors(vol, gt[0])
     assert static and spacetime == []
     assert quantize(spacetime, bundle.cb_spacetime).empty
     x, y = bow_features([(static, spacetime)], bundle.cb_static, bundle.cb_spacetime)
@@ -353,6 +356,29 @@ def test_keypoint_overlays_written(workspace, tmp_path):
     assert len(written) == 2 * vol.n_frames
     assert all(os.path.exists(p) for p in written)
     assert counts["original"] >= 0 and counts["smoothed"] >= 0
+
+
+def test_keypoint_overlays_without_bundle_mark_the_central_axial_plane(tmp_path):
+    # the CLI's `keypoints` without --bundle: default config, central axial
+    # plane of a desk phantom at the u8 precision of a loaded volume
+    vol, _ = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
+    vol = Volume4D(voxels=np.round(vol.voxels * 255.0).astype(np.uint8))
+    size = PipelineConfig().plane_size
+    written, counts = dump_keypoint_overlays(vol, None, str(tmp_path))
+    assert len(written) == 2 * vol.n_frames
+    assert all(read_pgm(p).shape == (size, size) for p in written)
+    plane = plane_from_center((31.5, 31.5, 31.5), (0.0, 0.0, 1.0), width=size, height=size)
+    seq = pipeline._plane_sequence(vol, plane)
+    assert seq.frames.dtype == np.float32
+    for label, frames in (("original", seq.frames), ("smoothed", smooth_sequence(seq).frames)):
+        kps = detect_static_keypoints(frames)
+        assert counts[label] == len(kps) > 0
+        for t in (0, vol.n_frames - 1):
+            want = np.round(np.clip(frames[t].astype(np.float64), 0.0, 1.0) * 255.0)
+            for x, y in np.rint(kps[kps[:, 2] == t, :2]).astype(int):
+                want[max(0, y - 1):y + 2, max(0, x - 1):x + 2] = 255.0
+            got = read_pgm(os.path.join(str(tmp_path), "%s_%03d.pgm" % (label, t)))
+            assert np.array_equal(np.round(got * 255.0), want)
 
 
 def test_train_rejects_bad_config(workspace):

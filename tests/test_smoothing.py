@@ -22,12 +22,9 @@ def step_image(rng, sigma=0.05):
 def test_invalid_config():
     # lam must lie in (0, BETA_MAX / 2); NaN fails both comparisons
     img = np.random.default_rng(0).random((32, 32))
-    seq = PlaneSequence(img[None])
     for lam in (np.nan, np.inf, 0.0, -1.0, BETA_MAX / 2):
         with pytest.raises(SmoothingError, match="lambda"):
             l0_smooth(img, lam)
-        with pytest.raises(SmoothingError, match="lambda"):
-            smooth_sequence(seq, lam)
     assert not np.array_equal(l0_smooth(img, np.nextafter(BETA_MAX / 2, 0)), img)
 
 
@@ -160,21 +157,21 @@ def test_steps_that_keep_nothing_skip_no_bits(monkeypatch, dtype, jump, empty_fi
 def test_smooth_sequence_identical_frames():
     frame = np.random.default_rng(4).random((32, 32))
     seq = PlaneSequence(np.stack([frame, frame]))
-    out = smooth_sequence(seq, 0.02)
+    out = smooth_sequence(seq)
     assert np.array_equal(out.frames[0], out.frames[1])
 
 
 def test_smooth_single_frame_matches_l0():
     frame = np.random.default_rng(5).random((32, 32))
-    out = smooth_sequence(PlaneSequence(frame[None]), 0.02)
+    out = smooth_sequence(PlaneSequence(frame[None]))
     assert np.array_equal(out.frames[0], l0_smooth(frame, 0.02))
 
 
 def test_smooth_commutes_with_frame_permutation():
     frames = np.random.default_rng(6).random((3, 32, 32))
     perm = [2, 0, 1]
-    a = smooth_sequence(PlaneSequence(frames[perm]), 0.02).frames
-    b = smooth_sequence(PlaneSequence(frames), 0.02).frames[perm]
+    a = smooth_sequence(PlaneSequence(frames[perm])).frames
+    b = smooth_sequence(PlaneSequence(frames)).frames[perm]
     assert np.array_equal(a, b)
 
 
@@ -202,7 +199,7 @@ def _reference_l0(img, lam):
 @pytest.mark.parametrize("shape", [(8, 64, 64), (3, 33, 47), (3, 32, 31), (1, 40, 40)])
 def test_batched_real_fft_matches_complex_reference(shape):
     frames = np.random.default_rng(7).random(shape)
-    out = smooth_sequence(PlaneSequence(frames), 0.02).frames
+    out = smooth_sequence(PlaneSequence(frames)).frames
     ref = np.stack([_reference_l0(f, 0.02) for f in frames])
     assert np.abs(out - ref).max() <= 1e-11
 

@@ -126,13 +126,17 @@ def test_loaded_volume_stores_its_payload_bytes(tmp_path, dtype, itemsize):
     assert load_volume(str(header)).stored.nbytes == 2 * 3 * 4 * 5 * itemsize
 
 
-def test_volume_keeps_a_float64_array_and_reads_uint8_as_values():
+def test_volume_keeps_a_float64_array_and_reads_uint8_as_codes(tmp_path):
     vox = np.random.default_rng(11).random((2, 3, 3, 3))
     assert Volume4D(voxels=vox).voxels is vox
-    ones = Volume4D(voxels=np.ones((1, 2, 2, 2), dtype=np.uint8))
-    assert ones.voxels.dtype == np.float64 and np.all(ones.voxels == 1.0)
-    with pytest.raises(VolumeError, match=r"\[0,1\]"):
-        Volume4D(voxels=np.full((1, 2, 2, 2), 2, dtype=np.uint8))
+    # every code is valid, and decodes as a loaded u8 file's would
+    codes = np.arange(256, dtype=np.uint8).reshape(2, 8, 4, 4)
+    vol = Volume4D(voxels=codes)
+    assert vol.stored is codes and vol.divisor == 255.0
+    assert vol.voxels.dtype == np.float64 and np.array_equal(vol.voxels, codes / 255.0)
+    loaded = load_volume(str(write_raw_volume(tmp_path, dims=(4, 4, 8), frames=2,
+                                              payload=codes.tobytes())))
+    assert np.array_equal(loaded.stored, vol.stored) and loaded.divisor == vol.divisor
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -440,27 +444,27 @@ def test_phantom_sequence_pulsates():
 
 
 def test_candidates_deterministic():
-    a = generate_candidates((32, 32, 32), 50, seed=9, width=32, height=32)
-    b = generate_candidates((32, 32, 32), 50, seed=9, width=32, height=32)
+    a = generate_candidates((32, 32, 32), 50, seed=9, size=32)
+    b = generate_candidates((32, 32, 32), 50, seed=9, size=32)
     assert a == b
 
 
 def test_candidates_content_invariant():
     dims = np.zeros((1, 32, 32, 32))
-    a = generate_candidates(Volume4D(voxels=dims).dims, 40, seed=1, width=32, height=32)
+    a = generate_candidates(Volume4D(voxels=dims).dims, 40, seed=1, size=32)
     b = generate_candidates(Volume4D(voxels=np.random.default_rng(0).random(dims.shape)).dims,
-                            40, seed=1, width=32, height=32)
+                            40, seed=1, size=32)
     assert a == b
 
 
 def test_candidate_centers_inside_volume():
-    for p in generate_candidates((56, 48, 40), 400, seed=0, width=48, height=48):
+    for p in generate_candidates((56, 48, 40), 400, seed=0, size=48):
         c = p.center
         assert 0 <= c[0] <= 55 and 0 <= c[1] <= 47 and 0 <= c[2] <= 39
 
 
 def test_candidate_orientations_distinct():
-    cands = generate_candidates((32, 32, 32), 400, seed=0, width=32, height=32)
+    cands = generate_candidates((32, 32, 32), 400, seed=0, size=32)
     normals = {tuple(np.round(p.normal, 12)) for p in cands}
     # 400 planes over 80 orientations x 5 offsets
     assert len(normals) == 80
@@ -472,7 +476,7 @@ def test_candidate_orientations_distinct():
 
 def test_candidate_capacity_error():
     with pytest.raises(VolumeError, match=str(CANDIDATE_CAPACITY)):
-        generate_candidates((32, 32, 32), CANDIDATE_CAPACITY + 1, seed=0)
+        generate_candidates((32, 32, 32), CANDIDATE_CAPACITY + 1, seed=0, size=32)
 
 
 def test_plane_params_validation():
