@@ -31,7 +31,8 @@ class Codebook:
     centroids: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.centroids, dtype=np.float64)
+        # a view: freezing it leaves the caller's array writeable
+        c = np.asarray(self.centroids, dtype=np.float64).view()
         if c.ndim != 2 or c.shape[0] == 0 or not np.isfinite(c).all():
             raise CodebookError("centroids must be a finite 2-D matrix with at least "
                                 "one row, got shape %s" % (c.shape,))
@@ -57,22 +58,24 @@ class BoWHistogram:
     empty: bool = False
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
+        v = np.asarray(self.values, dtype=np.float64).view()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
 
-def _descriptor_matrix(descriptors, dim=None):
-    """Stack descriptors (arrays or objects with `.values`) into a float64
-    matrix; CodebookError on ragged, non-finite or (given `dim`)
-    wrong-dimension rows. An empty input gives a (0, 0) matrix."""
-    if len(descriptors) == 0:
-        return np.zeros((0, 0))
+def _descriptor_matrix(planes, dim=None):
+    """Every plane's descriptors, each plane an (n_i, d) matrix of them, in
+    order in one C-contiguous float64 matrix (a lone plane that is one is
+    not copied); CodebookError on planes of unequal width, non-finite values
+    or (given `dim`) rows of another width. No rows give a (0, dim) matrix."""
     try:
-        data = np.array([getattr(d, "values", d) for d in descriptors], dtype=np.float64)
+        data = planes[0] if len(planes) == 1 else np.concatenate(planes or [[]])
+        data = np.ascontiguousarray(data, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise CodebookError("descriptors are not equal-length numeric vectors: %s"
                             % exc) from exc
+    if data.size == 0:
+        return np.zeros((0, dim or 0))
     if data.ndim != 2:
         raise CodebookError("descriptors must be vectors, got shape %s" % (data.shape,))
     if dim is not None and data.shape[1] != dim:
@@ -253,7 +256,7 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     that assignment was searched against: the codebook carries it as
     `pool_assignment`, _nearest's answer for every descriptor.
     """
-    data = _descriptor_matrix(descriptors)
+    data = _descriptor_matrix([descriptors])
     distinct = _distinct_rows(data) if data.size else 0
     if distinct < k:
         raise CodebookError("%s pool has %d distinct descriptors, need at least k=%d"
@@ -361,15 +364,13 @@ def _kmeanspp_seed(data, k, rng):
 
 
 def quantize_planes(planes, cb):
-    """One L1-normalized histogram row per plane, from one nearest-centroid
-    search over every plane's descriptors: a (len(planes), k) float64 matrix.
+    """One L1-normalized histogram row per plane, an (n_i, d) descriptor matrix
+    each, from one nearest-centroid search: a (len(planes), k) float64 matrix.
 
     Ties go to the lowest centroid index; a plane without descriptors gets
     an all-zero row.
     """
-    data = _descriptor_matrix([d for plane in planes for d in plane], cb.centroids.shape[1])
-    if data.shape[0] == 0:
-        return np.zeros((len(planes), cb.k))
+    data = _descriptor_matrix(planes, cb.centroids.shape[1])
     return plane_histograms(_nearest(data, cb.centroids, cb._sq_norms),
                             [len(p) for p in planes], cb.k)
 

@@ -2,7 +2,6 @@
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -44,17 +43,6 @@ ORIENTATION_BLOCK = 64
 
 class FeatureError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class Descriptor:
-    values: np.ndarray
-    degenerate: bool = False
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
 
 
 def detect_static_keypoints(frames):
@@ -216,6 +204,17 @@ def _unit_rows(rows):
     return rows / np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0]
 
 
+def _records(vals, ok):
+    """describe_*'s read-only record array: field `values` the (n, d) rows
+    `vals` (degenerate ones all zero), 8-byte aligned, field `degenerate` ~ok."""
+    out = np.zeros(len(vals), np.dtype([("values", np.float64, vals.shape[1:]),
+                                        ("degenerate", bool)], align=True)).view(np.recarray)
+    out["values"] = vals
+    out["degenerate"] = ~ok
+    out.flags.writeable = False
+    return out
+
+
 def describe_static(frames, keypoints):
     """128-D gradient-orientation descriptors of (n, 5) keypoint rows (x, y,
     t, scale, orientation) of a (T, H, W) stack: 4x4 grid x 8 bins over frame
@@ -225,7 +224,7 @@ def describe_static(frames, keypoints):
     own, so the blocks change no value."""
     stack = np.asarray(frames, dtype=np.float64)
     if len(keypoints) == 0:
-        return []
+        return _records(np.zeros((0, STATIC_DESCRIPTOR_DIM)), np.zeros(0, dtype=bool))
     keypoints = np.asarray(keypoints, dtype=np.float64)
     kt = keypoints[:, 2]
     if np.any((kt < 0) | (kt > stack.shape[0] - 1) | (kt != np.rint(kt))):
@@ -233,8 +232,7 @@ def describe_static(frames, keypoints):
     gy, gx = np.gradient(stack, axis=(1, 2))
     blocks = [_static_histograms(gx, gy, keypoints[lo:lo + STATIC_BLOCK])
               for lo in range(0, len(keypoints), STATIC_BLOCK)]
-    vals, ok = (np.concatenate(parts) for parts in zip(*blocks))
-    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
+    return _records(*(np.concatenate(parts) for parts in zip(*blocks)))
 
 
 def _static_histograms(gx, gy, keypoints):
@@ -357,8 +355,10 @@ def describe_spacetime(frames, points):
     Points whose windows share a shape are described together, in blocks
     whose gathers stay within SPACETIME_BLOCK_BYTES."""
     frames = np.asarray(frames, dtype=np.float64)
+    vals = np.zeros((len(points), SPACETIME_DESCRIPTOR_DIM))
+    ok = np.zeros(len(points), dtype=bool)
     if len(points) == 0:
-        return []
+        return _records(vals, ok)
     mag, code = _gradient_bins(frames)
     x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
     radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
@@ -367,8 +367,6 @@ def describe_spacetime(frames, points):
     if np.any((centres + reach < 0) | (centres - reach >= frames.shape)):
         raise FeatureError("spacetime window fully outside the sequence")
 
-    vals = np.zeros((len(points), SPACETIME_DESCRIPTOR_DIM))
-    ok = np.zeros(len(points), dtype=bool)
     for rt, rs in np.unique(radii, axis=0):
         group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
         # only the t-offsets that carry some centre of the group into the
@@ -380,7 +378,7 @@ def describe_spacetime(frames, points):
         for lo in range(0, group.size, step):
             block = group[lo:lo + step]
             vals[block], ok[block] = _spacetime_histograms(mag, code, centres[block], dt, rt, rs)
-    return [Descriptor(values=v, degenerate=not k) for v, k in zip(vals, ok)]
+    return _records(vals, ok)
 
 
 def _gradient_bins(frames):

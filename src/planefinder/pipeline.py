@@ -51,23 +51,23 @@ def _plane_sequence(vol, params):
 
 def sequence_descriptors(vol, params):
     """Full feature path for one candidate plane: resample, smooth, detect and
-    describe both feature kinds. Degenerate descriptors are dropped."""
+    describe both feature kinds. Returns the (static, spacetime) record arrays
+    of describe_*, each read-only and without its degenerate rows."""
     seq = smooth_sequence(_plane_sequence(vol, params))
-    kps = detect_static_keypoints(seq.frames)
-    static = [d for d in describe_static(seq.frames, kps) if not d.degenerate]
-    if seq.n_frames >= 5:
-        pts = detect_spacetime_points(seq.frames)
-        spacetime = [d for d in describe_spacetime(seq.frames, pts) if not d.degenerate]
-    else:
-        spacetime = []
-    return static, spacetime
+    static = describe_static(seq.frames, detect_static_keypoints(seq.frames))
+    pts = detect_spacetime_points(seq.frames) if seq.n_frames >= 5 else np.empty((0, 5))
+    spacetime = describe_spacetime(seq.frames, pts)
+    kept = static[~static.degenerate], spacetime[~spacetime.degenerate]
+    for descs in kept:
+        descs.flags.writeable = False
+    return kept
 
 
 def bow_features(descs, cb_s, cb_t):
     """Quantize per-plane descriptor pairs into stacked (X, Y) matrices, one
     nearest-centroid search per view."""
-    return (quantize_planes([static for static, _ in descs], cb_s),
-            quantize_planes([spacetime for _, spacetime in descs], cb_t))
+    return (quantize_planes([static.values for static, _ in descs], cb_s),
+            quantize_planes([spacetime.values for _, spacetime in descs], cb_t))
 
 
 class VolumeFeatureCache:
@@ -125,14 +125,14 @@ def prepare_training_data(manifest, cfg, cache=None):
             raise PipelineError(
                 "feature extraction failed for volume %s candidate %d: %s"
                 % (rec.volume, rec.cand_index, exc)) from exc
-    static = [s for s, _ in descs]
-    spacetime = [t for _, t in descs]
-    pool_s = _pool([d for s in static for d in s], POOL_SEED)
-    pool_t = _pool([d for t in spacetime for d in t], POOL_SEED + 1)
-    cb_s = train_codebook(pool_s, cfg.k_static, seed=KMEANS_SEED,
-                          max_iter=cfg.kmeans_max_iter, descriptor_kind="static")
-    cb_t = train_codebook(pool_t, cfg.k_spacetime, seed=KMEANS_SEED,
-                          max_iter=cfg.kmeans_max_iter, descriptor_kind="spacetime")
+    static = [s.values for s, _ in descs]
+    spacetime = [t.values for _, t in descs]
+    cb_s = train_codebook(_pool(np.concatenate(static), POOL_SEED), cfg.k_static,
+                          seed=KMEANS_SEED, max_iter=cfg.kmeans_max_iter,
+                          descriptor_kind="static")
+    cb_t = train_codebook(_pool(np.concatenate(spacetime), POOL_SEED + 1), cfg.k_spacetime,
+                          seed=KMEANS_SEED, max_iter=cfg.kmeans_max_iter,
+                          descriptor_kind="spacetime")
     return TrainData(
         x=_training_histograms(static, cb_s), y=_training_histograms(spacetime, cb_t),
         similarity=build_similarity_matrix([rec.plane_onehot for rec in manifest.records],
@@ -152,12 +152,11 @@ def _training_histograms(planes, cb):
     return plane_histograms(cb.pool_assignment, sizes, cb.k)
 
 
-def _pool(descriptors, seed):
-    if len(descriptors) <= DESCRIPTOR_CAP:
-        return descriptors
+def _pool(rows, seed):
+    if len(rows) <= DESCRIPTOR_CAP:
+        return rows
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(descriptors), size=DESCRIPTOR_CAP, replace=False)
-    return [descriptors[i] for i in sorted(idx)]
+    return rows[np.sort(rng.choice(len(rows), size=DESCRIPTOR_CAP, replace=False))]
 
 
 def compute_codes(x, y, emb, view):

@@ -27,7 +27,8 @@ class VolumeError(Exception):
 class Volume4D:
     """Time series of 3D scalar grids with values in [0,1], shape (T, nz, ny, nx).
 
-    `stored` holds the array the volume was given and `divisor` decodes it:
+    `stored` holds the array the volume was given, in a read-only view that
+    leaves the caller's array writeable, and `divisor` decodes it:
     values = stored / divisor. A uint8 array holds `u8` codes, each standing
     for code / 255 as in a loaded file, so its divisor is 255. A float32 or
     float64 array is stored as given with divisor 1, anything else as float64.
@@ -38,7 +39,7 @@ class Volume4D:
     divisor: float
 
     def __init__(self, voxels, spacing=(1.0, 1.0, 1.0)):
-        stored = np.asarray(voxels)
+        stored = np.asarray(voxels).view()
         if stored.dtype not in (np.uint8, np.float32):
             stored = np.asarray(stored, dtype=np.float64)
         if stored.ndim != 4:
@@ -134,7 +135,7 @@ class PlaneSequence:
     frames: np.ndarray
 
     def __post_init__(self):
-        f = float_frames(self.frames)
+        f = float_frames(self.frames).view()
         if f.ndim != 3:
             raise VolumeError("frames must be (T, height, width)")
         f.flags.writeable = False

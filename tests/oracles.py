@@ -72,7 +72,7 @@ def trace_objective(x, y, w_x, w_y, s):
 
 
 def kmeans_inertia(descriptors, cb):
-    data = _descriptor_matrix(descriptors, cb.centroids.shape[1])
+    data = _descriptor_matrix([descriptors], cb.centroids.shape[1])
     _, min_d2 = _assign(data, cb.centroids, cb._sq_norms)
     return float(min_d2.sum())
 
@@ -80,7 +80,7 @@ def kmeans_inertia(descriptors, cb):
 def lloyd_every_row(descriptors, k, seed=0, max_iter=100):
     """train_codebook's Lloyd loop without bounds: every pass searches every
     row. Returns the centroids and the last pass's assignment."""
-    data = _descriptor_matrix(descriptors)
+    data = _descriptor_matrix([descriptors])
     d = data.shape[1]
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_seed(data, k, rng)

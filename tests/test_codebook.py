@@ -343,7 +343,7 @@ def test_quantize_planes_rows_are_per_plane_histograms():
     # desk's static shape: planes of a few descriptors, one without any
     rng = np.random.default_rng(12)
     cb = Codebook(centroids=rng.random((64, 128)))
-    planes = [list(rng.random((n, 128))) for n in (5, 0, 17, 1, 300)]
+    planes = [rng.random((n, 128)) for n in (5, 0, 17, 1, 300)]
     hist = quantize_planes(planes, cb)
     assert hist.shape == (5, 64) and hist.dtype == np.float64
     assert np.array_equal(hist, np.stack([quantize(p, cb).values for p in planes]))
@@ -359,13 +359,14 @@ def test_quantize_planes_without_descriptors():
 @pytest.mark.parametrize("bad_plane", [0, 1, 2])
 def test_quantize_planes_rejects_a_wrong_dimension_in_any_plane(bad_plane):
     cb = Codebook(centroids=np.eye(3))
-    planes = [[np.ones(3)], [np.ones(3), np.zeros(3)], [np.ones(3)]]
-    planes[bad_plane] = [np.ones(4)]
+    planes = [np.ones((1, 3)), np.eye(2, 3), np.ones((1, 3))]
+    planes[bad_plane] = np.ones((1, 4))
     with pytest.raises(CodebookError, match="equal-length"):
         quantize_planes(planes, cb)
     # the only descriptors, all of the wrong dimension
     with pytest.raises(CodebookError, match="dim 4 does not match codebook dim 3"):
-        quantize_planes([p if i == bad_plane else [] for i, p in enumerate(planes)], cb)
+        quantize_planes([p if i == bad_plane else np.empty((0, 4))
+                         for i, p in enumerate(planes)], cb)
 
 
 def _assign_recomputing_norms(data, centroids, chunk=2048):

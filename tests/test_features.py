@@ -705,12 +705,36 @@ def test_desk_plane_feature_path_memory_is_bounded():
     assert peak < 4 << 20
 
 
+def test_desk_candidate_descriptors_are_read_only_record_arrays():
+    vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
+    static, spacetime = pipeline.sequence_descriptors(vol, gt[0])
+    for descs, dim in ((static, STATIC_DESCRIPTOR_DIM), (spacetime, SPACETIME_DESCRIPTOR_DIM)):
+        assert isinstance(descs, np.recarray) and not descs.flags.writeable
+        assert len(descs) and descs.values.shape == (len(descs), dim)
+        assert descs.values.dtype == np.float64 and descs.values.flags.aligned
+        assert not descs.degenerate.any()
+
+
+def test_described_rows_read_one_at_a_time():
+    # the benchmark reads describe_*'s output element by element:
+    # perfbench.probes._described counts `not d.degenerate`, and
+    # perfbench.workloads.pool_shortfall stacks `d.values`
+    frames = _busy_stack()
+    rows = np.vstack([detect_static_keypoints(frames), [[32.0, 32.0, 1.0, 1.6, 0.0]]])
+    for descs in (describe_static(frames, rows), describe_spacetime(*_spacetime_cases())):
+        kept = sum(not d.degenerate for d in descs)
+        assert 0 < kept < len(descs) and kept == np.count_nonzero(~descs.degenerate)
+        assert np.array_equal(np.array([d.values for d in descs]), descs.values)
+
+
 def test_no_points_no_descriptors():
     # the empty arrays a flat stack and a sequence constant in t give
     frames = np.full((2, 64, 64), 0.5)
-    assert describe_static(frames, detect_static_keypoints(frames)) == []
+    static = describe_static(frames, detect_static_keypoints(frames))
+    assert static.values.shape == (0, STATIC_DESCRIPTOR_DIM)
     still = np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6)
-    assert describe_spacetime(still, detect_spacetime_points(still)) == []
+    spacetime = describe_spacetime(still, detect_spacetime_points(still))
+    assert spacetime.values.shape == (0, SPACETIME_DESCRIPTOR_DIM)
 
 
 def test_float32_frames_keep_desk_phantom_points():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import benchmark_representations, semantic_similarity
-from planefinder import codebook, pipeline
+from planefinder import codebook, features, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.codebook import quantize
@@ -254,11 +254,12 @@ def test_bow_features_searches_once_per_view(workspace, monkeypatch):
     bow_features(descs, bundle.cb_static, bundle.cb_spacetime)
     # one search per view, over every plane's descriptors
     assert calls == [sum(len(s) for s, _ in descs), sum(len(t) for _, t in descs)]
-    # a view without any descriptor needs no search
+    # a view without any descriptor searches no row and gets all-zero rows
     calls.clear()
-    x, y = bow_features([(static, []) for static, _ in descs[:3]],
+    x, y = bow_features([(static, spacetime[:0]) for static, spacetime in descs[:3]],
                         bundle.cb_static, bundle.cb_spacetime)
-    assert len(calls) == 1 and not y.any()
+    assert calls == [sum(len(s) for s, _ in descs[:3]), 0]
+    assert y.shape == (3, 6) and not y.any()
 
 
 @pytest.mark.parametrize("capped", [False, True])
@@ -296,9 +297,9 @@ def test_training_histograms_from_a_fit_shaped_assignment_equal_quantize_planes(
     data[-800:] = data[rng.integers(1688, size=800)] + 0.01 * rng.normal(size=(800, 128))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
     cuts = np.sort(rng.integers(0, len(data) + 1, size=199))
-    planes = [list(rows) for rows in np.split(data, cuts)]
-    assert any(not p for p in planes)
-    cb = codebook.train_codebook([d for p in planes for d in p], 2000, seed=7)
+    planes = np.split(data, cuts)
+    assert any(len(p) == 0 for p in planes)
+    cb = codebook.train_codebook(data, 2000, seed=7)
     assert cb.pool_assignment is not None
     want = codebook.quantize_planes(planes, cb)
 
@@ -317,11 +318,40 @@ def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
     vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
                                         n_frames=4))
     static, spacetime = sequence_descriptors(vol, gt[0])
-    assert static and spacetime == []
-    assert quantize(spacetime, bundle.cb_spacetime).empty
+    assert len(static) and spacetime.values.shape == (0, 192)
+    assert quantize(spacetime.values, bundle.cb_spacetime).empty
     x, y = bow_features([(static, spacetime)], bundle.cb_static, bundle.cb_spacetime)
     assert x.sum() == pytest.approx(1.0)
     assert y.shape == (1, 6) and not y.any()
+
+
+def test_cached_descriptors_read_one_at_a_time(workspace):
+    # perfbench.workloads.pool_shortfall stacks `d.values` of each cached
+    # descriptor, and perfbench.probes._described reads `d.degenerate`
+    rec = workspace["train"].records[0]
+    for descs in workspace["cache"].descriptors(rec.volume, rec.cand_index):
+        assert len(descs) and not any(d.degenerate for d in descs)
+        assert np.array_equal(np.array([d.values for d in descs]), descs.values)
+
+
+@pytest.mark.parametrize("name", ["describe_static", "describe_spacetime"])
+def test_sequence_descriptors_drop_a_degenerate_row(monkeypatch, name):
+    # no benchmark workload describes a degenerate row, so one is put first
+    vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
+                                        n_frames=6))
+    want = sequence_descriptors(vol, gt[0])
+    describe = getattr(pipeline, name)
+
+    def with_a_degenerate_row(frames, points):
+        descs = describe(frames, points)
+        return features._records(np.vstack([np.zeros((1, descs.values.shape[1])), descs.values]),
+                                 np.append(False, ~descs.degenerate))
+
+    monkeypatch.setattr(pipeline, name, with_a_degenerate_row)
+    got = sequence_descriptors(vol, gt[0])
+    for a, b in zip(got, want, strict=True):
+        assert len(a) == len(b) and not a.flags.writeable and not a.degenerate.any()
+        assert a.values.tobytes() == b.values.tobytes()
 
 
 def test_candidate_codes_cover_all_candidates(workspace, monkeypatch):

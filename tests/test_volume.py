@@ -7,8 +7,9 @@ import pytest
 
 from oracles import sample_plane
 from planefinder import phantom
+from planefinder.codebook import BoWHistogram, Codebook
 from planefinder.phantom import PhantomSpec, synth_phantom
-from planefinder.volume import (CANDIDATE_CAPACITY, PlaneParams, Volume4D,
+from planefinder.volume import (CANDIDATE_CAPACITY, PlaneParams, PlaneSequence, Volume4D,
                                 VolumeError, extract_plane_sequence,
                                 generate_candidates, load_volume, plane_angle,
                                 plane_from_center, save_volume)
@@ -128,15 +129,31 @@ def test_loaded_volume_stores_its_payload_bytes(tmp_path, dtype, itemsize):
 
 def test_volume_keeps_a_float64_array_and_reads_uint8_as_codes(tmp_path):
     vox = np.random.default_rng(11).random((2, 3, 3, 3))
-    assert Volume4D(voxels=vox).voxels is vox
+    assert np.shares_memory(Volume4D(voxels=vox).voxels, vox)
     # every code is valid, and decodes as a loaded u8 file's would
     codes = np.arange(256, dtype=np.uint8).reshape(2, 8, 4, 4)
     vol = Volume4D(voxels=codes)
-    assert vol.stored is codes and vol.divisor == 255.0
+    assert np.shares_memory(vol.stored, codes) and vol.divisor == 255.0
     assert vol.voxels.dtype == np.float64 and np.array_equal(vol.voxels, codes / 255.0)
     loaded = load_volume(str(write_raw_volume(tmp_path, dims=(4, 4, 8), frames=2,
                                               payload=codes.tobytes())))
     assert np.array_equal(loaded.stored, vol.stored) and loaded.divisor == vol.divisor
+
+
+@pytest.mark.parametrize("cls, field, shape, dtype", [
+    (Volume4D, "stored", (1, 2, 2, 2), np.uint8),
+    (Volume4D, "stored", (1, 2, 2, 2), np.float32),
+    (Volume4D, "stored", (1, 2, 2, 2), np.float64),
+    (PlaneSequence, "frames", (1, 2, 2), np.float32),
+    (PlaneSequence, "frames", (1, 2, 2), np.float64),
+    (Codebook, "centroids", (2, 2), np.float64),
+    (BoWHistogram, "values", (3,), np.float64)])
+def test_constructors_freeze_their_own_view_of_the_callers_array(cls, field, shape, dtype):
+    given = np.zeros(shape, dtype)
+    held = getattr(cls(given), field)
+    # held without a copy, read-only, while the caller's array stays writeable
+    assert np.shares_memory(held, given)
+    assert not held.flags.writeable and given.flags.writeable
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
