@@ -7,8 +7,8 @@ import numpy as np
 
 KKT_TOL = 1e-4
 ALPHA_KEEP = 1e-12
-# bytes of n x m x d temporaries one hik_matrix block may allocate
-HIK_BLOCK_BYTES = 32 << 20
+# bytes of n x m x d temporaries one hik_matrix block may allocate: L2-sized
+HIK_BLOCK_BYTES = 1 << 20
 
 
 class ClassifierError(Exception):
@@ -135,6 +135,18 @@ def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
     return alpha, float(0.5 * (hi + lo))
 
 
+def _fit_svm(zs, gram, y, c, kernel, scaler, class_weights=None, tol=KKT_TOL):
+    """SVM on scaled rows zs whose kernel Gram matrix is gram."""
+    if class_weights is None:
+        class_weights = (float(np.sum(y < 0)) / float(np.sum(y > 0)), 1.0)
+    box = np.where(y > 0, c * class_weights[0], c * class_weights[1])
+    alpha, bias = _smo(gram, y, box, tol=tol)
+    keep = alpha > ALPHA_KEEP
+    return SvmModel(support_vectors=zs[keep], dual_coefs=alpha[keep] * y[keep],
+                    bias=bias, c=float(c), class_weights=tuple(class_weights),
+                    kernel=kernel, scaler=scaler)
+
+
 def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
               tol=KKT_TOL):
     """Soft-margin SVM via SMO; converges to max KKT violation <= tol."""
@@ -146,16 +158,9 @@ def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
         raise ClassifierError("both classes must be present")
     if scaler is None:
         scaler = identity_scaler(z.shape[1])
-    if class_weights is None:
-        class_weights = (float(np.sum(y < 0)) / float(np.sum(y > 0)), 1.0)
     zs = apply_scaler(z, scaler)
-    gram = kernel_matrix(zs, zs, kernel)
-    box = np.where(y > 0, c * class_weights[0], c * class_weights[1])
-    alpha, bias = _smo(gram, y, box, tol=tol)
-    keep = alpha > ALPHA_KEEP
-    return SvmModel(support_vectors=zs[keep], dual_coefs=alpha[keep] * y[keep],
-                    bias=bias, c=float(c), class_weights=tuple(class_weights),
-                    kernel=kernel, scaler=scaler)
+    return _fit_svm(zs, kernel_matrix(zs, zs, kernel), y, c, kernel, scaler,
+                    class_weights, tol)
 
 
 def decision_values(model, z):
@@ -176,13 +181,17 @@ def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):
     if len(class_ids) < 2:
         raise ClassifierError("need at least 2 standard-plane classes")
     z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ClassifierError("non-finite features")
     if scaler is None:
         scaler = fit_scaler(z)
+    zs = apply_scaler(z, scaler)
+    gram = kernel_matrix(zs, zs, kernel)
     machines = {}
     for cid in class_ids:
         y = np.where(plane_labels == cid, 1.0, -1.0)
         if not np.any(y > 0):
             raise ClassifierError("class %d has no positive samples" % cid)
-        machines[cid] = train_svm(z, y, c=c, kernel=kernel, scaler=scaler)
+        machines[cid] = _fit_svm(zs, gram, y, c, kernel, scaler)
     return MulticlassModel(class_ids=tuple(class_ids), machines=machines)
 

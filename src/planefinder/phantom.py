@@ -45,6 +45,8 @@ PATTERN_SHIFT = 11.0  # in-plane distance of each class's pattern from the
                       # plane center, so co-located planes separate spatially
 
 BACKGROUND = 0.08
+SLAB_BYTES = 512 << 10  # bytes of one pattern-box z-slab over all frames: L2-sized
+NOISE_CHUNK = 1 << 16  # noise values drawn at a time
 
 
 def _class_shift(class_id):
@@ -134,13 +136,25 @@ def synth_phantom(spec):
         pulse = np.array([0.7 + 0.3 * math.sin(2.0 * math.pi * t / t_count + phase)
                           for t in range(t_count)])[:, None, None, None]
         box, pu, pv, pn = _pattern_coords(vox.shape[1:], plane, _class_shift(k), jitter)
-        for b, primitive in enumerate(PATTERN_TEMPLATES[k]):
-            if spec.abnormal and b == 0:
-                primitive = _perturb(primitive, k)
-            vox[(slice(None),) + box] += pulse * _primitive_field(primitive, pu, pv, pn)
+        # one z-slab of the pattern box at a time, summed in an L2-sized copy
+        block = vox[(slice(None),) + box]
+        step = max(1, SLAB_BYTES // max(1, block[:, :1].nbytes))
+        for lo in range(0, block.shape[1], step):
+            z = slice(lo, lo + step)
+            total = block[:, z].copy()
+            term = np.empty_like(total)
+            for b, mark in enumerate(PATTERN_TEMPLATES[k]):
+                mark = _perturb(mark, k) if spec.abnormal and b == 0 else mark
+                total += np.multiply(pulse, _primitive_field(mark, pu[z], pv[z], pn[z]),
+                                     out=term)
+            block[:, z] = total
 
+    # sigma * z: rng.normal's 0.0 + sigma * z differs only in the sign of a zero
     if spec.noise_sigma > 0:
-        vox += rng.normal(0.0, spec.noise_sigma, size=vox.shape)
+        flat, chunk = vox.reshape(-1), np.empty(min(NOISE_CHUNK, vox.size))
+        for lo in range(0, flat.size, chunk.size):
+            part = rng.standard_normal(out=chunk[:flat.size - lo])
+            flat[lo:lo + part.size] += np.multiply(part, spec.noise_sigma, out=part)
     np.clip(vox, 0.0, 1.0, out=vox)
     return Volume4D(voxels=vox, spacing=(1.0, 1.0, 1.0)), gt
 

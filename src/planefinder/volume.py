@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,12 +108,12 @@ class PlaneParams:
         object.__setattr__(self, "axis_u", tuple(u))
         object.__setattr__(self, "axis_v", tuple(v))
 
-    @property
+    @cached_property
     def normal(self):
         n = np.cross(self.axis_u, self.axis_v)
         return n / np.linalg.norm(n)
 
-    @property
+    @cached_property
     def center(self):
         o = np.asarray(self.origin)
         u = np.asarray(self.axis_u)
@@ -204,7 +205,8 @@ def save_volume(vol, path, dtype="u8"):
     raw_path = os.path.join(os.path.dirname(os.path.abspath(path)), raw_name)
     nx, ny, nz = vol.dims
     if dtype == "u8":
-        payload = np.round(vol.voxels * 255.0).astype("<u1")
+        codes = vol.voxels * 255.0
+        payload = np.rint(codes, out=codes).astype("<u1")
     else:
         payload = vol.voxels.astype("<f4")
     try:

@@ -223,6 +223,33 @@ def test_multiclass_needs_two_classes():
                          np.array([0, 0, 0, -1, -1, -1]))
 
 
+@pytest.mark.parametrize("kernel", ["hik", "linear"])
+def test_multiclass_machines_equal_train_svm_from_one_gram(monkeypatch, kernel):
+    rng = np.random.default_rng(15)
+    z = rng.random((30, 4))
+    labels = np.repeat([0, 1, 2, -1], [8, 8, 8, 6])
+    grams = []
+    monkeypatch.setattr(classifier, "kernel_matrix",
+                        lambda a, b, kind: grams.append(kind) or kernel_matrix(a, b, kind))
+    model = train_multiclass(z, labels, c=2.0, kernel=kernel)
+    assert grams == [kernel]
+    monkeypatch.undo()
+    for cid in model.class_ids:
+        ref = train_svm(z, np.where(labels == cid, 1.0, -1.0), c=2.0, kernel=kernel,
+                        scaler=fit_scaler(z))
+        got = model.machines[cid]
+        assert np.array_equal(got.support_vectors, ref.support_vectors)
+        assert np.array_equal(got.dual_coefs, ref.dual_coefs)
+        assert got.bias == ref.bias and got.class_weights == ref.class_weights
+
+
+def test_multiclass_rejects_non_finite_codes():
+    z = np.random.default_rng(17).random((6, 2))
+    z[2, 1] = np.inf
+    with pytest.raises(ClassifierError, match="non-finite"):
+        train_multiclass(z, np.array([0, 0, 1, 1, -1, -1]))
+
+
 @pytest.mark.parametrize("budget", [1, 8 * 7 * 5 * 3 + 1])
 def test_hik_matrix_blocks_do_not_change_values(monkeypatch, budget):
     # one row per block, then three rows per block, against one block for all

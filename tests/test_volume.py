@@ -96,6 +96,17 @@ def test_roundtrip_u8_bit_exact(tmp_path):
     assert back.spacing == vol.spacing
 
 
+def test_save_u8_codes_equal_np_round_of_255_times_the_values(tmp_path):
+    # exact half-codes (k + 0.5) / 255 sit on or next to rounding ties
+    values = np.random.default_rng(16).random(2 * 4 * 8 * 16)
+    values[:255] = (np.arange(255) + 0.5) / 255.0
+    values[255:257] = (0.0, 1.0)
+    vol = Volume4D(voxels=values.reshape(2, 4, 8, 16))
+    save_volume(vol, str(tmp_path / "codes.vol4"), dtype="u8")
+    expected = np.round(vol.voxels * 255.0).astype("<u1").tobytes()
+    assert (tmp_path / "codes.raw").read_bytes() == expected
+
+
 def test_load_u8_is_byte_over_255(tmp_path):
     payload = np.arange(256, dtype=np.uint8)
     vol = load_volume(str(write_raw_volume(tmp_path, dims=(8, 4, 4), frames=2,
@@ -452,6 +463,41 @@ def test_phantom_matches_per_frame_reference(dims, n_frames, seed, abnormal):
     assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
 
 
+def _edge_planes():
+    """Two class planes whose pattern boxes run past the volume's edges."""
+    return {0: plane_from_center((58.0, 30.0, 6.0), (0.3, 0.5, 0.8), width=64, height=64),
+            1: plane_from_center((4.0, 60.0, 33.0), (0.9, -0.2, 0.4), width=64, height=64)}
+
+
+@pytest.mark.parametrize("dims, n_frames, seed, gt_planes", [
+    ((64, 64, 64), 4, 3, _edge_planes()),
+    ((64, 56, 72), 5, 4, None),
+    ((40, 52, 33), 3, 5, None),
+])
+@pytest.mark.parametrize("abnormal", [False, True])
+def test_phantom_slabs_match_reference_on_clipped_and_non_cubic_boxes(
+        dims, n_frames, seed, gt_planes, abnormal):
+    spec = PhantomSpec(class_count=2 if gt_planes else 3, abnormal=abnormal, seed=seed,
+                       dims=dims, n_frames=n_frames, gt_planes=gt_planes)
+    for k, plane in (gt_planes or {}).items():
+        box = phantom._pattern_coords(dims[::-1], plane, phantom._class_shift(k), (0, 0))[0]
+        assert min(s.stop - s.start for s in box) < 2 * phantom.PATTERN_EXTENT
+    vol, _ = synth_phantom(spec)
+    assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
+
+
+@pytest.mark.parametrize("slab_bytes, noise_chunk", [(1000, 1000), (1, 4099), (1 << 30, 1 << 30)])
+def test_phantom_slab_and_noise_chunk_sizes_do_not_change_values(monkeypatch, slab_bytes,
+                                                                 noise_chunk):
+    # one z-plane of a (3, z, 40, 48)-voxel box is 46 kB; 3 * 44 * 40 * 48
+    # voxels divide by neither 1000 nor 4099
+    spec = PhantomSpec(abnormal=True, seed=6, noise_sigma=0.05, dims=(48, 40, 44), n_frames=3)
+    monkeypatch.setattr(phantom, "SLAB_BYTES", slab_bytes)
+    monkeypatch.setattr(phantom, "NOISE_CHUNK", noise_chunk)
+    vol, _ = synth_phantom(spec)
+    assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
+
+
 def test_phantom_sequence_pulsates():
     vol, gt = synth_phantom(PhantomSpec(class_count=1, noise_sigma=0.0, seed=2,
                                         dims=(48, 48, 48), n_frames=6))
@@ -501,6 +547,17 @@ def test_plane_params_validation():
         PlaneParams(origin=(0, 0, 0), axis_u=(1, 0, 0), axis_v=(1, 0, 0))
     with pytest.raises(VolumeError):
         PlaneParams(origin=(0, 0, 0), axis_u=(2, 0, 0), axis_v=(0, 1, 0))
+
+
+def test_plane_params_equality_and_hash_ignore_the_cached_normal_and_center():
+    a = plane_from_center((20.0, 21.0, 22.0), (0.2, -0.4, 0.9), width=32, height=24)
+    b = PlaneParams(origin=a.origin, axis_u=a.axis_u, axis_v=a.axis_v, width=32, height=24)
+    before = hash(a)
+    assert a == b and hash(b) == before
+    normal, center = a.normal, a.center
+    assert a.normal is normal and a.center is center
+    assert a == b and hash(a) == hash(b) == before
+    assert np.array_equal(b.normal, normal) and np.array_equal(b.center, center)
 
 
 def test_phantom_deterministic():
