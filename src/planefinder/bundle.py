@@ -80,7 +80,7 @@ def compute_hash(bundle):
         h.update(line.encode())
     for name, arr in _matrices(bundle):
         h.update(name.encode())
-        h.update(np.ascontiguousarray(np.atleast_2d(arr), dtype="<f8").tobytes())
+        h.update(np.ascontiguousarray(arr, dtype="<f8"))
     return h.hexdigest()
 
 

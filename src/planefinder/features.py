@@ -188,7 +188,7 @@ def _orientations(frames, ts, ys, xs, sigma):
         vx = ((f[pick + 1] - f[pick - 1]) / 2).astype(np.float64)
         mag = np.hypot(vx, vy)
         ok[lo:hi] = ~(np.bincount(point, weights=mag, minlength=hi - lo) < DEGENERATE_ENERGY)
-        ang = np.mod(np.arctan2(vy, vx), 2.0 * math.pi)
+        ang = _mod_turn(np.arctan2(vy, vx))
         bins = np.minimum((ang / (2.0 * math.pi) * ORIENTATION_BINS).astype(int),
                           ORIENTATION_BINS - 1)
         weight = mag * np.broadcast_to(w, inside.shape)[inside]
@@ -196,6 +196,13 @@ def _orientations(frames, ts, ys, xs, sigma):
                            minlength=(hi - lo) * ORIENTATION_BINS)
         best[lo:hi] = hist.reshape(hi - lo, ORIENTATION_BINS).argmax(axis=1)
     return (best + 0.5) * 2.0 * math.pi / ORIENTATION_BINS, ok
+
+
+def _mod_turn(ang):
+    """np.mod(ang, 2 pi), bit for bit, for ang in (-4 pi, 2 pi): below -2 pi,
+    fmod's add is exact (Sterbenz). Unlike np.where, no branch on each sign."""
+    ang = ang + (ang < -2.0 * math.pi) * (2.0 * math.pi)
+    return ang + (ang < 0) * (2.0 * math.pi)
 
 
 def _unit_rows(rows):
@@ -254,7 +261,7 @@ def _static_histograms(gx, gy, keypoints):
     vx, vy = (np.where(inside, v, 0.0) for v in _frame_samples((gx, gy), kt, py, px))
     mag = np.hypot(vx, vy)
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
-    ang = np.mod(np.arctan2(vy, vx) - ori, 2.0 * math.pi)
+    ang = _mod_turn(np.arctan2(vy, vx) - ori)
     obin = np.minimum((ang / (2.0 * math.pi) * 8).astype(int), 7)
     cell_r = np.minimum(np.arange(n_samples) * 4 // n_samples, 3)
     cell = np.arange(n)[:, None, None] * 16 + cell_r[:, None] * 4 + cell_r
@@ -359,7 +366,7 @@ def describe_spacetime(frames, points):
     ok = np.zeros(len(points), dtype=bool)
     if len(points) == 0:
         return _records(vals, ok)
-    mag, code = _gradient_bins(frames)
+    mag, code = _gradient_bins(*np.gradient(frames))
     x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
     radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
     centres = np.rint(np.column_stack((t, y, x))).astype(int)
@@ -369,53 +376,57 @@ def describe_spacetime(frames, points):
 
     for rt, rs in np.unique(radii, axis=0):
         group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
-        # only the t-offsets that carry some centre of the group into the
-        # sequence are gathered; no sample at another offset is inside
-        ct = centres[group, 0]
-        dt = np.arange(max(-rt, -ct.max()), min(rt, frames.shape[0] - 1 - ct.min()) + 1)
-        per_point = (8 + mag.itemsize + code.itemsize) * dt.size * (2 * rs + 1) ** 2
+        span = min(2 * rt + 1, frames.shape[0])
+        per_point = (8 + mag.itemsize + code.itemsize) * span * (2 * rs + 1) ** 2
         step = max(1, SPACETIME_BLOCK_BYTES // per_point)
         for lo in range(0, group.size, step):
             block = group[lo:lo + step]
-            vals[block], ok[block] = _spacetime_histograms(mag, code, centres[block], dt, rt, rs)
+            vals[block], ok[block] = _spacetime_histograms(mag, code, centres[block], rt, rs)
     return _records(vals, ok)
 
 
-def _gradient_bins(frames):
-    """Each voxel's gradient magnitude and uint8 bin ebin * N_AZIMUTH + abin."""
-    gt, gy, gx = np.gradient(frames)
-    mag = np.sqrt(gx ** 2 + gy ** 2 + gt ** 2)
-    azim = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
-    elev = np.arctan2(gt, np.hypot(gx, gy))  # in [-pi/2, pi/2]
+def _gradient_bins(gt, gy, gx):
+    """Each voxel's gradient magnitude and uint8 bin ebin * N_AZIMUTH + abin.
+    Where r2 is normal, sqrt(r2) is a few ulps from np.hypot, which moves the
+    elevation bin coordinate v under 1e-14, so v is taken again with np.hypot
+    only within 1e-9 of an integer (a bin edge) and where r2 is not normal."""
+    r2 = gx ** 2 + gy ** 2
+    mag = np.sqrt(r2 + gt ** 2)
+    azim = _mod_turn(np.arctan2(gy, gx))
+    v = (np.arctan2(gt, np.sqrt(r2)) + math.pi / 2) / math.pi * N_ELEVATION
+    odd = np.nonzero((np.abs(v - np.rint(v)) < 1e-9) | (r2 < 2.0 ** -1022) | (r2 == np.inf))
+    v[odd] = ((np.arctan2(gt[odd], np.hypot(gx[odd], gy[odd])) + math.pi / 2)
+              / math.pi * N_ELEVATION)
     abin = np.minimum((azim / (2.0 * math.pi) * N_AZIMUTH).astype(int), N_AZIMUTH - 1)
-    ebin = np.minimum(((elev + math.pi / 2) / math.pi * N_ELEVATION).astype(int),
-                      N_ELEVATION - 1)
+    ebin = np.minimum(v.astype(int), N_ELEVATION - 1)
     return mag, (ebin * N_AZIMUTH + abin).astype(np.uint8)
 
 
-def _spacetime_histograms(mag, code, centres, dt, rt, rs):
+def _spacetime_histograms(mag, code, centres, rt, rs):
     """Unit-length descriptors of the points at centres (n, 3) of (t, y, x)
-    whose windows have radii (rt, rs, rs), gathered at the t-offsets dt of
-    -rt..rt only, and which are not degenerate. mag and code hold each
-    voxel's gradient magnitude and orientation bin; only they are gathered."""
+    whose windows have radii (rt, rs, rs), and which are not degenerate, from
+    the run of min(2 rt + 1, T) frames holding each window's part of the
+    sequence. Only mag and code, each voxel's magnitude and bin, are gathered."""
     n = len(centres)
     shape = mag.shape
-    t = centres[:, 0, None] + dt
+    span = min(2 * rt + 1, shape[0])
+    ct = centres[:, 0, None]
+    dt = np.clip(-rt, -ct, shape[0] - span - ct) + np.arange(span)
     y, x = (centres[:, axis, None] + np.arange(-rs, rs + 1) for axis in (1, 2))
-    t, y, x = t[:, :, None, None], y[:, None, :, None], x[:, None, None, :]
+    t, y, x = (ct + dt)[:, :, None, None], y[:, None, :, None], x[:, None, None, :]
     inside = ((x >= 0) & (x < shape[2]) & (y >= 0) & (y < shape[1])
-              & (t >= 0) & (t < shape[0]))
+              & (np.abs(dt) <= rt)[:, :, None, None])
     flat = np.ravel_multi_index((t, y, x), shape, mode="clip")
     mag = np.where(inside, mag.reshape(-1)[flat], 0.0)
     ok = ~((mag ** 2).reshape(n, -1).sum(axis=1) < DEGENERATE_ENERGY)
 
     # a zero-magnitude sample would add +0.0 to its bin, which changes no
-    # sum, so only the others are binned; samples outside the frame or the
-    # sequence are such samples
+    # sum, so only the others are binned, in (t, y, x) order; samples outside
+    # the frame or the window are such samples
     live = mag != 0
-    ct = np.minimum((dt + rt) * 2 // (2 * rt + 1), 1)
+    cell_t = np.arange(n)[:, None] * 2 + (dt + rt) * 2 // (2 * rt + 1)
     cy = cx = np.minimum(np.arange(2 * rs + 1) * 2 // (2 * rs + 1), 1)
-    cell = np.arange(n)[:, None, None, None] * 8 + (ct[:, None, None] * 2 + cy[:, None]) * 2 + cx
+    cell = (cell_t[:, :, None, None] * 2 + cy[:, None]) * 2 + cx
     cell, flat = (np.broadcast_to(a, live.shape)[live] for a in (cell, flat))
     hist = np.bincount(cell * N_AZIMUTH * N_ELEVATION + code.reshape(-1)[flat],
                        weights=mag[live], minlength=n * SPACETIME_DESCRIPTOR_DIM)

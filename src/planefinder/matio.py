@@ -25,7 +25,7 @@ def write_matrix(path, arr):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", arr.shape[0], arr.shape[1]))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(arr, dtype="<f8"))
 
 
 def read_matrix(path):
@@ -46,7 +46,7 @@ def read_matrix(path):
         if nbytes > os.fstat(fh.fileno()).st_size - 16:
             raise MatIOError("truncated matrix file %s: header says %d x %d"
                              % (path, rows, cols))
-        payload = fh.read(nbytes)
-    if len(payload) != nbytes:
-        raise MatIOError("truncated matrix file %s" % path)
-    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        out = np.empty((rows, cols), dtype="<f8")
+        if fh.readinto(out) != nbytes:
+            raise MatIOError("truncated matrix file %s" % path)
+    return out

@@ -111,14 +111,18 @@ class PlaneParams:
     @cached_property
     def normal(self):
         n = np.cross(self.axis_u, self.axis_v)
-        return n / np.linalg.norm(n)
+        n = n / np.linalg.norm(n)
+        n.flags.writeable = False
+        return n
 
     @cached_property
     def center(self):
         o = np.asarray(self.origin)
         u = np.asarray(self.axis_u)
         v = np.asarray(self.axis_v)
-        return o + 0.5 * ((self.width - 1) * u + (self.height - 1) * v)
+        c = o + 0.5 * ((self.width - 1) * u + (self.height - 1) * v)
+        c.flags.writeable = False
+        return c
 
 
 def float_frames(frames):

@@ -4,11 +4,12 @@ Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
 per-frame plane sampler, the L0 loop with every step solved (and one
-screened-Poisson solve, also as a step with a complex division), the PGM
-header tokenized byte by byte, and the synthetic timing workload of
-criterion 7.
+screened-Poisson solve, also as a step with a complex division), the
+space-time orientation bins with np.mod and np.hypot, the PGM header
+tokenized byte by byte, and the synthetic timing workload of criterion 7.
 """
 
+import math
 import time
 import warnings
 
@@ -180,6 +181,17 @@ def sample_plane(vol, params, frame):
         raise VolumeError("frame %d out of range [0, %d)" % (frame, vol.n_frames))
     return ndimage.map_coordinates(vol.voxels[frame], _plane_coords(params), order=1,
                                    mode="grid-constant", cval=0.0)
+
+
+def gradient_bins_hypot(gt, gy, gx):
+    """features._gradient_bins as first written: the azimuth wrapped by
+    np.mod, the elevation taken against np.hypot(gx, gy) at every voxel."""
+    mag = np.sqrt(gx ** 2 + gy ** 2 + gt ** 2)
+    azim = np.mod(np.arctan2(gy, gx), 2.0 * math.pi)
+    elev = np.arctan2(gt, np.hypot(gx, gy))  # in [-pi/2, pi/2]
+    abin = np.minimum((azim / (2.0 * math.pi) * 8).astype(int), 7)
+    ebin = np.minimum(((elev + math.pi / 2) / math.pi * 3).astype(int), 2)
+    return mag, (ebin * 8 + abin).astype(np.uint8)
 
 
 def pgm_header_tokens(data):

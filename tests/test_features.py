@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from oracles import gradient_bins_hypot
 from planefinder import features, pipeline
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
                                   FeatureError, _frame_samples, _gaussian_nearest,
-                                  _harris_response, _octave_extrema, _orientations,
+                                  _gradient_bins, _harris_response, _mod_turn,
+                                  _octave_extrema, _orientations, _static_histograms,
                                   describe_spacetime, describe_static,
                                   detect_spacetime_points, detect_static_keypoints)
 from planefinder.phantom import PhantomSpec, synth_phantom
@@ -508,6 +510,96 @@ def test_spacetime_descriptors_one_point_blocks(monkeypatch):
     for a, b in zip(whole, describe_spacetime(frames, points)):
         assert a.degenerate == b.degenerate
         assert np.array_equal(a.values, b.values)
+
+
+def test_spacetime_windows_shorter_than_the_sequence_match_reference(monkeypatch):
+    # 16 frames: a sigma_t = 2 window (13 frames) is cut to the sequence at
+    # t = 0, 1, 14 and 15, and a sigma_t = 4 one (25 frames) takes all 16
+    rng = np.random.default_rng(16)
+    frames = rng.random((16, 24, 20))
+    frames[:, :, 12:] = 0.4  # flat in x >= 12: degenerate windows there
+    points = np.array([(x, y, t, ss, st) for x, y in ((4.0, 5.0), (19.0, 12.0))
+                       for t in (0.0, 1.0, 14.0, 15.0) for ss, st in features.SPACETIME_SCALES])
+    expected = [_reference_spacetime_descriptor(frames, pt) for pt in points]
+    assert 0 < sum(e is None for e in expected) < len(points)
+    for block_bytes in (features.SPACETIME_BLOCK_BYTES, 1):
+        monkeypatch.setattr(features, "SPACETIME_BLOCK_BYTES", block_bytes)
+        got = describe_spacetime(frames, points)
+        assert [d.degenerate for d in got] == [e is None for e in expected]
+        for d, e in zip(got, expected):
+            assert np.array_equal(d.values,
+                                  np.zeros(SPACETIME_DESCRIPTOR_DIM) if e is None else e)
+
+
+def _bins_match_hypot_reference(gt, gy, gx):
+    mag, code = _gradient_bins(gt, gy, gx)
+    ref_mag, ref_code = gradient_bins_hypot(gt, gy, gx)
+    assert np.array_equal(mag, ref_mag) and np.array_equal(code, ref_code)
+    assert code.dtype == np.uint8
+
+
+def test_gradient_bins_match_hypot_reference_on_random_stacks():
+    rng = np.random.default_rng(4)
+    frames = rng.random((8, 32, 24))
+    for stack in (frames, frames.astype(np.float32).astype(np.float64)):
+        _bins_match_hypot_reference(*np.gradient(stack))
+
+
+def test_gradient_bins_match_hypot_reference_on_crafted_gradients():
+    rng = np.random.default_rng(6)
+    signed = (-0.0, 0.0, 1.0, -1.0)
+    cases = [np.array(np.meshgrid(signed, signed, signed)).reshape(3, -1)]
+    # gx == +-gy, on the azimuth bin edges, and gy == +-0 with gx < 0, where
+    # arctan2 is +-pi
+    r = rng.uniform(0.1, 10.0, 40)
+    for sy in (1.0, -1.0):
+        for sx in (1.0, -1.0):
+            cases.append(np.array([rng.normal(size=40), sy * r, sx * r]))
+    cases.append(np.array([rng.normal(size=4), [0.0, -0.0, 0.0, -0.0], [-1.0, -1.0, -2.0, -3.0]]))
+    # gt at +-r tan(pi/6) and its next doubles either side, on the elevation
+    # bin edges, where sqrt(gx**2 + gy**2) and hypot(gx, gy) can split a bin
+    gx, gy = rng.normal(size=(2, 200))
+    edge = np.hypot(gx, gy) * math.tan(math.pi / 6)
+    gt, up, down = [edge], edge, edge
+    for _ in range(3):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, 0.0)
+        gt += [up, down]
+    for g in gt:
+        for s in (1.0, -1.0):
+            cases.append(np.array([s * g, gy, gx]))
+    # squares that underflow, and that overflow
+    for scale in (1e-160, 1e-170, 1e200):
+        cases.append(scale * rng.normal(size=(3, 40)))
+    gt, gy, gx = np.concatenate(cases, axis=1)
+    with np.errstate(over="ignore"):
+        v = (np.arctan2(gt, np.sqrt(gx ** 2 + gy ** 2)) + math.pi / 2) / math.pi * 3
+        # without the np.hypot fallback some of these would change bin
+        assert (v.astype(int) != ((np.arctan2(gt, np.hypot(gx, gy)) + math.pi / 2)
+                                  / math.pi * 3).astype(int)).any()
+        _bins_match_hypot_reference(gt, gy, gx)
+
+
+def test_mod_turn_is_np_mod():
+    # -2 pi, just below it, -pi and -0.0, and angles across (-4 pi, 2 pi)
+    two_pi = 2.0 * math.pi
+    ang = np.concatenate([[-two_pi, np.nextafter(-two_pi, -np.inf), -math.pi, -0.0, 0.0],
+                          np.random.default_rng(2).uniform(-2.0 * two_pi, two_pi, 10000)])
+    got, want = _mod_turn(ang), np.mod(ang, two_pi)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_static_histograms_wrap_as_np_mod():
+    # arctan2(-1e-300, -1) is -pi, so orientations pi, two doubles above pi
+    # and 0 put every sample's angle at -2 pi, at the double below -2 pi and
+    # at -pi
+    gx, gy = np.full((1, 40, 40), -1.0), np.full((1, 40, 40), -1e-300)
+    oris = (math.pi, np.nextafter(np.nextafter(math.pi, 4.0), 4.0), 0.0)
+    vals, ok = _static_histograms(gx, gy, np.array([[20.0, 20.0, 0.0, 1.0, o] for o in oris]))
+    expected = [min(int(np.mod(math.atan2(-1e-300, -1.0) - o, 2.0 * math.pi)
+                        / (2.0 * math.pi) * 8), 7) for o in oris]
+    assert ok.all() and expected == [0, 7, 4]
+    for row, b in zip(vals, expected):
+        assert np.flatnonzero(row.reshape(16, 8).any(axis=0)).tolist() == [b]
 
 
 def _map_coordinates_nearest(field, x, y):

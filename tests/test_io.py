@@ -1,8 +1,9 @@
+import hashlib
 import os
 import pathlib
 import struct
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 
 from oracles import pgm_header_tokens
 from planefinder import matio, pgm
-from planefinder.bundle import (BundleError, ModelBundle, compute_hash, load_bundle,
-                               save_bundle)
+from planefinder.bundle import (BundleError, ModelBundle, _matrices, _meta_lines, compute_hash,
+                               load_bundle, save_bundle)
 from planefinder.classifier import FeatureScaler, MulticlassModel, SvmModel
 from planefinder.codebook import Codebook, CodebookError, quantize
-from planefinder.config import ConfigError, PipelineConfig, load_config, save_config
+from planefinder.config import (ConfigError, PipelineConfig, config_text, load_config,
+                                save_config)
 from planefinder.embedding import EmbeddingModel
 from planefinder.manifest import (DatasetManifest, ManifestError, ManifestRecord,
                                   read_manifest, write_manifest)
@@ -27,7 +29,8 @@ def test_matrix_roundtrip_2d(tmp_path):
     arr = rng.normal(size=(5, 7))
     path = str(tmp_path / "a.mat")
     matio.write_matrix(path, arr)
-    assert np.array_equal(matio.read_matrix(path), arr)
+    back = matio.read_matrix(path)
+    assert np.array_equal(back, arr) and back.flags.writeable and back.flags.owndata
 
 
 def test_matrix_roundtrip_1d_as_row(tmp_path):
@@ -419,6 +422,25 @@ def test_reloaded_bundle_quantizes_the_same(tmp_path):
     for cb, cb_back in ((bundle.cb_static, back.cb_static),
                         (bundle.cb_spacetime, back.cb_spacetime)):
         assert np.array_equal(quantize(data, cb_back).values, quantize(data, cb).values)
+
+
+def test_hash_reads_each_matrix_buffer_as_its_bytes():
+    # compute_hash feeds the arrays to sha256 without a bytes copy; the digest
+    # is that of their little-endian f8 bytes, for a transposed, a float32
+    # and a big-endian matrix too
+    bundle = _tiny_bundle()
+    emb = bundle.embedding
+    bundle = replace(bundle, embedding=replace(
+        emb, w_x=np.asfortranarray(emb.w_x), w_y=emb.w_y.astype(np.float32),
+        mean_x=emb.mean_x.astype(">f8")))
+    h = hashlib.sha256()
+    h.update(config_text(bundle.config).encode())
+    for line in _meta_lines(bundle):
+        h.update(line.encode())
+    for name, arr in _matrices(bundle):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(np.atleast_2d(arr), dtype="<f8").tobytes())
+    assert compute_hash(bundle) == h.hexdigest()
 
 
 def test_codebook_norms_stay_out_of_repr_and_hash():

@@ -558,6 +558,12 @@ def test_plane_params_equality_and_hash_ignore_the_cached_normal_and_center():
     assert a.normal is normal and a.center is center
     assert a == b and hash(a) == hash(b) == before
     assert np.array_equal(b.normal, normal) and np.array_equal(b.center, center)
+    # every reader gets the one cached array, so none may write to it
+    for cached in (a.normal, a.center):
+        with pytest.raises(ValueError):
+            cached *= -1.0
+    assert np.array_equal(a.normal, b.normal) and np.array_equal(a.center, b.center)
+    assert a == b and hash(a) == before
 
 
 def test_phantom_deterministic():
