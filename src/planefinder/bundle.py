@@ -122,12 +122,17 @@ def load_bundle(path):
         except ValueError as exc:
             raise BundleError("%s key %r: %s" % (mpath, key, exc)) from exc
 
-    def mat(name, flat=False):
+    def mat(name, *shape):
+        """The matrix, a vector if given one length; None in `shape` is any."""
         try:
             arr = matio.read_matrix(os.path.join(path, name + ".mat"))
         except matio.MatIOError as exc:
             raise BundleError("bundle matrix %s: %s" % (name, exc)) from exc
-        return arr.ravel() if flat else arr
+        arr = arr.ravel() if len(shape) == 1 else arr
+        if any(want not in (None, got) for got, want in zip(arr.shape, shape)):
+            raise BundleError("bundle matrix %s has shape %s, expected %s"
+                              % (name, arr.shape, shape))
+        return arr
 
     fmt = one("format")
     if fmt != BUNDLE_FORMAT:
@@ -136,8 +141,13 @@ def load_bundle(path):
         cfg = load_config(os.path.join(path, "config.txt"))
     except ConfigError as exc:
         raise BundleError("bundle config: %s" % exc) from exc
-    scaler = FeatureScaler(mins=mat("scaler_mins", flat=True),
-                           maxs=mat("scaler_maxs", flat=True),
+    try:
+        cb_static = Codebook(centroids=mat("codebook_static"))
+        cb_spacetime = Codebook(centroids=mat("codebook_spacetime"))
+    except CodebookError as exc:
+        raise BundleError("bundle codebook: %s" % exc) from exc
+    k_s, k_t, c = cb_static.k, cb_spacetime.k, one("embed_c", int)
+    scaler = FeatureScaler(mins=mat("scaler_mins", c), maxs=mat("scaler_maxs", c),
                            passthrough=bool(one("scaler_passthrough", int)))
     class_ids = one("classes", _csv(int))
     machines = {}
@@ -146,24 +156,23 @@ def load_bundle(path):
         if len(weights) != 2:
             raise BundleError("%s key 'svm_%d_weights': expected two class weights"
                               % (mpath, cid))
+        kernel = one("svm_%d_kernel" % cid)
+        if kernel not in ("hik", "linear"):
+            raise BundleError("%s key 'svm_%d_kernel': unknown kernel %r" % (mpath, cid, kernel))
+        sv = mat("svm_%d_sv" % cid, None, c)
         machines[cid] = SvmModel(
-            support_vectors=mat("svm_%d_sv" % cid),
-            dual_coefs=mat("svm_%d_coef" % cid, flat=True),
+            support_vectors=sv,
+            dual_coefs=mat("svm_%d_coef" % cid, len(sv)),
             bias=one("svm_%d_bias" % cid, float),
             c=one("svm_%d_c" % cid, float),
             class_weights=weights,
-            kernel=one("svm_%d_kernel" % cid),
+            kernel=kernel,
             scaler=scaler)
     emb = EmbeddingModel(
-        w_x=mat("embed_wx"), w_y=mat("embed_wy"),
-        mean_x=mat("embed_mean_x", flat=True), mean_y=mat("embed_mean_y", flat=True),
-        c=one("embed_c", int), epsilon=one("embed_epsilon", float),
+        w_x=mat("embed_wx", k_s, c), w_y=mat("embed_wy", k_t, c),
+        mean_x=mat("embed_mean_x", k_s), mean_y=mat("embed_mean_y", k_t),
+        c=c, epsilon=one("embed_epsilon", float),
         train_n=one("embed_train_n", int))
-    try:
-        cb_static = Codebook(centroids=mat("codebook_static"))
-        cb_spacetime = Codebook(centroids=mat("codebook_spacetime"))
-    except CodebookError as exc:
-        raise BundleError("bundle codebook: %s" % exc) from exc
     bundle = ModelBundle(
         config=cfg,
         cb_static=cb_static,

@@ -144,9 +144,10 @@ def _assign(data, centroids, c2):
     return assign, min_d2
 
 
-def _nearest(data, centroids, c2, lower=None):
+def _nearest(data, centroids, c2):
     """_assign's assignments (ties -> lowest index), screened in single
-    precision and decided in double.
+    precision and decided in double, and a lower bound on each row's distance
+    to every centroid but its own.
 
     Each block's y = c2 - 2 x·c, the squared distance less the row's own
     |x|², is computed by one float32 GEMM into one reused buffer, each block
@@ -168,27 +169,24 @@ def _nearest(data, centroids, c2, lower=None):
     the only entry within 2 err + 1e-12 of it, every other centroid's d2
     exceeds both d2[j] and 0 by more than 1e-12, so _assign picks j too.
 
-    Given `lower`, writes into it a lower bound on each row's distance to
-    every centroid but its own. For a row decided here it is the square root
-    of x2 plus y's second smallest entry, less the band: every other
-    centroid's exact squared distance exceeds that by err, which covers
-    rounding the bound in float64. A row left to _assign gets 0.
+    For a row decided here the bound is the square root of x2 plus y's
+    second smallest entry, less the band: every other centroid's exact
+    squared distance exceeds that by err, which covers rounding the bound in
+    float64. A row left to _assign gets 0.
     """
     n, d = data.shape
     x2 = np.einsum("ij,ij->i", data, data)
     if np.max(x2, initial=0.0) + c2.max() >= SCREEN_LIMIT:
-        if lower is not None:
-            lower.fill(0.0)
-        return _assign(data, centroids, c2)[0]
+        return _assign(data, centroids, c2)[0], np.zeros(n)
     cm2 = centroids.astype(np.float32)
     cm2 *= -2.0
     c2_32 = c2.astype(np.float32)
     band = 2.0 * ((d + 8) * 2.0 ** -24 * (x2 + c2.max()) + 2.0 ** -100) + 1e-12
     assign = np.empty(n, dtype=np.int64)
+    lower = np.empty(n)
     sure = np.empty(n, dtype=bool)
     buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]), dtype=np.float32)
-    for lo in range(0, n, ASSIGN_BLOCK):
-        hi = min(lo + ASSIGN_BLOCK, n)
+    for lo, hi in _blocks(n):
         y = buf[:hi - lo]
         np.matmul(data[lo:hi].astype(np.float32), cm2.T, out=y)
         y += c2_32
@@ -200,15 +198,13 @@ def _nearest(data, centroids, c2, lower=None):
         second = y.min(axis=1)
         sure[lo:hi] = second > limit
         assign[lo:hi] = best
-        if lower is not None:
-            lower[lo:hi] = np.sqrt(np.maximum(x2[lo:hi] + second - band[lo:hi], 0.0))
+        lower[lo:hi] = np.sqrt(np.maximum(x2[lo:hi] + second - band[lo:hi], 0.0))
     del buf  # _assign allocates its own
     unsure = np.flatnonzero(~sure)
     if unsure.size:
         assign[unsure] = _assign(data[unsure], centroids, c2)[0]
-        if lower is not None:
-            lower[unsure] = 0.0
-    return assign
+        lower[unsure] = 0.0
+    return assign, lower
 
 
 def _distance_above(a, b):
@@ -248,8 +244,8 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
 
     A pass searches only the rows whose Hamerly bound (Hamerly, SDM 2010)
     leaves their nearest centroid open (see _rows_to_search); the others
-    provably keep theirs, so the result is that of searching every row. The
-    first pass, and each pass after a re-seed, searches every row.
+    provably keep theirs, so the result is that of searching every row. A
+    zero bound opens every centroid: rows start with one, re-seeded rows get one.
 
     When Lloyd converges with no re-seed in its final pass, the final
     centroids are the means of the final assignment, as were the centroids
@@ -266,20 +262,15 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
     centroids = _kmeanspp_seed(data, k, rng)
     x2 = np.einsum("ij,ij->i", data, data)
     assign = np.full(n, -1)
-    lower = np.empty(n)
-    reseeded = True  # the first pass searches every row
+    lower = np.zeros(n)
     pool_assignment = None
     for _ in range(max_iter):
         c2 = (centroids ** 2).sum(axis=1)
-        if reseeded:
-            new_assign = _nearest(data, centroids, c2, lower)
-        else:
-            new_assign = assign.copy()
-            margin = 2.0 * _error64(x2, c2.max(), d) + 1e-12
-            for rows in _rows_to_search(data, centroids, assign, lower, margin):
-                bound = np.empty(rows.size)
-                new_assign[rows] = _nearest(data[rows], centroids, c2, bound)
-                lower[rows] = bound
+        new_assign = assign.copy()
+        margin = 2.0 * _error64(x2, c2.max(), d) + 1e-12
+        # the first pass measures each row against centroid -1, unused: its bound is 0
+        for rows in _rows_to_search(data, centroids, assign, lower, margin):
+            new_assign[rows], lower[rows] = _nearest(data[rows], centroids, c2)
         counts = np.bincount(new_assign, minlength=k)
         empty = list(np.flatnonzero(counts == 0))
         reseeded = bool(empty)
@@ -301,6 +292,7 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
             new_assign[far] = j
             counts[j] = 1
             min_d2[far] = -np.inf
+            lower[far] = 0.0  # the bound left out the old centroid, not j
         # each cell summed in row order from 0.0, as np.add.at would; the
         # index and the sums are freed before the drift below is taken
         moved, centroids = centroids, np.bincount(
@@ -371,7 +363,7 @@ def quantize_planes(planes, cb):
     an all-zero row.
     """
     data = _descriptor_matrix(planes, cb.centroids.shape[1])
-    return plane_histograms(_nearest(data, cb.centroids, cb._sq_norms),
+    return plane_histograms(_nearest(data, cb.centroids, cb._sq_norms)[0],
                             [len(p) for p in planes], cb.k)
 
 

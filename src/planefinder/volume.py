@@ -59,9 +59,13 @@ class Volume4D:
                 raise VolumeError("non-finite voxel values")
             if lo < 0.0 or hi > 1.0:
                 raise VolumeError("intensities must lie in [0,1]")
+        spacing = tuple(float(s) for s in spacing)
+        if len(spacing) != 3 or not all(0.0 < s < np.inf for s in spacing):
+            raise VolumeError("spacing must be three finite positive numbers, got %s"
+                              % (spacing,))
         stored.flags.writeable = False
         object.__setattr__(self, "stored", stored)
-        object.__setattr__(self, "spacing", tuple(float(s) for s in spacing))
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "divisor", divisor)
 
     @property
@@ -174,9 +178,8 @@ def load_volume(path):
         t = int(fields["frames"])
     except ValueError as exc:
         raise VolumeError("bad header value in %s: %s" % (path, exc)) from exc
-    if min(nx, ny, nz, t) < 1 or len(spacing) != 3:
-        raise VolumeError("header %s: dims and frames must be positive and spacing "
-                          "three numbers" % path)
+    if min(nx, ny, nz, t) < 1:
+        raise VolumeError("header %s: dims and frames must be positive" % path)
     dtype_code = fields["dtype"]
     if dtype_code not in DTYPE_CODES:
         raise VolumeError("unsupported dtype %r" % dtype_code)

@@ -88,7 +88,7 @@ def lloyd_every_row(descriptors, k, seed=0, max_iter=100):
     assign = np.full(data.shape[0], -1)
     for _ in range(max_iter):
         c2 = (centroids ** 2).sum(axis=1)
-        new_assign = _nearest(data, centroids, c2)
+        new_assign = _nearest(data, centroids, c2)[0]
         counts = np.bincount(new_assign, minlength=k)
         empty = list(np.flatnonzero(counts == 0))
         if empty:

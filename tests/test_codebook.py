@@ -444,7 +444,8 @@ def test_assign_matches_unblocked_oracle(n):
     assert (assign[2::5] == 3).all() and (assign[3::5] == 10).all()
     # the screen defers every tied row to _assign and decides the rest itself
     with _deferred_rows() as deferred:
-        assert np.array_equal(codebook._nearest(data, cents, (cents ** 2).sum(axis=1)), assign)
+        assert np.array_equal(codebook._nearest(data, cents, (cents ** 2).sum(axis=1))[0],
+                              assign)
     ties = len(data[2::5]) + len(data[3::5])
     assert ties <= sum(deferred) <= ties + n // 10
 
@@ -463,7 +464,7 @@ def test_nearest_matches_assign_on_oracle_cases(name):
     cents_list, data = _oracle_case(name)
     for cents in cents_list:
         c2 = (cents ** 2).sum(axis=1)
-        assert np.array_equal(codebook._nearest(data, cents, c2),
+        assert np.array_equal(codebook._nearest(data, cents, c2)[0],
                               codebook._assign(data, cents, c2)[0])
 
 
@@ -488,9 +489,8 @@ def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, sca
     radii = np.sqrt([r2, r2 + gap * band, 100.0 * r2, 100.0 * r2, 100.0 * r2])
     cents = (x + radii[:, None] * units)[rng.permutation(5)]
     c2 = (cents ** 2).sum(axis=1)
-    lower = np.empty(1)
     with _deferred_rows() as deferred:
-        got = codebook._nearest(x[None], cents, c2, lower)
+        got, lower = codebook._nearest(x[None], cents, c2)
     assert np.array_equal(got, codebook._assign(x[None], cents, c2)[0])
     # the bound on the distance to every other centroid holds; a row the
     # screen decides gets one within the band of it, a row left to _assign 0
@@ -522,13 +522,31 @@ def test_nearest_defers_every_row_when_float32_could_overflow(data_scale, cent_s
     data = data_scale * rng.normal(size=(300, 16))
     c2 = (cents ** 2).sum(axis=1)
     want = codebook._assign(data, cents, c2)[0]
-    lower = np.full(300, np.nan)
     with _deferred_rows() as deferred:
-        assert np.array_equal(codebook._nearest(data, cents, c2, lower), want)
+        got, lower = codebook._nearest(data, cents, c2)
+    assert np.array_equal(got, want)
     assert (sum(deferred) < 300) if screened else deferred == [300]
-    # every row left to _assign gets a lower bound of 0, and no row goes without
-    assert not np.isnan(lower).any()
+    # every row left to _assign gets a lower bound of 0, and every row one
+    assert lower.shape == (300,) and not np.isnan(lower).any()
     assert (lower == 0.0).all() or screened
+
+
+def test_lloyd_past_the_screen_limit_searches_every_row_in_every_pass(monkeypatch):
+    # 16-D rows at 2^49 have squared norms near 2^102: _nearest's fallback
+    # decides every row in float64 and bounds each by 0, so no pass of Lloyd
+    # skips a row, and the result is still the every-row oracle's
+    data = 2.0 ** 49 * np.random.default_rng(7).normal(size=(300, 16))
+    cents = data[:40]
+    got, lower = codebook._nearest(data, cents, (cents ** 2).sum(axis=1))
+    assert lower.dtype == np.float64 and lower.tobytes() == np.zeros(300).tobytes()
+    with monkeypatch.context() as m:
+        passes = _record_passes(m, data)
+        cb = train_codebook(data, k=40, seed=3)
+    assert len(passes) > 2
+    assert all(sorted(p["searched"]) == list(range(300)) for p in passes)
+    centroids, assign = lloyd_every_row(data, 40, seed=3)
+    assert cb.centroids.tobytes() == centroids.tobytes()
+    assert cb.pool_assignment.tobytes() == assign.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore::planefinder.codebook.CodebookWarning")
@@ -536,14 +554,7 @@ def test_lloyd_memory_is_bounded(monkeypatch):
     # fit's static pool: 2,488 descriptors against k = 2,000 centroids
     data = np.random.default_rng(4).random((2488, 128))
     bound = 16 << 20
-    searched = []
-    nearest = codebook._nearest
-
-    def counted(rows, *args):
-        searched.append(rows.shape[0])
-        return nearest(rows, *args)
-
-    monkeypatch.setattr(codebook, "_nearest", counted)
+    passes = _record_passes(monkeypatch, data)
 
     def peak():
         tracemalloc.start()
@@ -556,12 +567,38 @@ def test_lloyd_memory_is_bounded(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < bound
-    # the second pass searches a subset, gathered a block at a time
-    assert searched[0] == len(data) and 0 < sum(searched[1:]) < len(data)
-    assert max(searched[1:]) <= codebook.ASSIGN_BLOCK
+    # the first pass searches every row and the second a subset, each
+    # gathered a block at a time
+    first, second = (len(p["searched"]) for p in passes[:2])
+    assert first == len(data) and 0 < second < len(data)
+    assert max(b for p in passes for b in p["blocks"]) <= codebook.ASSIGN_BLOCK
     # measuring every descriptor against every centroid at once breaks the bound
     monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
     assert peak() > bound
+
+
+def _record_passes(monkeypatch, data):
+    """Lloyd's passes as train_codebook makes them on `data`, whose rows are
+    distinct: each pass's starting assignment, the size of each block it
+    searches, and the pool index of each row searched with its result."""
+    index = {row.tobytes(): i for i, row in enumerate(data)}
+    rows_to_search, nearest = codebook._rows_to_search, codebook._nearest
+    passes = []
+
+    def counted_rows_to_search(data, centroids, assign, lower, margin):
+        passes.append({"assign": assign.copy(), "blocks": [], "searched": [], "found": []})
+        return rows_to_search(data, centroids, assign, lower, margin)
+
+    def counted_nearest(rows, *args):
+        got = nearest(rows, *args)
+        passes[-1]["blocks"].append(rows.shape[0])
+        passes[-1]["searched"].extend(index[row.tobytes()] for row in rows)
+        passes[-1]["found"].extend(got[0].tolist())
+        return got
+
+    monkeypatch.setattr(codebook, "_rows_to_search", counted_rows_to_search)
+    monkeypatch.setattr(codebook, "_nearest", counted_nearest)
+    return passes
 
 
 def _lloyd_pool(name):
@@ -579,31 +616,31 @@ def _lloyd_pool(name):
 @pytest.mark.parametrize("name", ["reseeds mid-run", "fit-shaped"])
 def test_lloyd_matches_exact_search(monkeypatch, name):
     data, k, seed = _lloyd_pool(name)
-    nearest, assign = codebook._nearest, codebook._assign
+    rows_to_search, assign = codebook._rows_to_search, codebook._assign
     passes, deferred = [], []
 
-    def counted_nearest(rows, *args):
-        passes.append(rows.shape[0])
-        return nearest(rows, *args)
+    def counted_rows_to_search(*args):
+        passes.append(None)
+        return rows_to_search(*args)
 
     def counted_assign(rows, *args):
         deferred.append((len(passes), rows.shape[0]))
         return assign(rows, *args)
 
-    monkeypatch.setattr(codebook, "_nearest", counted_nearest)
+    monkeypatch.setattr(codebook, "_rows_to_search", counted_rows_to_search)
     monkeypatch.setattr(codebook, "_assign", counted_assign)
     screened = train_codebook(data, k=k, seed=seed)
     if name == "reseeds mid-run":
         # a full-pool _assign for re-seeding, after a pass other than the first
         assert any(p > 1 and rows == len(data) for p, rows in deferred)
     else:
-        assert 0 < deferred[0][1] < len(data) and deferred[0][0] == 1
+        # the screen leaves some rows of the first pass to _assign
+        assert deferred[0][0] == 1
+        assert 0 < sum(rows for p, rows in deferred if p == 1) < len(data)
 
-    def exact_search(rows, centroids, c2, lower=None):
+    def exact_search(rows, centroids, c2):
         # every row decided in float64, with the bound of a row left to _assign
-        if lower is not None:
-            lower.fill(0.0)
-        return assign(rows, centroids, c2)[0]
+        return assign(rows, centroids, c2)[0], np.zeros(len(rows))
 
     monkeypatch.setattr(codebook, "_nearest", exact_search)
     exact = train_codebook(data, k=k, seed=seed)
@@ -632,7 +669,7 @@ def _check_against_oracle(data, k, seed, max_iter):
         assert cb.pool_assignment.tobytes() == assign.tobytes()
         # the assignment is the search of the pool against the final centroids
         assert np.array_equal(cb.pool_assignment,
-                              codebook._nearest(data, cb.centroids, cb._sq_norms))
+                              codebook._nearest(data, cb.centroids, cb._sq_norms)[0])
     return cb, cb_warned
 
 
@@ -673,37 +710,23 @@ def test_bounded_lloyd_matches_every_row_oracle(seed, n, dim, kind, max_iter):
 @pytest.mark.parametrize("name", ["reseeds mid-run", "fit-shaped"])
 def test_bounded_lloyd_skips_rows_and_matches_the_oracle(monkeypatch, name):
     data, k, seed = _lloyd_pool(name)
-    nearest, assign = codebook._nearest, codebook._assign
-    events = []
-
-    def counted_nearest(rows, *args):
-        events.append(("search", rows.shape[0]))
-        return nearest(rows, *args)
-
-    def counted_assign(rows, *args):
-        if rows.shape[0] == len(data):
-            events.append(("reseed", None))
-        return assign(rows, *args)
-
-    monkeypatch.setattr(codebook, "_nearest", counted_nearest)
-    monkeypatch.setattr(codebook, "_assign", counted_assign)
-    cb, _ = _check_against_oracle(data, k, seed, 100)
+    _check_against_oracle(data, k, seed, 100)
+    passes = _record_passes(monkeypatch, data)
+    cb = train_codebook(data, k=k, seed=seed)
     assert cb.pool_assignment is not None
-    # a pass searches either every row at once or blocks of a subset
-    passes = []
-    for event, rows in events:
-        if event == "search" and rows < len(data) and passes and passes[-1][0] == "subset":
-            passes[-1][1] += rows
-        elif event == "search":
-            passes.append(["every" if rows == len(data) else "subset", rows])
-        else:
-            passes.append(["reseed", None])
-    assert passes[0] == ["every", len(data)]
-    assert any(kind == "subset" and rows < len(data) for kind, rows in passes)
-    if name == "reseeds mid-run":
-        # the pass after a re-seed searches every row again
-        at = passes.index(["reseed", None])
-        assert at > 1 and passes[at + 1] == ["every", len(data)]
+    # the first pass searches every row, and some later pass skips rows
+    assert sorted(passes[0]["searched"]) == list(range(len(data)))
+    assert any(len(p["searched"]) < len(data) for p in passes[1:])
+    # the rows a pass re-seeds are those whose assignment changed after its
+    # search; the next pass searches each of them
+    reseeded = []
+    for before, after in zip(passes, passes[1:]):
+        found = before["assign"].copy()
+        found[before["searched"]] = before["found"]
+        rows = np.flatnonzero(after["assign"] != found)
+        assert set(rows.tolist()) <= set(after["searched"])
+        reseeded.extend(rows)
+    assert bool(reseeded) == (name == "reseeds mid-run")
 
 
 def test_rows_left_to_assign_are_searched_in_the_next_pass(monkeypatch):
@@ -715,7 +738,7 @@ def test_rows_left_to_assign_are_searched_in_the_next_pass(monkeypatch):
     deferred, searched = [], []
 
     def counted_assign(rows, *args):
-        if not searched:  # the first pass, before any bounded one
+        if len(searched) == 1:  # the first pass
             deferred.extend(index[row.tobytes()] for row in rows)
         return assign(rows, *args)
 
@@ -727,8 +750,8 @@ def test_rows_left_to_assign_are_searched_in_the_next_pass(monkeypatch):
     monkeypatch.setattr(codebook, "_assign", counted_assign)
     monkeypatch.setattr(codebook, "_rows_to_search", counted_rows_to_search)
     cb = train_codebook(data, k=k, seed=seed)
-    assert 0 < len(deferred) < len(data)
-    assert set(deferred) <= searched[0] and len(searched[0]) < len(data)
+    assert 0 < len(deferred) < len(data) and len(searched[0]) == len(data)
+    assert set(deferred) <= searched[1] and len(searched[1]) < len(data)
     centroids, _ = lloyd_every_row(data, k, seed=seed)
     assert cb.centroids.tobytes() == centroids.tobytes()
 

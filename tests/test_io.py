@@ -461,6 +461,41 @@ def test_bundle_codebook_non_finite(tmp_path):
     assert isinstance(info.value.__cause__, CodebookError)
 
 
+def _forged(name):
+    """_tiny_bundle with the one matrix or kernel `name` names out of fit, and
+    its hash recomputed over the change."""
+    bundle = _tiny_bundle()
+    emb, clf = bundle.embedding, bundle.classifier
+    m0 = clf.machines[0]  # the machine whose scaler the bundle saves
+    embedding = {"embed_wx rows": dict(w_x=emb.w_x[:-1]),
+                 "embed_wx cols": dict(w_x=emb.w_x[:, :-1]),
+                 "embed_wy rows": dict(w_y=emb.w_y[:-1]),
+                 "embed_wy cols": dict(w_y=emb.w_y[:, :-1]),
+                 "embed_mean_x": dict(mean_x=emb.mean_x[:-1]),
+                 "embed_mean_y": dict(mean_y=emb.mean_y[:-1])}
+    machine = {"scaler_mins": dict(scaler=replace(m0.scaler, mins=m0.scaler.mins[:-1])),
+               "scaler_maxs": dict(scaler=replace(m0.scaler, maxs=m0.scaler.maxs[:-1])),
+               "svm_0_coef": dict(dual_coefs=m0.dual_coefs[:-1]),
+               "svm_0_sv": dict(support_vectors=np.hstack([m0.support_vectors] * 2)),
+               "svm_0_kernel": dict(kernel="rbf")}
+    if name in embedding:
+        return replace(bundle, embedding=replace(emb, **embedding[name]))
+    machines = {**clf.machines, 0: replace(m0, **machine[name])}
+    return replace(bundle, classifier=replace(clf, machines=machines))
+
+
+@pytest.mark.parametrize("name", ["embed_wx rows", "embed_wx cols", "embed_wy rows",
+                                  "embed_wy cols", "embed_mean_x", "embed_mean_y",
+                                  "scaler_mins", "scaler_maxs", "svm_0_coef", "svm_0_sv",
+                                  "svm_0_kernel"])
+def test_bundle_matrices_that_do_not_fit_together(tmp_path, name):
+    # each forgery loaded before, and failed only in locate
+    out = str(tmp_path / "bundle")
+    save_bundle(_forged(name), out)
+    with pytest.raises(BundleError, match=name.split()[0]):
+        load_bundle(out)
+
+
 def _rewrite_manifest(out, edit):
     path = os.path.join(out, "bundle.manifest")
     with open(path) as fh:

@@ -96,6 +96,19 @@ def test_roundtrip_u8_bit_exact(tmp_path):
     assert back.spacing == vol.spacing
 
 
+@pytest.mark.parametrize("spacing", [(1.0, 2.0), (1.0, 1.0, 1.0, 1.0), (1.0, 1.0, np.nan),
+                                     (1.0, np.inf, 1.0), (0.0, 1.0, 1.0), (1.0, -2.0, 1.0)])
+def test_spacing_must_be_three_finite_positive_numbers(tmp_path, spacing):
+    with pytest.raises(VolumeError, match="spacing must be three finite positive"):
+        Volume4D(np.zeros((1, 4, 4, 4)), spacing)
+    # the same spacing in a .vol4 header
+    header = write_raw_volume(tmp_path, frames=1)
+    header.write_text(header.read_text().replace(
+        "spacing=1 1 1", "spacing=" + " ".join(repr(s) for s in spacing)))
+    with pytest.raises(VolumeError, match="spacing"):
+        load_volume(str(header))
+
+
 def test_save_u8_codes_equal_np_round_of_255_times_the_values(tmp_path):
     # exact half-codes (k + 0.5) / 255 sit on or next to rounding ties
     values = np.random.default_rng(16).random(2 * 4 * 8 * 16)
