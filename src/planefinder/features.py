@@ -118,8 +118,7 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
     work in float64 on the gathered values."""
     factor = 2.0 ** octave
     _, _, h, w = dogs.shape
-    ts, ls, ys, xs = np.nonzero(np.abs(dogs[:, 1:-1, 2:-2, 2:-2]) >= contrast_threshold)
-    flat = np.ravel_multi_index((ts, ls + 1, ys + 2, xs + 2), dogs.shape)
+    flat = _contrast_pixels(dogs, contrast_threshold)
     values = dogs.ravel()
     offsets = np.dot((h * w, w, 1), _NEIGHBOURS)
     face_offsets = offsets[_FACES]
@@ -156,6 +155,22 @@ def _octave_extrema(dogs, gaussians, octave, contrast_threshold):
         found.append(np.column_stack((x[ok] * factor, y[ok] * factor, t[ok],
                                       np.full(ok.sum(), sigma), ori[ok])))
     return np.concatenate(found)
+
+
+def _contrast_pixels(dogs, contrast_threshold):
+    """Row-major flat indices into (T, levels, h, w) dogs of the pixels with
+    |d| >= contrast_threshold on an inner level, off the 2-pixel border."""
+    mask = np.abs(dogs) >= contrast_threshold
+    mask[:, [0, -1]] = False
+    return _flat_off_border(mask)
+
+
+def _flat_off_border(mask):
+    """Row-major flat indices of a (..., h, w) mask's True pixels off its
+    2-pixel (y, x) border, which it clears."""
+    mask[..., :2, :] = mask[..., -2:, :] = False
+    mask[..., :2] = mask[..., -2:] = False
+    return np.flatnonzero(mask)
 
 
 def _orientations(frames, ts, ys, xs, sigma):
@@ -222,21 +237,29 @@ def _records(vals, ok):
     return out
 
 
-def describe_static(frames, keypoints):
+def frame_gradients(frames):
+    """(stack, gy, gx) of a (T, H, W) stack of frames, T >= 1: the stack in
+    float64 and its np.gradient along y and x. Both describers read this one
+    triple, so a plane is copied and differenced in (y, x) once."""
+    stack = np.asarray(frames, dtype=np.float64)
+    return (stack, *np.gradient(stack, axis=(1, 2)))
+
+
+def describe_static(grads, keypoints):
     """128-D gradient-orientation descriptors of (n, 5) keypoint rows (x, y,
-    t, scale, orientation) of a (T, H, W) stack: 4x4 grid x 8 bins over frame
-    t, rotated to the keypoint orientation, clamped at 0.2 and re-normalized.
+    t, scale, orientation) of a (T, H, W) stack, from its frame_gradients
+    triple `grads`: 4x4 grid x 8 bins over frame t, rotated to the keypoint
+    orientation, clamped at 0.2 and re-normalized.
 
     Keypoints are described STATIC_BLOCK at a time; each one's bins are its
     own, so the blocks change no value."""
-    stack = np.asarray(frames, dtype=np.float64)
+    _, gy, gx = grads
     if len(keypoints) == 0:
         return _records(np.zeros((0, STATIC_DESCRIPTOR_DIM)), np.zeros(0, dtype=bool))
     keypoints = np.asarray(keypoints, dtype=np.float64)
     kt = keypoints[:, 2]
-    if np.any((kt < 0) | (kt > stack.shape[0] - 1) | (kt != np.rint(kt))):
+    if np.any((kt < 0) | (kt > gx.shape[0] - 1) | (kt != np.rint(kt))):
         raise FeatureError("keypoint t is not a frame index of the stack")
-    gy, gx = np.gradient(stack, axis=(1, 2))
     blocks = [_static_histograms(gx, gy, keypoints[lo:lo + STATIC_BLOCK])
               for lo in range(0, len(keypoints), STATIC_BLOCK)]
     return _records(*(np.concatenate(parts) for parts in zip(*blocks)))
@@ -308,28 +331,40 @@ def detect_spacetime_points(frames):
     (T, H, W) stack, as an (n, 5) float64 array of rows (x, y, t, sigma_s,
     sigma_t).
 
-    A point is kept when its response reaches the threshold and equals the
-    maximum of its 27 neighbours, gathered only for the pixels that reach it;
-    t is clipped as mode="nearest" does, and the cleared 2-pixel border keeps
-    y and x inside. The response is computed in the precision of the frames."""
+    Scale by scale, the rows come in row-major (t, y, x) order. The response
+    is computed in the precision of the frames, and its maxima are those of
+    _harris_maxima at threshold mean + 3 std."""
     frames = float_frames(frames)
-    t_count = frames.shape[0]
-    if t_count < 5:
+    if frames.shape[0] < 5:
         raise FeatureError("need at least 5 frames for spatio-temporal detection")
 
     points = [np.empty((0, 5))]
     for sigma_s, sigma_t in SPACETIME_SCALES:
         response = _harris_response(frames, (sigma_t, sigma_s, sigma_s), HARRIS_K)
         threshold = max(float(response.mean() + 3.0 * response.std()), 1e-18)
-        inner = response[:, 2:-2, 2:-2]
-        ts, ys, xs = np.nonzero((inner >= threshold) & (inner > 0))
-        ys, xs = ys + 2, xs + 2
-        near = response[(np.clip(ts[:, None] + _NEIGHBOURS[0], 0, t_count - 1),
-                         ys[:, None] + _NEIGHBOURS[1], xs[:, None] + _NEIGHBOURS[2])]
-        keep = response[ts, ys, xs] == near.max(axis=1)
-        points.append(np.column_stack((xs[keep], ys[keep], ts[keep],
-                                       np.full((keep.sum(), 2), (sigma_s, sigma_t)))))
+        ts, ys, xs = _harris_maxima(response, threshold)
+        points.append(np.column_stack((xs, ys, ts, np.full((ts.size, 2), (sigma_s, sigma_t)))))
     return np.concatenate(points)
+
+
+def _harris_maxima(response, threshold):
+    """(t, y, x) indices, in row-major order, of the pixels of a (T, H, W)
+    response off the 2-pixel (y, x) border that reach the threshold, are
+    positive and equal the maximum of their 27 neighbours, t clamped as
+    mode="nearest" does.
+
+    The response is padded in t with its first and last frames, so every
+    neighbour is one flat offset away. A maximum of the 27 is one of its 6
+    face neighbours too, so the 27 are gathered only for pixels at or above
+    their faces' maximum."""
+    _, h, w = response.shape
+    # flat indices into the padded response, one frame on
+    flat = _flat_off_border((response >= threshold) & (response > 0)) + h * w
+    values = np.concatenate((response[:1], response, response[-1:])).ravel()
+    offsets = np.dot((h * w, w, 1), _NEIGHBOURS)
+    maybe = flat[values[flat] >= values[flat[:, None] + offsets[_FACES]].max(axis=1)]
+    kept = maybe[values[maybe] == values[maybe[:, None] + offsets].max(axis=1)]
+    return np.unravel_index(kept - h * w, response.shape)
 
 
 def _harris_response(frames, sigmas, k):
@@ -354,29 +389,38 @@ N_AZIMUTH = 8
 N_ELEVATION = 3
 
 
-def describe_spacetime(frames, points):
+def describe_spacetime(grads, points):
     """192-D descriptors of (n, 5) point rows (x, y, t, sigma_s, sigma_t) of
-    a (T, H, W) stack: 2x2x2 spatio-temporal grid x 24-bin 3D orientation
-    histogram over a (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
+    a (T, H, W) stack, T >= 2, from its frame_gradients triple `grads`:
+    2x2x2 spatio-temporal grid x 24-bin 3D orientation histogram over a
+    (6 sigma_s, 6 sigma_s, 6 sigma_t) window.
 
+    Gradient bins are computed only inside the (y, x) box that holds every
+    window, clipped to the frame, over all T frames: each box edge is a frame
+    edge or lies beyond every window, so the windows read the same samples.
     Points whose windows share a shape are described together, in blocks
     whose gathers stay within SPACETIME_BLOCK_BYTES."""
-    frames = np.asarray(frames, dtype=np.float64)
+    stack, gy, gx = grads
     vals = np.zeros((len(points), SPACETIME_DESCRIPTOR_DIM))
     ok = np.zeros(len(points), dtype=bool)
     if len(points) == 0:
         return _records(vals, ok)
-    mag, code = _gradient_bins(*np.gradient(frames))
     x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
     radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
     centres = np.rint(np.column_stack((t, y, x))).astype(int)
     reach = radii[:, [0, 1, 1]]
-    if np.any((centres + reach < 0) | (centres - reach >= frames.shape)):
+    if np.any((centres + reach < 0) | (centres - reach >= stack.shape)):
         raise FeatureError("spacetime window fully outside the sequence")
 
+    start = np.maximum((centres - reach)[:, 1:].min(axis=0), 0)
+    stop = np.minimum((centres + reach)[:, 1:].max(axis=0) + 1, stack.shape[1:])
+    box = (slice(None), slice(start[0], stop[0]), slice(start[1], stop[1]))
+    mag, code = _gradient_bins(np.gradient(stack[box], axis=0),
+                               np.ascontiguousarray(gy[box]), np.ascontiguousarray(gx[box]))
+    centres[:, 1:] -= start
     for rt, rs in np.unique(radii, axis=0):
         group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
-        span = min(2 * rt + 1, frames.shape[0])
+        span = min(2 * rt + 1, stack.shape[0])
         per_point = (8 + mag.itemsize + code.itemsize) * span * (2 * rs + 1) ** 2
         step = max(1, SPACETIME_BLOCK_BYTES // per_point)
         for lo in range(0, group.size, step):

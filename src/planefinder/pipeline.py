@@ -15,7 +15,7 @@ from .codebook import (plane_histograms, quantize, quantize_planes,  # noqa: F40
 from .config import PipelineConfig
 from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
 from .features import (describe_spacetime, describe_static, detect_spacetime_points,
-                       detect_static_keypoints)
+                       detect_static_keypoints, frame_gradients)
 from .smoothing import smooth_sequence
 from .volume import (PlaneSequence, extract_plane_sequence, generate_candidates,
                      load_volume, plane_from_center)
@@ -54,9 +54,12 @@ def sequence_descriptors(vol, params):
     describe both feature kinds. Returns the (static, spacetime) record arrays
     of describe_*, each read-only and without its degenerate rows."""
     seq = smooth_sequence(_plane_sequence(vol, params))
-    static = describe_static(seq.frames, detect_static_keypoints(seq.frames))
+    keypoints = detect_static_keypoints(seq.frames)
     pts = detect_spacetime_points(seq.frames) if seq.n_frames >= 5 else np.empty((0, 5))
-    spacetime = describe_spacetime(seq.frames, pts)
+    # built after detection, so the float64 arrays are not alive during it
+    grads = frame_gradients(seq.frames)
+    static = describe_static(grads, keypoints)
+    spacetime = describe_spacetime(grads, pts)
     kept = static[~static.degenerate], spacetime[~spacetime.degenerate]
     for descs in kept:
         descs.flags.writeable = False

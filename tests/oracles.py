@@ -5,8 +5,11 @@ computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
 per-frame plane sampler, the L0 loop with every step solved (and one
 screened-Poisson solve, also as a step with a complex division), the
-space-time orientation bins with np.mod and np.hypot, the PGM header
-tokenized byte by byte, and the synthetic timing workload of criterion 7.
+space-time orientation bins with np.mod and np.hypot, the DoG contrast
+screen and the Harris3D maxima over strided views with every neighbour
+gathered, the space-time describer over the whole stack, the feature path
+with a float64 copy per describer, the PGM header tokenized byte by byte,
+and the synthetic timing workload of criterion 7.
 """
 
 import math
@@ -21,8 +24,14 @@ from planefinder.classifier import ClassifierError, decision_values, train_svm
 from planefinder.codebook import (CodebookWarning, _assign, _descriptor_matrix,
                                   _kmeanspp_seed, _nearest)
 from planefinder.embedding import EmbeddingError
+from planefinder.features import (SPACETIME_BLOCK_BYTES, SPACETIME_DESCRIPTOR_DIM, _NEIGHBOURS,
+                                  FeatureError, _gradient_bins, _records,
+                                  _spacetime_histograms, describe_static,
+                                  detect_spacetime_points, detect_static_keypoints)
+from planefinder.pipeline import _plane_sequence
 from planefinder.smoothing import (BETA_MAX, KAPPA, _laplacian_symbol, _poisson_solve,
                                    divergence, forward_diff, threshold_gradients)
+from planefinder.smoothing import smooth_sequence
 from planefinder.volume import VolumeError, _plane_coords
 
 
@@ -192,6 +201,66 @@ def gradient_bins_hypot(gt, gy, gx):
     abin = np.minimum((azim / (2.0 * math.pi) * 8).astype(int), 7)
     ebin = np.minimum(((elev + math.pi / 2) / math.pi * 3).astype(int), 2)
     return mag, (ebin * 8 + abin).astype(np.uint8)
+
+
+def contrast_pixels_nonzero(dogs, contrast_threshold):
+    """features._contrast_pixels as first written: np.nonzero over the
+    strided view of the inner levels off the 2-pixel border, raveled back
+    into flat indices of dogs."""
+    ts, ls, ys, xs = np.nonzero(np.abs(dogs[:, 1:-1, 2:-2, 2:-2]) >= contrast_threshold)
+    return np.ravel_multi_index((ts, ls + 1, ys + 2, xs + 2), dogs.shape)
+
+
+def harris_maxima_clipped(response, threshold):
+    """features._harris_maxima as first written: np.nonzero over the strided
+    view off the 2-pixel border, then all 27 neighbours of every screened
+    pixel gathered, t clipped into the stack."""
+    inner = response[:, 2:-2, 2:-2]
+    ts, ys, xs = np.nonzero((inner >= threshold) & (inner > 0))
+    ys, xs = ys + 2, xs + 2
+    near = response[(np.clip(ts[:, None] + _NEIGHBOURS[0], 0, len(response) - 1),
+                     ys[:, None] + _NEIGHBOURS[1], xs[:, None] + _NEIGHBOURS[2])]
+    keep = response[ts, ys, xs] == near.max(axis=1)
+    return ts[keep], ys[keep], xs[keep]
+
+
+def describe_spacetime_full_stack(frames, points):
+    """features.describe_spacetime as first written: its own float64 copy of
+    the frames, and gradient bins at every voxel of the stack."""
+    frames = np.asarray(frames, dtype=np.float64)
+    vals = np.zeros((len(points), SPACETIME_DESCRIPTOR_DIM))
+    ok = np.zeros(len(points), dtype=bool)
+    if len(points) == 0:
+        return _records(vals, ok)
+    mag, code = _gradient_bins(*np.gradient(frames))
+    x, y, t, sigma_s, sigma_t = np.asarray(points, dtype=np.float64).T
+    radii = np.maximum(np.rint(3.0 * np.column_stack((sigma_t, sigma_s))), (1, 2)).astype(int)
+    centres = np.rint(np.column_stack((t, y, x))).astype(int)
+    reach = radii[:, [0, 1, 1]]
+    if np.any((centres + reach < 0) | (centres - reach >= frames.shape)):
+        raise FeatureError("spacetime window fully outside the sequence")
+    for rt, rs in np.unique(radii, axis=0):
+        group = np.flatnonzero((radii[:, 0] == rt) & (radii[:, 1] == rs))
+        span = min(2 * rt + 1, frames.shape[0])
+        per_point = (8 + mag.itemsize + code.itemsize) * span * (2 * rs + 1) ** 2
+        step = max(1, SPACETIME_BLOCK_BYTES // per_point)
+        for lo in range(0, group.size, step):
+            block = group[lo:lo + step]
+            vals[block], ok[block] = _spacetime_histograms(mag, code, centres[block], rt, rs)
+    return _records(vals, ok)
+
+
+def sequence_descriptors_per_describer(vol, params):
+    """pipeline.sequence_descriptors as first composed: each describer runs
+    right after its detector on a float64 copy of its own, the space-time
+    one over the whole stack."""
+    frames = smooth_sequence(_plane_sequence(vol, params)).frames
+    stack = np.asarray(frames, dtype=np.float64)
+    static = describe_static((stack, *np.gradient(stack, axis=(1, 2))),
+                             detect_static_keypoints(frames))
+    pts = detect_spacetime_points(frames) if len(frames) >= 5 else np.empty((0, 5))
+    spacetime = describe_spacetime_full_stack(frames, pts)
+    return static[~static.degenerate], spacetime[~spacetime.degenerate]
 
 
 def pgm_header_tokens(data):

@@ -3,16 +3,22 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
-from oracles import gradient_bins_hypot
+from oracles import (contrast_pixels_nonzero, describe_spacetime_full_stack,
+                     gradient_bins_hypot, harris_maxima_clipped,
+                     sequence_descriptors_per_describer)
 from planefinder import features, pipeline
+from planefinder.config import PipelineConfig
 from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DIM,
                                   FeatureError, _frame_samples, _gaussian_nearest,
                                   _gradient_bins, _harris_response, _mod_turn,
                                   _octave_extrema, _orientations, _static_histograms,
                                   describe_spacetime, describe_static,
-                                  detect_spacetime_points, detect_static_keypoints)
+                                  detect_spacetime_points, detect_static_keypoints,
+                                  frame_gradients)
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import smooth_sequence
 from planefinder.volume import Volume4D, extract_plane_sequence
@@ -103,7 +109,7 @@ def test_low_contrast_blob_filtered(monkeypatch):
 def test_descriptor_shape_and_norm():
     img = blob_image([(20, 28)])
     kps = detect_static_keypoints(img[None])
-    descs = [d for d in describe_static(img[None], kps) if not d.degenerate]
+    descs = [d for d in describe_static(frame_gradients(img[None]), kps) if not d.degenerate]
     assert descs
     for d in descs:
         assert d.values.shape == (STATIC_DESCRIPTOR_DIM,)
@@ -114,8 +120,8 @@ def test_descriptor_shape_and_norm():
 def test_descriptor_brightness_invariant():
     img = blob_image([(24, 30)])
     kps = detect_static_keypoints(img[None])
-    d1 = describe_static(img[None], kps)
-    d2 = describe_static(img[None] + 0.2, kps)
+    d1 = describe_static(frame_gradients(img[None]), kps)
+    d2 = describe_static(frame_gradients(img[None] + 0.2), kps)
     for a, b in zip(d1, d2):
         assert np.allclose(a.values, b.values, atol=1e-12)
 
@@ -123,15 +129,15 @@ def test_descriptor_brightness_invariant():
 def test_descriptor_contrast_invariant():
     img = blob_image([(24, 30)])
     kps = detect_static_keypoints(img[None])
-    d1 = describe_static(img[None], kps)
-    d2 = describe_static(3.0 * img[None], kps)
+    d1 = describe_static(frame_gradients(img[None]), kps)
+    d2 = describe_static(frame_gradients(3.0 * img[None]), kps)
     for a, b in zip(d1, d2):
         assert np.allclose(a.values, b.values, atol=1e-9)
 
 
 def test_descriptor_flat_patch_degenerate():
     frames = np.full((1, 64, 64), 0.5)
-    (d,) = describe_static(frames, np.array([[32.0, 32.0, 0.0, 1.6, 0.0]]))
+    (d,) = describe_static(frame_gradients(frames), np.array([[32.0, 32.0, 0.0, 1.6, 0.0]]))
     assert d.degenerate
     assert np.all(d.values == 0.0)
 
@@ -140,7 +146,7 @@ def test_static_descriptor_t_outside_stack():
     frames = np.random.default_rng(4).random((2, 64, 64))
     for t in (-1.0, 2.0, 0.5):
         with pytest.raises(FeatureError):
-            describe_static(frames, np.array([[32.0, 32.0, t, 1.6, 0.0]]))
+            describe_static(frame_gradients(frames), np.array([[32.0, 32.0, t, 1.6, 0.0]]))
 
 
 def test_descriptor_rotation_covariant():
@@ -150,8 +156,8 @@ def test_descriptor_rotation_covariant():
     kps = detect_static_keypoints(img[None])
     kps_r = detect_static_keypoints(rot[None])
     assert len(kps) and len(kps_r)
-    d = describe_static(img[None], kps[:1])[0].values
-    best = max(float(d @ e.values) for e in describe_static(rot[None], kps_r))
+    d = describe_static(frame_gradients(img[None]), kps[:1])[0].values
+    best = max(float(d @ e.values) for e in describe_static(frame_gradients(rot[None]), kps_r))
     assert best > 0.8
 
 
@@ -185,7 +191,7 @@ def test_spacetime_descriptor_shape_and_norm():
                    amp=0.6 + 0.4 * math.sin(2 * math.pi * t / t_count))
         for t in range(t_count)])
     pts = detect_spacetime_points(frames)
-    descs = [d for d in describe_spacetime(frames, pts) if not d.degenerate]
+    descs = [d for d in describe_spacetime(frame_gradients(frames), pts) if not d.degenerate]
     assert descs
     for d in descs:
         assert d.values.shape == (SPACETIME_DESCRIPTOR_DIM,)
@@ -194,14 +200,14 @@ def test_spacetime_descriptor_shape_and_norm():
 
 def test_spacetime_descriptor_flat_degenerate():
     frames = np.full((6, 48, 48), 0.3)
-    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 2.0]]))
+    (d,) = describe_spacetime(frame_gradients(frames), np.array([[24.0, 24.0, 3.0, 2.0, 2.0]]))
     assert d.degenerate
 
 
 def test_spacetime_descriptor_window_outside():
     frames = np.zeros((6, 48, 48))
     with pytest.raises(FeatureError):
-        describe_spacetime(frames, np.array([[500.0, 24.0, 3.0, 2.0, 2.0]]))
+        describe_spacetime(frame_gradients(frames), np.array([[500.0, 24.0, 3.0, 2.0, 2.0]]))
 
 
 def test_spacetime_inplane_gradient_hits_middle_elevation():
@@ -209,7 +215,7 @@ def test_spacetime_inplane_gradient_hits_middle_elevation():
     # points along +x, so only azimuth bin 0 of the middle elevation fires
     ramp = np.tile(np.linspace(0, 1, 48), (48, 1))
     frames = np.stack([ramp] * 6)
-    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
+    (d,) = describe_spacetime(frame_gradients(frames), np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)  # (cells, elevation*azimuth)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert nz.tolist() == [1 * 8 + 0]
@@ -217,7 +223,7 @@ def test_spacetime_inplane_gradient_hits_middle_elevation():
 
 def test_spacetime_temporal_gradient_hits_top_elevation():
     frames = np.stack([np.full((48, 48), t / 5.0) for t in range(6)])
-    (d,) = describe_spacetime(frames, np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
+    (d,) = describe_spacetime(frame_gradients(frames), np.array([[24.0, 24.0, 3.0, 2.0, 1.0]]))
     hist = d.values.reshape(8, 24)
     nz = np.nonzero(hist.sum(axis=0))[0]
     assert all(b >= 2 * 8 for b in nz)
@@ -281,7 +287,7 @@ def test_static_descriptor_matches_bilinear_reference():
                      np.column_stack((rng.uniform(0, 63, 12), rng.uniform(0, 63, 12),
                                       np.ones(12), rng.uniform(1.0, 4.0, 12),
                                       rng.uniform(0, 2 * math.pi, 12)))])
-    for kp, d in zip(kps, describe_static(frames, kps)):
+    for kp, d in zip(kps, describe_static(frame_gradients(frames), kps)):
         assert not d.degenerate
         assert np.abs(d.values - _reference_static_descriptor(img, kp)).max() <= 1e-15
 
@@ -490,7 +496,7 @@ def _spacetime_cases():
 def test_spacetime_descriptors_match_reference():
     # windows crossing t = 0, t = T - 1 and every image edge, at all scales
     frames, points = _spacetime_cases()
-    got = describe_spacetime(frames, points)
+    got = describe_spacetime(frame_gradients(frames), points)
     expected = [_reference_spacetime_descriptor(frames, pt) for pt in points]
     assert [d.degenerate for d in got] == [e is None for e in expected]
     assert 0 < sum(e is None for e in expected) < len(points)
@@ -499,15 +505,15 @@ def test_spacetime_descriptors_match_reference():
     # alone, a point's window is cut to the t-offsets that reach the
     # sequence from its own centre, mostly on one side of it
     for pt, d in zip(points, got):
-        (alone,) = describe_spacetime(frames, pt[None])
+        (alone,) = describe_spacetime(frame_gradients(frames), pt[None])
         assert alone.degenerate == d.degenerate and np.array_equal(alone.values, d.values)
 
 
 def test_spacetime_descriptors_one_point_blocks(monkeypatch):
     frames, points = _spacetime_cases()
-    whole = describe_spacetime(frames, points)
+    whole = describe_spacetime(frame_gradients(frames), points)
     monkeypatch.setattr(features, "SPACETIME_BLOCK_BYTES", 1)
-    for a, b in zip(whole, describe_spacetime(frames, points)):
+    for a, b in zip(whole, describe_spacetime(frame_gradients(frames), points)):
         assert a.degenerate == b.degenerate
         assert np.array_equal(a.values, b.values)
 
@@ -524,7 +530,7 @@ def test_spacetime_windows_shorter_than_the_sequence_match_reference(monkeypatch
     assert 0 < sum(e is None for e in expected) < len(points)
     for block_bytes in (features.SPACETIME_BLOCK_BYTES, 1):
         monkeypatch.setattr(features, "SPACETIME_BLOCK_BYTES", block_bytes)
-        got = describe_spacetime(frames, points)
+        got = describe_spacetime(frame_gradients(frames), points)
         assert [d.degenerate for d in got] == [e is None for e in expected]
         for d, e in zip(got, expected):
             assert np.array_equal(d.values,
@@ -629,7 +635,7 @@ def test_static_descriptors_match_per_point_reference():
                                  (55.0, 55.0), (32.0, 32.0))
                     for t in (0.0, 1.0)
                     for s, o in ((1.6, 0.0), (3.2, 2.0), (6.4, 4.5))])
-    got = describe_static(frames, kps)
+    got = describe_static(frame_gradients(frames), kps)
     degenerate = [d.degenerate for d in got]
     assert any(degenerate) and not all(degenerate)
     _assert_static_descriptors_match(frames, kps, got)
@@ -672,7 +678,7 @@ def test_static_stack_matches_per_frame_reference():
     assert {(3.0, 30.0), (60.0, 4.0), (30.0, 60.0)} <= {(x, y) for x, y in kps[kps[:, 2] == 2, :2]}
     # and patches on the flat frame, which are degenerate
     rows = np.vstack([kps, [[32.0, 32.0, 1.0, 1.6, 0.0], [0.0, 63.0, 1.0, 3.2, 1.0]]])
-    got = describe_static(frames, rows)
+    got = describe_static(frame_gradients(frames), rows)
     assert [d.degenerate for d in got[-2:]] == [True, True]
     _assert_static_descriptors_match(frames, rows, got)
 
@@ -700,9 +706,9 @@ def test_frame_samples_are_map_coordinates_bits():
 def test_static_descriptors_one_keypoint_blocks(monkeypatch):
     frames = _busy_stack()
     kps = detect_static_keypoints(frames)
-    whole = describe_static(frames, kps)
+    whole = describe_static(frame_gradients(frames), kps)
     monkeypatch.setattr(features, "STATIC_BLOCK", 1)
-    for a, b in zip(whole, describe_static(frames, kps), strict=True):
+    for a, b in zip(whole, describe_static(frame_gradients(frames), kps), strict=True):
         assert a.degenerate == b.degenerate
         assert a.values.tobytes() == b.values.tobytes()
 
@@ -719,7 +725,7 @@ def test_static_describe_memory_is_bounded():
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        descriptors = describe_static(frames, kps)
+        descriptors = describe_static(frame_gradients(frames), kps)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -768,7 +774,7 @@ def test_static_path_memory_is_bounded(monkeypatch):
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
         try:
-            describe_static(frames, detect_static_keypoints(frames))
+            describe_static(frame_gradients(frames), detect_static_keypoints(frames))
             return tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -813,7 +819,9 @@ def test_described_rows_read_one_at_a_time():
     # perfbench.workloads.pool_shortfall stacks `d.values`
     frames = _busy_stack()
     rows = np.vstack([detect_static_keypoints(frames), [[32.0, 32.0, 1.0, 1.6, 0.0]]])
-    for descs in (describe_static(frames, rows), describe_spacetime(*_spacetime_cases())):
+    st_frames, st_points = _spacetime_cases()
+    for descs in (describe_static(frame_gradients(frames), rows),
+                  describe_spacetime(frame_gradients(st_frames), st_points)):
         kept = sum(not d.degenerate for d in descs)
         assert 0 < kept < len(descs) and kept == np.count_nonzero(~descs.degenerate)
         assert np.array_equal(np.array([d.values for d in descs]), descs.values)
@@ -822,10 +830,10 @@ def test_described_rows_read_one_at_a_time():
 def test_no_points_no_descriptors():
     # the empty arrays a flat stack and a sequence constant in t give
     frames = np.full((2, 64, 64), 0.5)
-    static = describe_static(frames, detect_static_keypoints(frames))
+    static = describe_static(frame_gradients(frames), detect_static_keypoints(frames))
     assert static.values.shape == (0, STATIC_DESCRIPTOR_DIM)
     still = np.stack([blob_image([(20, 20), (36, 30)], size=48)] * 6)
-    spacetime = describe_spacetime(still, detect_spacetime_points(still))
+    spacetime = describe_spacetime(frame_gradients(still), detect_spacetime_points(still))
     assert spacetime.values.shape == (0, SPACETIME_DESCRIPTOR_DIM)
 
 
@@ -845,3 +853,151 @@ def test_float32_frames_keep_desk_phantom_points():
         pts = detect_spacetime_points(single.frames)
         assert len(pts) > 10
         assert np.array_equal(pts, detect_spacetime_points(double.frames))
+
+
+# The feature path reads only what the descriptors read: one float64 copy
+# and (y, x) gradient per plane, space-time bins inside the windows' box,
+# and flat-index screens in both detectors. Each must match the reference
+# it replaced exactly.
+
+_RESPONSE_LEVELS = np.array([-1.0, 0.0, 1.0, 2.0, 3.0], dtype=np.float32)
+
+
+def _assert_same_indices(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.sampled_from([5, 6, 8]),
+       h=st.integers(5, 14), w=st.integers(5, 14),
+       threshold=st.sampled_from([1e-18, 1.0, 2.0, 3.0]), dense=st.booleans())
+def test_harris_maxima_match_clipped_reference(seed, t_count, h, w, threshold, dense):
+    # float32 responses from a few levels: plateaus tie between neighbours,
+    # and a threshold on a level ties with it
+    rng = np.random.default_rng(seed)
+    p = [0.1, 0.3, 0.2, 0.2, 0.2] if dense else [0.03, 0.9, 0.03, 0.02, 0.02]
+    response = rng.choice(_RESPONSE_LEVELS, size=(t_count, h, w), p=p)
+    _assert_same_indices(features._harris_maxima(response, threshold),
+                         harris_maxima_clipped(response, threshold))
+
+
+@pytest.mark.parametrize("t_count", [5, 6, 8])
+def test_harris_maxima_on_the_first_and_last_frames(t_count):
+    response = np.zeros((t_count, 12, 12), dtype=np.float32)
+    response[0, 3, 3] = response[-1, 8, 8] = 3.0  # lone maxima at t = 0 and T - 1
+    response[-1, 8, 7] = 2.0  # next to the t = T - 1 maximum
+    response[1:3, 3:6, 7:9] = 2.0  # a plateau at the threshold: every pixel is kept
+    response[-1, 1, 5] = 2.0  # on the 2-pixel border
+    ts, ys, xs = features._harris_maxima(response, 2.0)
+    _assert_same_indices((ts, ys, xs), harris_maxima_clipped(response, 2.0))
+    found = set(zip(ts.tolist(), ys.tolist(), xs.tolist()))
+    assert {(0, 3, 3), (t_count - 1, 8, 8), (1, 3, 7), (2, 5, 8)} <= found
+    assert len(found) == 2 + 12
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.integers(1, 3),
+       h=st.integers(5, 12), w=st.integers(5, 12), double=st.booleans())
+def test_contrast_pixels_match_nonzero_reference(seed, t_count, h, w, double):
+    # DoG values exactly at the threshold, one double below it, of both
+    # signs, in float32 (the pyramid's) and float64, on every level and on
+    # the 2-pixel border
+    dtype = np.float64 if double else np.float32
+    at = dtype(features.CONTRAST_THRESHOLD)
+    below = np.nextafter(at, dtype(0))
+    levels = np.array([-2 * at, -at, -below, 0.0, below, at, 2 * at], dtype=dtype)
+    dogs = np.random.default_rng(seed).choice(levels, size=(t_count, 5, h, w))
+    got = features._contrast_pixels(dogs, features.CONTRAST_THRESHOLD)
+    assert np.array_equal(got, contrast_pixels_nonzero(dogs, features.CONTRAST_THRESHOLD))
+
+
+def test_contrast_pixels_at_the_threshold_and_the_border():
+    dogs = np.zeros((2, 5, 9, 9), dtype=np.float32)
+    at = np.float32(features.CONTRAST_THRESHOLD)
+    dogs[1, 2, 2, 6] = at  # kept: at the threshold, just off the border
+    dogs[1, 3, 6, 2] = -at
+    dogs[1, 2, 4, 4] = np.nextafter(at, np.float32(0))  # below it
+    dogs[1, 2, 1, 4] = dogs[1, 2, 4, 7] = at  # on the border
+    dogs[0, 0, 4, 4] = dogs[0, 4, 4, 4] = at  # on the outer levels
+    got = features._contrast_pixels(dogs, features.CONTRAST_THRESHOLD)
+    assert np.array_equal(got, contrast_pixels_nonzero(dogs, features.CONTRAST_THRESHOLD))
+    assert np.array_equal(np.column_stack(np.unravel_index(got, dogs.shape)),
+                          [[1, 2, 2, 6], [1, 3, 6, 2]])
+
+
+def test_frame_gradients_of_one_frame():
+    frame = np.random.default_rng(9).random((1, 20, 24)).astype(np.float32)
+    stack, gy, gx = frame_gradients(frame)
+    assert stack.dtype == gy.dtype == gx.dtype == np.float64 and stack.shape == (1, 20, 24)
+    assert np.array_equal(stack, frame)
+    want_y, want_x = np.gradient(frame[0].astype(np.float64))
+    assert np.array_equal(gy[0], want_y) and np.array_equal(gx[0], want_x)
+    (d,) = describe_static((stack, gy, gx), np.array([[12.0, 10.0, 0.0, 1.6, 0.5]]))
+    assert not d.degenerate
+
+
+def test_cropped_gradient_bins_are_the_full_ones_cropped():
+    # a float32 stack in float64, as the feature path describes it
+    stack = np.random.default_rng(10).random((8, 32, 24)).astype(np.float32).astype(np.float64)
+    full = np.gradient(stack)
+    assert all(np.array_equal(a, b) for a, b in zip(full[1:], frame_gradients(stack)[1:]))
+    mag, code = _gradient_bins(*full)
+    for ys, xs in ((slice(3, 17), slice(0, 24)), (slice(0, 32), slice(5, 6)),
+                   (slice(30, 32), slice(1, 23)), (slice(0, 32), slice(0, 24))):
+        box = (slice(None), ys, xs)
+        gt = np.gradient(stack[box], axis=0)
+        assert gt.tobytes() == np.ascontiguousarray(full[0][box]).tobytes()
+        crop = _gradient_bins(gt, *(np.ascontiguousarray(g[box]) for g in full[1:]))
+        assert crop[0].tobytes() == np.ascontiguousarray(mag[box]).tobytes()
+        assert crop[1].tobytes() == np.ascontiguousarray(code[box]).tobytes()
+
+
+def _scales(xys, t):
+    return np.array([(x, y, t, ss, st) for x, y in xys for ss, st in features.SPACETIME_SCALES])
+
+
+@pytest.mark.parametrize("t_count", [6, 16])
+@pytest.mark.parametrize("points", [
+    # one point, whose box is its window
+    np.array([[10.0, 11.0, 2.0, 2.0, 2.0]]),
+    # a point at each frame corner, whose windows are clipped, at every scale
+    _scales(((0.0, 0.0), (19.0, 0.0), (0.0, 23.0), (19.0, 23.0)), 3.0),
+    # two far-apart points, whose box is the whole frame
+    np.array([[1.0, 1.0, 0.0, 2.0, 2.0], [18.0, 22.0, 5.0, 2.0, 4.0]]),
+    # both radius groups, off centre and near the first and last frames
+    _scales(((6.4, 14.6), (12.0, 9.0)), 1.0)[::-1],
+    _scales(((8.0, 12.0),), 4.6),
+], ids=["one", "corners", "far-apart", "radius-groups", "centre"])
+def test_spacetime_descriptors_match_full_stack_reference(t_count, points):
+    rng = np.random.default_rng(t_count)
+    frames = rng.random((t_count, 24, 20)).astype(np.float32)
+    frames[:, 14:, 10:] = 0.4  # flat: degenerate windows there
+    got = describe_spacetime(frame_gradients(frames), points)
+    want = describe_spacetime_full_stack(frames, points)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_frames, which", [(8, "ground truth"), (4, "ground truth"),
+                                             (8, "empty")])
+def test_sequence_descriptors_match_reference_composition(monkeypatch, n_frames, which):
+    # a desk plane with space-time points, one of 4 frames, which has none,
+    # and a candidate that holds no feature of either kind
+    vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0,
+                                        n_frames=n_frames))
+    cfg = PipelineConfig(candidates_n=16, plane_size=64)
+    plane = gt[0] if which == "ground truth" else pipeline.candidate_planes(vol.dims, cfg)[3]
+    got = pipeline.sequence_descriptors(vol, plane)
+    with monkeypatch.context() as m:
+        m.setattr(features, "_contrast_pixels", contrast_pixels_nonzero)
+        m.setattr(features, "_harris_maxima", harris_maxima_clipped)
+        want = sequence_descriptors_per_describer(vol, plane)
+    # a boolean-indexed record array leaves its padding bytes unset, so the
+    # fields are compared
+    for a, b in zip(got, want, strict=True):
+        assert a.values.tobytes() == b.values.tobytes()
+        assert a.degenerate.tobytes() == b.degenerate.tobytes()
+    static, spacetime = got
+    assert (len(static) > 20) == (which == "ground truth")
+    assert (len(spacetime) > 10) == (which == "ground truth" and n_frames == 8)
