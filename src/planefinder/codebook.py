@@ -6,15 +6,17 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# descriptors one block measures against every centroid: _nearest screens a
-# block in one reused (ASSIGN_BLOCK, k) float32 buffer (5 MB at k = 5,000),
-# and _assign, which decides the rows the screen leaves unsure, every row
-# when float32 could overflow, and every row of a Lloyd pass that left a
-# cluster empty, fills one float64 buffer of at most that shape
+# descriptors one block measures against every centroid: _nearest gathers a
+# block into one reused (ASSIGN_BLOCK, d + 1) float32 buffer and screens it
+# in one reused (ASSIGN_BLOCK, k) float32 buffer (5 MB at k = 5,000), and
+# _assign, which decides the rows the screen leaves unsure, every row when
+# float32 could overflow, and every row of a Lloyd pass that left a cluster
+# empty, fills one float64 buffer of at most that shape
 ASSIGN_BLOCK = 256
 
-# _nearest's float32 screen holds |x|², |c|² and their sum below this, far
-# from float32's 2^128 overflow; unit descriptors have norms near 1
+# _nearest's float32 screen holds |x|², |c|² and their sum below this, so the
+# terms of its dot sum to under 2^101, far from float32's 2^128 overflow;
+# unit descriptors have norms near 1
 SCREEN_LIMIT = 2.0 ** 100
 
 
@@ -144,65 +146,78 @@ def _assign(data, centroids, c2):
     return assign, min_d2
 
 
-def _nearest(data, centroids, c2):
-    """_assign's assignments (ties -> lowest index), screened in single
-    precision and decided in double, and a lower bound on each row's distance
-    to every centroid but its own.
+def _nearest(data, centroids, c2, rows=None):
+    """_assign's assignments (ties -> lowest index) of the rows of `data`
+    that `rows` indexes (every row by default), in that order, screened in
+    single precision and decided in double, and a lower bound on each row's
+    distance to every centroid but its own.
 
     Each block's y = c2 - 2 x·c, the squared distance less the row's own
-    |x|², is computed by one float32 GEMM into one reused buffer, each block
-    cast on the fly. A row whose minimum y is the only entry within `band`
-    of it is decided there; the rest, all near-ties, go to _assign, which
-    keeps the tie rule in one place.
+    |x|², is one float32 GEMM: the block's rows, gathered and cast into one
+    reused buffer whose last column is 1, times the (k, d + 1) matrix
+    [-2c, c2], built once per call. A row whose minimum y is the only entry
+    within `band` of it is decided there; the rest, all near-ties, go to
+    _assign, which keeps the tie rule in one place.
 
     The band is twice a bound on |x2 + y - d2| per entry, d2 being _assign's
     float64 x2 - 2 x·c + c2 for d-dimensional rows, plus _assign's 1e-12 tie
-    band. With u = 2^-24 and sum |x_i c_i| <= (x2 + c2) / 2, the float32 error
-    of y is at most (d + 5) u (x2 + c2) to first order:
-      - casting x and -2c to float32 (-2c is exact): 2u;
-      - the d-term float32 dot in any summation order, FMA or not: d u;
-      - casting c2 to float32, and adding it: u + 2u.
-    One more u each covers second-order terms, d2's own float64 rounding (a
+    band. With u = 2^-24 and sum |x_i c_i| <= (x2 + c2) / 2, the (d + 1)
+    terms of the dot sum to at most (x2 + c2) + c2 in magnitude, and the
+    float32 error of y is at most (2 d + 5) u (x2 + c2) to first order:
+      - casting x and -2c to float32 (-2c is exact): 2u (x2 + c2);
+      - casting c2 to float32: u c2;
+      - the (d + 1)-term float32 dot in any summation order, FMA or not:
+        (d + 1) u of the terms' magnitudes, 2 (d + 1) u (x2 + c2).
+    Three more u cover second-order terms, d2's own float64 rounding (a
     2^-29 part of these) and the float64 threshold, and 2^-100 absolute covers
-    float32 underflow (under 3d 2^-150 per entry). Hence
-    err = (d + 8) u (x2 + max c2) + 2^-100. If y's minimum, at centroid j, is
-    the only entry within 2 err + 1e-12 of it, every other centroid's d2
+    float32 underflow (under 3 (d + 1) 2^-150 per entry). Hence
+    err = (2 d + 8) u (x2 + max c2) + 2^-100. If y's minimum, at centroid j,
+    is the only entry within 2 err + 1e-12 of it, every other centroid's d2
     exceeds both d2[j] and 0 by more than 1e-12, so _assign picks j too.
 
     For a row decided here the bound is the square root of x2 plus y's
     second smallest entry, less the band: every other centroid's exact
     squared distance exceeds that by err, which covers rounding the bound in
-    float64. A row left to _assign gets 0.
+    float64. A row left to _assign gets 0, as does every row of a block whose
+    largest x2 + max c2 reaches SCREEN_LIMIT.
     """
-    n, d = data.shape
-    x2 = np.einsum("ij,ij->i", data, data)
-    if np.max(x2, initial=0.0) + c2.max() >= SCREEN_LIMIT:
-        return _assign(data, centroids, c2)[0], np.zeros(n)
-    cm2 = centroids.astype(np.float32)
-    cm2 *= -2.0
-    c2_32 = c2.astype(np.float32)
-    band = 2.0 * ((d + 8) * 2.0 ** -24 * (x2 + c2.max()) + 2.0 ** -100) + 1e-12
+    n = data.shape[0] if rows is None else rows.size
+    k, d = centroids.shape
+    c2max = c2.max()
+    screen = np.empty((k, d + 1), dtype=np.float32)
+    # centroids past SCREEN_LIMIT overflow here, but then no block is screened
+    with np.errstate(over="ignore"):
+        screen[:, :d] = centroids
+        screen[:, d] = c2
+    screen[:, :d] *= -2.0
+    x1 = np.empty((min(n, ASSIGN_BLOCK), d + 1), dtype=np.float32)
+    x1[:, d] = 1.0
+    buf = np.empty((min(n, ASSIGN_BLOCK), k), dtype=np.float32)
     assign = np.empty(n, dtype=np.int64)
     lower = np.empty(n)
-    sure = np.empty(n, dtype=bool)
-    buf = np.empty((min(n, ASSIGN_BLOCK), centroids.shape[0]), dtype=np.float32)
+    sure = np.zeros(n, dtype=bool)
     for lo, hi in _blocks(n):
-        y = buf[:hi - lo]
-        np.matmul(data[lo:hi].astype(np.float32), cm2.T, out=y)
-        y += c2_32
-        rows = np.arange(hi - lo)
+        block = data[lo:hi] if rows is None else data[rows[lo:hi]]
+        x2 = np.einsum("ij,ij->i", block, block)
+        if x2.max() + c2max >= SCREEN_LIMIT:
+            continue
+        x1[:hi - lo, :d] = block
+        y = np.matmul(x1[:hi - lo], screen.T, out=buf[:hi - lo])
+        band = 2.0 * ((2 * d + 8) * 2.0 ** -24 * (x2 + c2max) + 2.0 ** -100) + 1e-12
+        at = np.arange(hi - lo)
         best = y.argmin(axis=1)
         # the threshold stays float64: rounded to float32 it could shrink the band
-        limit = y[rows, best] + band[lo:hi]
-        y[rows, best] = np.inf
+        limit = y[at, best] + band
+        y[at, best] = np.inf
         second = y.min(axis=1)
         sure[lo:hi] = second > limit
         assign[lo:hi] = best
-        lower[lo:hi] = np.sqrt(np.maximum(x2[lo:hi] + second - band[lo:hi], 0.0))
+        lower[lo:hi] = np.sqrt(np.maximum(x2 + second - band, 0.0))
     del buf  # _assign allocates its own
     unsure = np.flatnonzero(~sure)
     if unsure.size:
-        assign[unsure] = _assign(data[unsure], centroids, c2)[0]
+        assign[unsure] = _assign(data[unsure if rows is None else rows[unsure]],
+                                 centroids, c2)[0]
         lower[unsure] = 0.0
     return assign, lower
 
@@ -217,8 +232,8 @@ def _distance_above(a, b):
 
 
 def _rows_to_search(data, centroids, assign, lower, margin):
-    """Blocks of at most ASSIGN_BLOCK rows: the rows of a Lloyd pass whose
-    Hamerly bound leaves their nearest centroid open.
+    """The rows of a Lloyd pass whose Hamerly bound leaves their nearest
+    centroid open, in ascending order.
 
     `lower` bounds each row's distance to every centroid but its own, a,
     from below, and `margin` is 2 E + 1e-12, E being the row's _error64.
@@ -232,8 +247,7 @@ def _rows_to_search(data, centroids, assign, lower, margin):
     upper = np.empty(len(data))
     for lo, hi in _blocks(len(data)):
         upper[lo:hi] = _distance_above(data[lo:hi], centroids[assign[lo:hi]])
-    rows = np.flatnonzero(~(lower * lower - upper * upper > margin))
-    return [rows[lo:hi] for lo, hi in _blocks(rows.size)]
+    return np.flatnonzero(~(lower * lower - upper * upper > margin))
 
 
 def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static"):
@@ -269,8 +283,8 @@ def train_codebook(descriptors, k, seed=0, max_iter=100, descriptor_kind="static
         new_assign = assign.copy()
         margin = 2.0 * _error64(x2, c2.max(), d) + 1e-12
         # the first pass measures each row against centroid -1, unused: its bound is 0
-        for rows in _rows_to_search(data, centroids, assign, lower, margin):
-            new_assign[rows], lower[rows] = _nearest(data[rows], centroids, c2)
+        rows = _rows_to_search(data, centroids, assign, lower, margin)
+        new_assign[rows], lower[rows] = _nearest(data, centroids, c2, rows)
         counts = np.bincount(new_assign, minlength=k)
         empty = list(np.flatnonzero(counts == 0))
         reseeded = bool(empty)
@@ -370,11 +384,10 @@ def quantize_planes(planes, cb):
 def plane_histograms(assign, sizes, k):
     """quantize_planes' rows from the centroid index of every descriptor,
     the planes' descriptors in order, `sizes` giving each plane's count."""
-    hist = np.zeros((len(sizes), k))
     plane = np.repeat(np.arange(len(sizes)), sizes)
     counts = np.bincount(plane * k + assign, minlength=len(sizes) * k).reshape(-1, k)
-    totals = counts.sum(axis=1, keepdims=True)
-    return np.divide(counts, totals, out=hist, where=totals > 0)
+    # each plane's size is its counts' sum; an empty plane's zeros stay +0.0
+    return counts / np.maximum(sizes, 1)[:, None]
 
 
 def quantize(descriptors, cb):

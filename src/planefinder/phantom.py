@@ -169,9 +169,11 @@ def _pattern_coords(shape, plane, shift, jitter):
     x0, x1 = max(0, int(c[0] - r)), min(nx, int(c[0] + r) + 1)
     y0, y1 = max(0, int(c[1] - r)), min(ny, int(c[1] + r) + 1)
     z0, z1 = max(0, int(c[2] - r)), min(nz, int(c[2] + r) + 1)
-    zz, yy, xx = np.meshgrid(np.arange(z0, z1), np.arange(y0, y1), np.arange(x0, x1),
-                             indexing="ij")
-    rel = np.stack([xx - c[0], yy - c[1], zz - c[2]], axis=-1)
+    # each voxel's offset from c, (x, y, z) last, written once by broadcasting
+    rel = np.empty((z1 - z0, y1 - y0, x1 - x0, 3))
+    rel[..., 0] = np.arange(x0, x1) - c[0]
+    rel[..., 1] = (np.arange(y0, y1) - c[1])[:, None]
+    rel[..., 2] = (np.arange(z0, z1) - c[2])[:, None, None]
     box = (slice(z0, z1), slice(y0, y1), slice(x0, x1))
     return (box, rel @ np.asarray(plane.axis_u) - jitter[0],
             rel @ np.asarray(plane.axis_v) - jitter[1], rel @ plane.normal)

@@ -14,8 +14,8 @@ from .codebook import (plane_histograms, quantize, quantize_planes,  # noqa: F40
                        train_codebook)
 from .config import PipelineConfig
 from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
-from .features import (describe_spacetime, describe_static, detect_spacetime_points,
-                       detect_static_keypoints, frame_gradients)
+from .features import (_records, describe_spacetime, describe_static,
+                       detect_spacetime_points, detect_static_keypoints, frame_gradients)
 from .smoothing import smooth_sequence
 from .volume import (PlaneSequence, extract_plane_sequence, generate_candidates,
                      load_volume, plane_from_center)
@@ -58,19 +58,24 @@ def sequence_descriptors(vol, params):
     pts = detect_spacetime_points(seq.frames) if seq.n_frames >= 5 else np.empty((0, 5))
     # built after detection, so the float64 arrays are not alive during it
     grads = frame_gradients(seq.frames)
-    static = describe_static(grads, keypoints)
-    spacetime = describe_spacetime(grads, pts)
-    kept = static[~static.degenerate], spacetime[~spacetime.degenerate]
-    for descs in kept:
-        descs.flags.writeable = False
-    return kept
+    return _kept(describe_static(grads, keypoints)), _kept(describe_spacetime(grads, pts))
+
+
+def _kept(descs):
+    """describe_*'s read-only, zero-filled record array without its
+    degenerate rows: the array itself when it has none, else its other rows
+    built zero-filled as it was, so that no padding byte is left unset."""
+    fields = np.asarray(descs)
+    ok = ~fields["degenerate"]
+    return descs if ok.all() else _records(fields["values"][ok], ok[ok])
 
 
 def bow_features(descs, cb_s, cb_t):
     """Quantize per-plane descriptor pairs into stacked (X, Y) matrices, one
     nearest-centroid search per view."""
-    return (quantize_planes([static.values for static, _ in descs], cb_s),
-            quantize_planes([spacetime.values for _, spacetime in descs], cb_t))
+    # a field of the plain ndarray view costs a fraction of recarray's lookup
+    return (quantize_planes([np.asarray(s)["values"] for s, _ in descs], cb_s),
+            quantize_planes([np.asarray(t)["values"] for _, t in descs], cb_t))
 
 
 class VolumeFeatureCache:
@@ -128,8 +133,8 @@ def prepare_training_data(manifest, cfg, cache=None):
             raise PipelineError(
                 "feature extraction failed for volume %s candidate %d: %s"
                 % (rec.volume, rec.cand_index, exc)) from exc
-    static = [s.values for s, _ in descs]
-    spacetime = [t.values for _, t in descs]
+    static = [np.asarray(s)["values"] for s, _ in descs]
+    spacetime = [np.asarray(t)["values"] for _, t in descs]
     cb_s = train_codebook(_pool(np.concatenate(static), POOL_SEED), cfg.k_static,
                           seed=KMEANS_SEED, max_iter=cfg.kmeans_max_iter,
                           descriptor_kind="static")

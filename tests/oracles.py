@@ -3,7 +3,8 @@
 Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
 and similarity matrices, the objectives the closed-form solves maximize, the
-per-frame plane sampler, the L0 loop with every step solved (and one
+per-frame plane sampler, the bag-of-words rows from a zero-filled output,
+the phantom's pattern coordinates from meshgrids, the L0 loop with every step solved (and one
 screened-Poisson solve, also as a step with a complex division), the
 space-time orientation bins with np.mod and np.hypot, the DoG contrast
 screen and the Harris3D maxima over strided views with every neighbour
@@ -28,6 +29,7 @@ from planefinder.features import (SPACETIME_BLOCK_BYTES, SPACETIME_DESCRIPTOR_DI
                                   FeatureError, _gradient_bins, _records,
                                   _spacetime_histograms, describe_static,
                                   detect_spacetime_points, detect_static_keypoints)
+from planefinder.phantom import NORMAL_SIGMA, PATTERN_EXTENT
 from planefinder.pipeline import _plane_sequence
 from planefinder.smoothing import (BETA_MAX, KAPPA, _laplacian_symbol, _poisson_solve,
                                    divergence, forward_diff, threshold_gradients)
@@ -124,6 +126,16 @@ def lloyd_every_row(descriptors, k, seed=0, max_iter=100):
     return centroids, new_assign
 
 
+def plane_histograms_zero_fill(assign, sizes, k):
+    """codebook.plane_histograms as first written: a zero-filled output, each
+    row's counts divided by their own sum where that sum is positive."""
+    hist = np.zeros((len(sizes), k))
+    plane = np.repeat(np.arange(len(sizes), dtype=np.int64), np.asarray(sizes, dtype=np.int64))
+    counts = np.bincount(plane * k + assign, minlength=len(sizes) * k).reshape(-1, k)
+    totals = counts.sum(axis=1, keepdims=True)
+    return np.divide(counts, totals, out=hist, where=totals > 0)
+
+
 def kmeanspp_seed_allocating(data, k, first, choose):
     """_kmeanspp_seed's direct expressions, with its first row `first` and
     each later uniform choose(cdf), given the step's cdf."""
@@ -144,6 +156,24 @@ def kmeanspp_seed_allocating(data, k, first, choose):
         dj[idx] = 0.0
         np.minimum(d2, dj, out=d2)
     return centroids
+
+
+def pattern_coords_meshgrid(shape, plane, shift, jitter):
+    """phantom._pattern_coords as first written: the box's voxel offsets from
+    the pattern centre from three int64 meshgrids, stacked."""
+    nz, ny, nx = shape
+    c = (np.asarray(plane.center) + shift[0] * np.asarray(plane.axis_u)
+         + shift[1] * np.asarray(plane.axis_v))
+    r = PATTERN_EXTENT + 4.0 * NORMAL_SIGMA
+    x0, x1 = max(0, int(c[0] - r)), min(nx, int(c[0] + r) + 1)
+    y0, y1 = max(0, int(c[1] - r)), min(ny, int(c[1] + r) + 1)
+    z0, z1 = max(0, int(c[2] - r)), min(nz, int(c[2] + r) + 1)
+    zz, yy, xx = np.meshgrid(np.arange(z0, z1), np.arange(y0, y1), np.arange(x0, x1),
+                             indexing="ij")
+    rel = np.stack([xx - c[0], yy - c[1], zz - c[2]], axis=-1)
+    box = (slice(z0, z1), slice(y0, y1), slice(x0, x1))
+    return (box, rel @ np.asarray(plane.axis_u) - jitter[0],
+            rel @ np.asarray(plane.axis_v) - jitter[1], rel @ plane.normal)
 
 
 def gradient_count(img, tol=1e-6):

@@ -13,11 +13,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from oracles import kmeans_inertia, kmeanspp_seed_allocating, lloyd_every_row
+from oracles import (kmeans_inertia, kmeanspp_seed_allocating, lloyd_every_row,
+                     plane_histograms_zero_fill)
 import planefinder
 from planefinder import codebook
 from planefinder.codebook import (BoWHistogram, Codebook, CodebookError, CodebookWarning,
-                                  quantize, quantize_planes, train_codebook)
+                                  plane_histograms, quantize, quantize_planes, train_codebook)
 
 
 def clustered_data(rng, centers, n_per=40, noise=0.05):
@@ -356,6 +357,19 @@ def test_quantize_planes_without_descriptors():
     assert quantize_planes([], cb).shape == (0, 4)
 
 
+@pytest.mark.parametrize("sizes", [[3, 0, 5], [0, 0], [], [1], [7, 0, 0, 2, 0]])
+def test_plane_histograms_match_the_zero_fill_oracle(sizes):
+    # an empty plane between two others, all planes empty, and no planes
+    assign = np.random.default_rng(len(sizes)).integers(6, size=sum(sizes))
+    got = plane_histograms(assign, sizes, 6)
+    want = plane_histograms_zero_fill(assign, sizes, 6)
+    assert got.shape == (len(sizes), 6) and got.dtype == np.float64
+    assert got.tobytes() == want.tobytes()
+    # every empty plane's row is +0.0, bit for bit
+    empty = [i for i, n in enumerate(sizes) if n == 0]
+    assert got[empty].tobytes() == np.zeros((len(empty), 6)).tobytes()
+
+
 @pytest.mark.parametrize("bad_plane", [0, 1, 2])
 def test_quantize_planes_rejects_a_wrong_dimension_in_any_plane(bad_plane):
     cb = Codebook(centroids=np.eye(3))
@@ -470,22 +484,25 @@ def test_nearest_matches_assign_on_oracle_cases(name):
 
 @settings(max_examples=300, deadline=None)
 @given(dim=st.sampled_from([2, 16, 128, 192]), scale=st.floats(-7.0, 3.0),
-       gap=st.floats(-3.0, 3.0), seed=st.integers(0, 2 ** 32 - 1))
+       gap=st.floats(-3.0, 3.0), far=st.sampled_from([1.0, 1e3]),
+       seed=st.integers(0, 2 ** 32 - 1))
 def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, scale, gap,
-                                                                       seed):
+                                                                       far, seed):
     # one row, a nearest centroid at squared distance r², a second one at
     # r² + gap·band, and three far ones, in a random order; `band` is that of
-    # _nearest (twice its float32 error bound, plus _assign's 1e-12)
+    # _nearest (twice its float32 error bound, plus _assign's 1e-12). At
+    # far = 1e3 the centroids lie 10³ times further from the row than it lies
+    # from the origin, so max c2 ≫ |x|² and the norms' term dominates the band
     def band_of(x, c2_max):
-        return 2.0 * ((dim + 8) * 2.0 ** -24 * (x @ x + c2_max) + 2.0 ** -100) + 1e-12
+        return 2.0 * ((2 * dim + 8) * 2.0 ** -24 * (x @ x + c2_max) + 2.0 ** -100) + 1e-12
 
     rng = np.random.default_rng(seed)
     s = 10.0 ** scale
     x = s * rng.normal(size=dim)
     units = rng.normal(size=(5, dim))
     units /= np.linalg.norm(units, axis=1, keepdims=True)
-    band = band_of(x, (np.linalg.norm(x) + 10.0 * s) ** 2)
-    r2 = s * s + 4.0 * band
+    band = band_of(x, (np.linalg.norm(x) + 10.0 * far * s) ** 2)
+    r2 = (far * s) ** 2 + 4.0 * band
     radii = np.sqrt([r2, r2 + gap * band, 100.0 * r2, 100.0 * r2, 100.0 * r2])
     cents = (x + radii[:, None] * units)[rng.permutation(5)]
     c2 = (cents ** 2).sum(axis=1)
@@ -501,11 +518,13 @@ def test_nearest_decides_a_second_centroid_near_the_band_as_assign_does(dim, sca
         assert lower[0] == 0.0
     else:
         assert second ** 2 - 2.0 * band_of(x, c2.max()) <= lower[0] ** 2
+    if far > 1.0:
+        assert c2.max() > 1e4 * (x @ x)
     # the gap in bands of the centroids as built
     offset = abs(gap) * band / band_of(x, c2.max())
-    if offset <= 0.5:
+    if offset <= 0.75:
         assert deferred == [1]
-    if offset >= 1.5:
+    if offset >= 1.25:
         assert deferred == []
 
 
@@ -567,32 +586,28 @@ def test_lloyd_memory_is_bounded(monkeypatch):
             tracemalloc.stop()
 
     assert peak() < bound
-    # the first pass searches every row and the second a subset, each
-    # gathered a block at a time
+    # the first pass searches every row and the second a subset
     first, second = (len(p["searched"]) for p in passes[:2])
     assert first == len(data) and 0 < second < len(data)
-    assert max(b for p in passes for b in p["blocks"]) <= codebook.ASSIGN_BLOCK
     # measuring every descriptor against every centroid at once breaks the bound
     monkeypatch.setattr(codebook, "ASSIGN_BLOCK", 1 << 30)
     assert peak() > bound
 
 
 def _record_passes(monkeypatch, data):
-    """Lloyd's passes as train_codebook makes them on `data`, whose rows are
-    distinct: each pass's starting assignment, the size of each block it
-    searches, and the pool index of each row searched with its result."""
-    index = {row.tobytes(): i for i, row in enumerate(data)}
+    """Lloyd's passes as train_codebook makes them on `data`: each pass's
+    starting assignment, and the pool index of each row searched with its
+    result."""
     rows_to_search, nearest = codebook._rows_to_search, codebook._nearest
     passes = []
 
     def counted_rows_to_search(data, centroids, assign, lower, margin):
-        passes.append({"assign": assign.copy(), "blocks": [], "searched": [], "found": []})
+        passes.append({"assign": assign.copy(), "searched": [], "found": []})
         return rows_to_search(data, centroids, assign, lower, margin)
 
-    def counted_nearest(rows, *args):
-        got = nearest(rows, *args)
-        passes[-1]["blocks"].append(rows.shape[0])
-        passes[-1]["searched"].extend(index[row.tobytes()] for row in rows)
+    def counted_nearest(data, centroids, c2, rows):
+        got = nearest(data, centroids, c2, rows)
+        passes[-1]["searched"].extend(rows.tolist())
         passes[-1]["found"].extend(got[0].tolist())
         return got
 
@@ -638,9 +653,9 @@ def test_lloyd_matches_exact_search(monkeypatch, name):
         assert deferred[0][0] == 1
         assert 0 < sum(rows for p, rows in deferred if p == 1) < len(data)
 
-    def exact_search(rows, centroids, c2):
+    def exact_search(data, centroids, c2, rows):
         # every row decided in float64, with the bound of a row left to _assign
-        return assign(rows, centroids, c2)[0], np.zeros(len(rows))
+        return assign(data[rows], centroids, c2)[0], np.zeros(len(rows))
 
     monkeypatch.setattr(codebook, "_nearest", exact_search)
     exact = train_codebook(data, k=k, seed=seed)
@@ -743,9 +758,9 @@ def test_rows_left_to_assign_are_searched_in_the_next_pass(monkeypatch):
         return assign(rows, *args)
 
     def counted_rows_to_search(*args):
-        blocks = rows_to_search(*args)
-        searched.append(set(np.concatenate(blocks).tolist()) if blocks else set())
-        return blocks
+        rows = rows_to_search(*args)
+        searched.append(set(rows.tolist()))
+        return rows
 
     monkeypatch.setattr(codebook, "_assign", counted_assign)
     monkeypatch.setattr(codebook, "_rows_to_search", counted_rows_to_search)
@@ -763,6 +778,44 @@ def test_lloyd_after_the_cap_gives_no_pool_assignment():
     cb, warned = _check_against_oracle(data, k, seed, 100)
     assert not warned and cb.pool_assignment is not None
     assert Codebook(centroids=cb.centroids).pool_assignment is None
+
+
+@pytest.mark.parametrize("n", [1, 255, 600])
+def test_nearest_on_indexed_rows_matches_their_copy(n):
+    # a Lloyd pass searches the rows it indexes, gathered a block at a time:
+    # the same answer and bound as searching a copy of those rows
+    rng = np.random.default_rng(n)
+    data = rng.random((700, 24))
+    # near-duplicate rows, which the screen leaves to _assign
+    data[1::3] = data[::3][:233] + 1e-7 * rng.normal(size=(233, 24))
+    cents = data[rng.choice(700, size=50, replace=False)]
+    c2 = (cents ** 2).sum(axis=1)
+    rows = np.sort(rng.choice(700, size=n, replace=False))
+    with _deferred_rows() as deferred:
+        got = codebook._nearest(data, cents, c2, rows)
+    want = codebook._nearest(data[rows], cents, c2)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want, strict=True))
+    assert np.array_equal(got[0], codebook._assign(data[rows], cents, c2)[0])
+    # past one row, some are left to _assign, gathered by their index
+    assert bool(deferred) == (n > 1)
+
+
+def test_nearest_gathers_indexed_rows_a_block_at_a_time():
+    # 4,000 of 8,000 rows of 128 doubles: a copy of the rows is 4 MB, the
+    # search's own buffers at k = 500 under 1 MB
+    rng = np.random.default_rng(5)
+    data = rng.random((8000, 128))
+    cents = rng.random((500, 128))
+    c2 = (cents ** 2).sum(axis=1)
+    rows = np.arange(0, 8000, 2)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        codebook._nearest(data, cents, c2, rows)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_quantize_planes_memory_is_bounded(monkeypatch):

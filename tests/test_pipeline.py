@@ -334,6 +334,39 @@ def test_cached_descriptors_read_one_at_a_time(workspace):
         assert np.array_equal(np.array([d.values for d in descs]), descs.values)
 
 
+def _padding(descs):
+    """The bytes of each record that no field covers."""
+    raw = np.frombuffer(descs.tobytes(), np.uint8).reshape(len(descs), descs.itemsize)
+    covered = np.zeros(descs.itemsize, bool)
+    for name in descs.dtype.names:
+        dtype, offset = descs.dtype.fields[name][:2]
+        covered[offset:offset + dtype.itemsize] = True
+    return raw[:, ~covered]
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_sequence_descriptors_bytes_are_reproducible(monkeypatch, degenerate):
+    # a desk plane described twice: the same bytes, padding all zero, also
+    # when a degenerate row is dropped, which copies the rows that are kept
+    vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
+    if degenerate:
+        describe = pipeline.describe_static
+
+        def with_a_degenerate_row(grads, points):
+            descs = describe(grads, points)
+            return features._records(np.vstack([np.zeros((1, descs.values.shape[1])),
+                                                descs.values]),
+                                     np.append(False, ~descs.degenerate))
+
+        monkeypatch.setattr(pipeline, "describe_static", with_a_degenerate_row)
+    first = sequence_descriptors(vol, gt[0])
+    second = sequence_descriptors(vol, gt[0])
+    for a, b in zip(first, second, strict=True):
+        assert len(a) and a.tobytes() == b.tobytes()
+        assert _padding(a).size and not _padding(a).any()
+        assert not a.flags.writeable and not a.degenerate.any()
+
+
 @pytest.mark.parametrize("name", ["describe_static", "describe_spacetime"])
 def test_sequence_descriptors_drop_a_degenerate_row(monkeypatch, name):
     # no benchmark workload describes a degenerate row, so one is put first

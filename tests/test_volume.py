@@ -5,7 +5,7 @@ import stat
 import numpy as np
 import pytest
 
-from oracles import sample_plane
+from oracles import pattern_coords_meshgrid, sample_plane
 from planefinder import phantom
 from planefinder.codebook import BoWHistogram, Codebook
 from planefinder.phantom import PhantomSpec, synth_phantom
@@ -497,6 +497,22 @@ def test_phantom_slabs_match_reference_on_clipped_and_non_cubic_boxes(
         assert min(s.stop - s.start for s in box) < 2 * phantom.PATTERN_EXTENT
     vol, _ = synth_phantom(spec)
     assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
+
+
+@pytest.mark.parametrize("dims, seed, gt_planes", [
+    ((64, 64, 64), 1, None), ((64, 56, 72), 4, None), ((40, 52, 33), 5, None),
+    ((64, 64, 64), 3, _edge_planes())])
+def test_pattern_coords_match_the_meshgrid_oracle(dims, seed, gt_planes):
+    # every class's box, whole or clipped at the volume's edges
+    spec = PhantomSpec(class_count=2 if gt_planes else 3, seed=seed, dims=dims,
+                       gt_planes=gt_planes)
+    _, gt = synth_phantom(spec)
+    for k, plane in gt.items():
+        args = (dims[::-1], plane, phantom._class_shift(k), (0.1, -0.2))
+        got, want = phantom._pattern_coords(*args), pattern_coords_meshgrid(*args)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:], strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("slab_bytes, noise_chunk", [(1000, 1000), (1, 4099), (1 << 30, 1 << 30)])
