@@ -171,8 +171,7 @@ def load_bundle(path):
     emb = EmbeddingModel(
         w_x=mat("embed_wx", k_s, c), w_y=mat("embed_wy", k_t, c),
         mean_x=mat("embed_mean_x", k_s), mean_y=mat("embed_mean_y", k_t),
-        c=c, epsilon=one("embed_epsilon", float),
-        train_n=one("embed_train_n", int))
+        epsilon=one("embed_epsilon", float), train_n=one("embed_train_n", int))
     bundle = ModelBundle(
         config=cfg,
         cb_static=cb_static,

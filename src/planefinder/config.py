@@ -15,7 +15,7 @@ class PipelineConfig:
     k_static: int = 5000
     k_spacetime: int = 1000
     kmeans_max_iter: int = 100
-    # embedding
+    # embedding; embed_c bounds the code width, which the labels determine
     embed_c: int = 32
     # classifier
     svm_c: float = 1.0

@@ -11,7 +11,7 @@ import numpy as np
 
 
 # a code column whose singular value is at or below this fraction of the
-# largest is zero: rounding, not the data, would set its direction
+# largest is dropped: rounding, not the data, would set its direction
 SINGULAR_VALUE_FLOOR = 1e-8
 
 
@@ -25,9 +25,9 @@ class EmbeddingModel:
     w_y: np.ndarray
     mean_x: np.ndarray
     mean_y: np.ndarray
-    c: int
     epsilon: float
     train_n: int
+    c = property(lambda self: self.w_x.shape[1])  # code width, as the labels determined it
 
 
 @functools.cache
@@ -99,10 +99,8 @@ def _whitener(xc, c, epsilon):
     if epsilon == 0.0:
         rank = int(np.sum(evals > 1e-10 * top))
         if rank < c:
-            raise EmbeddingError(
-                "covariance rank %d below c=%d with epsilon=0; supply epsilon > 0"
-                % (rank, c)
-            )
+            raise EmbeddingError("covariance rank %d below c=%d with epsilon=0; "
+                                 "supply epsilon > 0" % (rank, c))
     a = 1.0 / np.sqrt(np.maximum(evals, 1e-15 * top))
     return u * sv, a, vt.T
 
@@ -115,8 +113,9 @@ def fit_embedding(x, y, s, c, epsilon=None):
     directions of the whitened cross matrix X^T S Y / n. That matrix lies in
     span(V_x) x span(V_y) of the two views' thin SVDs, so its SVD is taken
     from the min(n, d_x) x min(n, d_y) matrix of its coordinates there (the
-    sample-space form of CCA when d > n; the primal form when n > d). Code
-    columns past the matrix's numerical rank (SINGULAR_VALUE_FLOOR) are zero.
+    sample-space form of CCA when d > n; the primal form when n > d). The
+    directions past its numerical rank (SINGULAR_VALUE_FLOOR) are dropped, so
+    c is an upper bound; EmbeddingError if no direction is left.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -140,9 +139,10 @@ def fit_embedding(x, y, s, c, epsilon=None):
     usx, a_x, v_x = _whitener(xc, c, epsilon)
     usy, a_y, v_y = _whitener(yc, c, epsilon)
     u, sv, vt = np.linalg.svd((usx * a_x).T @ s @ (usy * a_y) / n, full_matrices=False)
-    live = sv[:c] > SINGULAR_VALUE_FLOOR * sv[0]
-    u = u[:, :c] * live
-    v = vt[:c].T * live
+    c = int(np.count_nonzero(sv[:c] > SINGULAR_VALUE_FLOOR * sv[0]))
+    if c == 0:
+        raise EmbeddingError("the whitened cross matrix is zero: no code column is live")
+    u, v = u[:, :c], vt[:c].T
     # sign convention: largest-magnitude entry of each whitened basis column
     # V_x u positive; the paired Y column flips with it
     basis = v_x @ u
@@ -150,7 +150,7 @@ def fit_embedding(x, y, s, c, epsilon=None):
     w_x = v_x @ (a_x[:, None] * u * sign)
     w_y = v_y @ (a_y[:, None] * v * sign)
     return EmbeddingModel(w_x=w_x, w_y=w_y, mean_x=mean_x, mean_y=mean_y,
-                          c=c, epsilon=float(epsilon), train_n=n)
+                          epsilon=float(epsilon), train_n=n)
 
 
 @_one_blas_thread

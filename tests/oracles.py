@@ -2,8 +2,9 @@
 
 Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
-and similarity matrices, the objectives the closed-form solves maximize, the
-per-frame plane sampler, the bag-of-words rows from a zero-filled output,
+and similarity matrices, the code width the labels allow, the objectives
+the closed-form solves maximize, the per-frame plane sampler, the
+bag-of-words rows from a zero-filled output,
 the phantom's pattern coordinates from meshgrids, the L0 loop with every step solved (and one
 screened-Poisson solve, also as a step with a complex division), the
 space-time orientation bins with np.mod and np.hypot, the DoG contrast
@@ -64,6 +65,15 @@ def semantic_similarity(a, b):
     if plane_a.index(1) != plane_b.index(1):
         return 0.0
     return 2.0 if diag_a.index(1) == diag_b.index(1) else 1.0
+
+
+def label_rank(labels):
+    """Rank of the centered label similarity H S H, H = I - 11^T / n, with S
+    built pair by pair from (plane one-hot, diagnosis one-hot) labels: the
+    most code columns that the labels determine."""
+    s = np.array([[semantic_similarity(a, b) for b in labels] for a in labels])
+    h = np.eye(len(labels)) - 1.0 / len(labels)
+    return int(np.linalg.matrix_rank(h @ s @ h))
 
 
 def embedding_objective(x, y, w_x, w_y, s, c):

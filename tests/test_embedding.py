@@ -123,8 +123,9 @@ def test_matches_independent_whitened_svd():
 
 @pytest.mark.parametrize("similarity, c", [("identity", 10), ("labels", 12)])
 def test_more_features_than_samples_matches_primal_oracle(similarity, c):
-    # d > n, as in training on real codebooks; the labels' S has rank 8 < c,
-    # so only the directions with non-zero singular values are determined
+    # d > n, as in training on real codebooks; the labels' centered S has
+    # rank 7 < c, so only 7 directions are determined and the codes keep
+    # just those
     rng = np.random.default_rng(12)
     n, d_x, d_y, eps = 30, 120, 40, 1e-3
     x, y, s = random_problem(rng, n=n, d_x=d_x, d_y=d_y)
@@ -138,17 +139,24 @@ def test_more_features_than_samples_matches_primal_oracle(similarity, c):
     isx = np.real(sqrtm(inv(cxx)))
     isy = np.real(sqrtm(inv(cyy)))
     u, sv, vt = np.linalg.svd(isx @ (xc.T @ s @ yc / n) @ isy)
-    live = sv[:c] > 1e-9 * sv[0]
-    assert live.sum() == (c if similarity == "identity" else 7)
-    # whitened identity on the live columns; the columns the data leave
-    # undetermined are exact zeros
-    assert np.abs(m.w_x.T @ cxx @ m.w_x - np.diag(live)).max() <= 1e-8
-    assert np.abs(m.w_y.T @ cyy @ m.w_y - np.diag(live)).max() <= 1e-8
-    assert not m.w_x[:, ~live].any() and not m.w_y[:, ~live].any()
+    r = c if similarity == "identity" else 7
+    assert np.count_nonzero(sv[:c] > 1e-9 * sv[0]) == r
+    assert m.w_x.shape == (d_x, r) and m.w_y.shape == (d_y, r) and m.c == r
+    assert np.abs(m.w_x.T @ cxx @ m.w_x - np.eye(r)).max() <= 1e-8
+    assert np.abs(m.w_y.T @ cyy @ m.w_y - np.eye(r)).max() <= 1e-8
     assert trace_objective(xc, yc, m.w_x, m.w_y, s) == pytest.approx(n * sv[:c].sum(),
                                                                      rel=1e-9)
-    assert subspace_angles(m.w_x[:, live], (isx @ u[:, :c])[:, live]).max() <= 1e-6
-    assert subspace_angles(m.w_y[:, live], (isy @ vt[:c].T)[:, live]).max() <= 1e-6
+    assert subspace_angles(m.w_x, isx @ u[:, :r]).max() <= 1e-6
+    assert subspace_angles(m.w_y, isy @ vt[:r].T).max() <= 1e-6
+
+
+def test_constant_view_determines_no_column():
+    # one histogram bin per static plane, as with k_static=1: the centered
+    # static view is zero, so is the cross matrix, and no code is determined
+    rng = np.random.default_rng(14)
+    x, y, s = random_problem(rng, n=12, d_x=1, d_y=5)
+    with pytest.raises(EmbeddingError, match="whitened cross matrix is zero"):
+        fit_embedding(np.ones_like(x), y, s, c=1)
 
 
 def test_codes_do_not_follow_rounding():

@@ -1,16 +1,17 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import benchmark_representations, semantic_similarity
+from oracles import benchmark_representations, label_rank, semantic_similarity
 from planefinder import codebook, features, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.codebook import quantize
 from planefinder.config import PipelineConfig
 from planefinder.features import detect_static_keypoints
-from planefinder.manifest import read_manifest
+from planefinder.manifest import DatasetManifest, read_manifest
 from planefinder.pgm import read_pgm
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_features,
@@ -401,6 +402,34 @@ def test_candidate_codes_cover_all_candidates(workspace, monkeypatch):
     assert sorted(i for i, _ in ranking) == list(range(15))
     codes = candidate_codes(descs, workspace["bundle"])
     assert codes.shape == (15, workspace["bundle"].embedding.c)
+
+
+def test_codes_are_as_wide_as_the_labels_determine(workspace, tmp_path):
+    # the training records relabeled normal: with one diagnosis S = 2 P P^T,
+    # whose centered rank is the plane types less one, below embed_c; every
+    # matrix that the codes pass through is that wide
+    train, cfg, cache = workspace["train"], workspace["cfg"], workspace["cache"]
+    normal = next(r.diag_onehot for r in train.records if r.condition == "normal")
+    one = DatasetManifest(records=tuple(replace(r, diag_onehot=normal, condition="normal")
+                                        for r in train.records))
+    labels = [(r.plane_onehot, r.diag_onehot) for r in one.records]
+    r = label_rank(labels)
+    assert len({d for _, d in labels}) == 1
+    assert r == len(labels[0][0]) - 1 == cfg.embed_c - 1
+    bundle = train_pipeline(one, cfg, cache=cache)
+    emb = bundle.embedding
+    assert emb.c == r and emb.w_x.shape[1] == emb.w_y.shape[1] == r
+    for m in bundle.classifier.machines.values():
+        assert m.scaler.mins.shape == m.scaler.maxs.shape == (r,)
+        assert m.support_vectors.shape[1] == r
+    descs = cache.all_descriptors(workspace["test"].volumes[0])
+    assert candidate_codes(descs, bundle).shape == (cfg.candidates_n, r)
+    out = str(tmp_path / "bundle")
+    save_bundle(bundle, out)
+    with open(os.path.join(out, "bundle.manifest")) as fh:
+        assert "embed_c=%d\n" % r in fh.readlines()
+    back = load_bundle(out)
+    assert back.embedding.c == r and back.content_hash == bundle.content_hash
 
 
 def test_benchmark_representations_smoke():
