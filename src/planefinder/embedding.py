@@ -99,8 +99,10 @@ def _whitener(xc, c, epsilon):
     if epsilon == 0.0:
         rank = int(np.sum(evals > 1e-10 * top))
         if rank < c:
-            raise EmbeddingError("covariance rank %d below c=%d with epsilon=0; "
-                                 "supply epsilon > 0" % (rank, c))
+            raise EmbeddingError(
+                "covariance rank %d below c=%d with epsilon=0; supply epsilon > 0"
+                % (rank, c)
+            )
     a = 1.0 / np.sqrt(np.maximum(evals, 1e-15 * top))
     return u * sv, a, vt.T
 
@@ -113,9 +115,8 @@ def fit_embedding(x, y, s, c, epsilon=None):
     directions of the whitened cross matrix X^T S Y / n. That matrix lies in
     span(V_x) x span(V_y) of the two views' thin SVDs, so its SVD is taken
     from the min(n, d_x) x min(n, d_y) matrix of its coordinates there (the
-    sample-space form of CCA when d > n; the primal form when n > d). The
-    directions past its numerical rank (SINGULAR_VALUE_FLOOR) are dropped, so
-    c is an upper bound; EmbeddingError if no direction is left.
+    sample-space form of CCA when d > n; the primal form when n > d). Code
+    columns past its numerical rank are dropped; EmbeddingError if none is left.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
