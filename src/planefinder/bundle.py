@@ -14,7 +14,7 @@ from .config import (ConfigError, PipelineConfig, config_text, load_config, read
 from .embedding import EmbeddingModel
 
 
-BUNDLE_FORMAT = "planefinder-bundle-2"
+BUNDLE_FORMAT = "planefinder-bundle-3"
 
 
 class BundleError(Exception):
@@ -43,9 +43,8 @@ def _matrices(bundle):
         ("embed_mean_x", bundle.embedding.mean_x),
         ("embed_mean_y", bundle.embedding.mean_y),
     ]
-    any_machine = next(iter(bundle.classifier.machines.values()))
-    mats.append(("scaler_mins", any_machine.scaler.mins))
-    mats.append(("scaler_maxs", any_machine.scaler.maxs))
+    mats.append(("scaler_mins", bundle.classifier.scaler.mins))
+    mats.append(("scaler_maxs", bundle.classifier.scaler.maxs))
     for cid in bundle.classifier.class_ids:
         m = bundle.classifier.machines[cid]
         mats.append(("svm_%d_sv" % cid, m.support_vectors))
@@ -61,15 +60,9 @@ def _meta_lines(bundle):
         "embed_c=%d" % emb.c,
         "embed_epsilon=%.17g" % emb.epsilon,
         "embed_train_n=%d" % emb.train_n,
-        "scaler_passthrough=%d"
-        % int(next(iter(bundle.classifier.machines.values())).scaler.passthrough),
     ]
     for cid in bundle.classifier.class_ids:
-        m = bundle.classifier.machines[cid]
-        lines.append("svm_%d_bias=%.17g" % (cid, m.bias))
-        lines.append("svm_%d_c=%.17g" % (cid, m.c))
-        lines.append("svm_%d_weights=%.17g,%.17g" % (cid, *m.class_weights))
-        lines.append("svm_%d_kernel=%s" % (cid, m.kernel))
+        lines.append("svm_%d_bias=%.17g" % (cid, bundle.classifier.machines[cid].bias))
     return lines
 
 
@@ -85,6 +78,9 @@ def compute_hash(bundle):
 
 
 def save_bundle(bundle, out_dir):
+    if bundle.classifier.kernel != bundle.config.kernel:  # the loader reads config.txt's
+        raise BundleError("classifier kernel %r is not the config's %r"
+                          % (bundle.classifier.kernel, bundle.config.kernel))
     os.makedirs(out_dir, exist_ok=True)
     bundle = bundle.with_hash() if not bundle.content_hash else bundle
     for name, arr in _matrices(bundle):
@@ -98,10 +94,6 @@ def save_bundle(bundle, out_dir):
             fh.write("matrix=%s %d %d\n" % (name, shape[0], shape[1]))
         fh.write("hash=%s\n" % bundle.content_hash)
     return bundle
-
-
-def _csv(parse):
-    return lambda text: tuple(parse(v) for v in text.split(","))
 
 
 def load_bundle(path):
@@ -147,27 +139,13 @@ def load_bundle(path):
     except CodebookError as exc:
         raise BundleError("bundle codebook: %s" % exc) from exc
     k_s, k_t, c = cb_static.k, cb_spacetime.k, one("embed_c", int)
-    scaler = FeatureScaler(mins=mat("scaler_mins", c), maxs=mat("scaler_maxs", c),
-                           passthrough=bool(one("scaler_passthrough", int)))
-    class_ids = one("classes", _csv(int))
+    class_ids = one("classes", lambda text: tuple(int(v) for v in text.split(",")))
     machines = {}
     for cid in class_ids:
-        weights = one("svm_%d_weights" % cid, _csv(float))
-        if len(weights) != 2:
-            raise BundleError("%s key 'svm_%d_weights': expected two class weights"
-                              % (mpath, cid))
-        kernel = one("svm_%d_kernel" % cid)
-        if kernel not in ("hik", "linear"):
-            raise BundleError("%s key 'svm_%d_kernel': unknown kernel %r" % (mpath, cid, kernel))
         sv = mat("svm_%d_sv" % cid, None, c)
-        machines[cid] = SvmModel(
-            support_vectors=sv,
-            dual_coefs=mat("svm_%d_coef" % cid, len(sv)),
-            bias=one("svm_%d_bias" % cid, float),
-            c=one("svm_%d_c" % cid, float),
-            class_weights=weights,
-            kernel=kernel,
-            scaler=scaler)
+        machines[cid] = SvmModel(support_vectors=sv,
+                                 dual_coefs=mat("svm_%d_coef" % cid, len(sv)),
+                                 bias=one("svm_%d_bias" % cid, float))
     emb = EmbeddingModel(
         w_x=mat("embed_wx", k_s, c), w_y=mat("embed_wy", k_t, c),
         mean_x=mat("embed_mean_x", k_s), mean_y=mat("embed_mean_y", k_t),
@@ -177,7 +155,9 @@ def load_bundle(path):
         cb_static=cb_static,
         cb_spacetime=cb_spacetime,
         embedding=emb,
-        classifier=MulticlassModel(class_ids=class_ids, machines=machines),
+        classifier=MulticlassModel(
+            class_ids=class_ids, machines=machines, kernel=cfg.kernel,
+            scaler=FeatureScaler(mins=mat("scaler_mins", c), maxs=mat("scaler_maxs", c))),
         content_hash=one("hash"))
     if compute_hash(bundle) != bundle.content_hash:
         raise BundleError("bundle hash mismatch under %s" % path)

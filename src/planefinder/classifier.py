@@ -42,7 +42,6 @@ def kernel_matrix(a, b, kind):
 class FeatureScaler:
     mins: np.ndarray
     maxs: np.ndarray
-    passthrough: bool = False
 
 
 def fit_scaler(codes):
@@ -55,8 +54,6 @@ def fit_scaler(codes):
 def apply_scaler(code, scaler):
     """Min-max map into [0,1]; constant dims map to 0.5; out-of-range clamps."""
     code = np.asarray(code, dtype=np.float64)
-    if scaler.passthrough:
-        return code
     span = scaler.maxs - scaler.mins
     const = span <= 0
     safe_span = np.where(const, 1.0, span)
@@ -65,9 +62,9 @@ def apply_scaler(code, scaler):
 
 
 def identity_scaler(dim):
-    """Pass-through scaler for inputs that need no rescaling (BoW histograms,
-    linear-kernel features)."""
-    return FeatureScaler(mins=np.zeros(dim), maxs=np.ones(dim), passthrough=True)
+    """The (0, 1) min-max scaler: it returns rows in [0, 1], such as BoW
+    histograms, bit for bit."""
+    return FeatureScaler(mins=np.zeros(dim), maxs=np.ones(dim))
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,15 @@ class SvmModel:
     support_vectors: np.ndarray
     dual_coefs: np.ndarray  # alpha_i * y_i
     bias: float
-    c: float
-    class_weights: tuple
-    kernel: str
-    scaler: FeatureScaler
 
 
 @dataclass(frozen=True)
 class MulticlassModel:
+    """One-vs-rest machines over one code space: one kernel, one scaler."""
     class_ids: tuple
     machines: dict  # class_id -> SvmModel
+    kernel: str
+    scaler: FeatureScaler
 
 
 def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
@@ -135,43 +131,29 @@ def _smo(gram, y, box, tol=KKT_TOL, max_iter=200000):
     return alpha, float(0.5 * (hi + lo))
 
 
-def _fit_svm(zs, gram, y, c, kernel, scaler, class_weights=None, tol=KKT_TOL):
-    """SVM on scaled rows zs whose kernel Gram matrix is gram."""
+def _fit_svm(zs, gram, y, c, class_weights=None, tol=KKT_TOL):
+    """Dual solution on scaled rows zs whose kernel Gram matrix is gram; C is
+    scaled by class_weights, (negatives / positives, 1) by default."""
     if class_weights is None:
         class_weights = (float(np.sum(y < 0)) / float(np.sum(y > 0)), 1.0)
     box = np.where(y > 0, c * class_weights[0], c * class_weights[1])
     alpha, bias = _smo(gram, y, box, tol=tol)
     keep = alpha > ALPHA_KEEP
-    return SvmModel(support_vectors=zs[keep], dual_coefs=alpha[keep] * y[keep],
-                    bias=bias, c=float(c), class_weights=tuple(class_weights),
-                    kernel=kernel, scaler=scaler)
+    return SvmModel(support_vectors=zs[keep], dual_coefs=alpha[keep] * y[keep], bias=bias)
 
 
-def train_svm(z, y, c=1.0, kernel="hik", class_weights=None, scaler=None,
-              tol=KKT_TOL):
-    """Soft-margin SVM via SMO; converges to max KKT violation <= tol."""
+def decision_values(clf, z, cid):
+    """Decision values of class `cid`'s machine for a (n, d) stack of code
+    rows, one per row."""
+    if cid not in clf.machines:
+        raise ClassifierError("no machine for class %r" % (cid,))
+    machine = clf.machines[cid]
     z = np.asarray(z, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
-        raise ClassifierError("non-finite features")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ClassifierError("both classes must be present")
-    if scaler is None:
-        scaler = identity_scaler(z.shape[1])
-    zs = apply_scaler(z, scaler)
-    return _fit_svm(zs, kernel_matrix(zs, zs, kernel), y, c, kernel, scaler,
-                    class_weights, tol)
-
-
-def decision_values(model, z):
-    """Decision values of a (n, d) stack of feature rows, one per row."""
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != model.support_vectors.shape[1]:
+    if z.ndim != 2 or z.shape[1] != machine.support_vectors.shape[1]:
         raise ClassifierError("features must be a 2-D stack of width %d, got shape %s"
-                              % (model.support_vectors.shape[1], z.shape))
-    zs = apply_scaler(z, model.scaler)
-    k = kernel_matrix(zs, model.support_vectors, model.kernel)
-    return k @ model.dual_coefs + model.bias
+                              % (machine.support_vectors.shape[1], z.shape))
+    k = kernel_matrix(apply_scaler(z, clf.scaler), machine.support_vectors, clf.kernel)
+    return k @ machine.dual_coefs + machine.bias
 
 
 def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):
@@ -192,6 +174,7 @@ def train_multiclass(z, plane_labels, c=1.0, kernel="hik", scaler=None):
         y = np.where(plane_labels == cid, 1.0, -1.0)
         if not np.any(y > 0):
             raise ClassifierError("class %d has no positive samples" % cid)
-        machines[cid] = _fit_svm(zs, gram, y, c, kernel, scaler)
-    return MulticlassModel(class_ids=tuple(class_ids), machines=machines)
+        machines[cid] = _fit_svm(zs, gram, y, c)
+    return MulticlassModel(class_ids=tuple(class_ids), machines=machines, kernel=kernel,
+                           scaler=scaler)
 

@@ -125,8 +125,6 @@ def fit_embedding(x, y, s, c, epsilon=None):
     d_y = y.shape[1]
     if y.shape[0] != n or s.shape != (n, n):
         raise EmbeddingError("row counts of X, Y and S must agree")
-    if c > min(d_x, d_y, n):
-        raise EmbeddingError("c=%d exceeds min(d_x, d_y, n)=%d" % (c, min(d_x, d_y, n)))
 
     mean_x = x.mean(axis=0)
     mean_y = y.mean(axis=0)

@@ -215,13 +215,13 @@ def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
         cache_descs = [sequence_descriptors(vol, p)
                        for p in candidate_planes(vol.dims, bundle.config)]
     codes = candidate_codes(cache_descs, bundle)
-    scores = decision_values(bundle.classifier.machines[plane_class], codes)
+    scores = decision_values(bundle.classifier, codes, plane_class)
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(i), float(scores[i])) for i in order[:min(top_k, len(scores))]]
 
 
 def _machine_scores(clf, codes):
-    return {cid: decision_values(clf.machines[cid], codes) for cid in clf.class_ids}
+    return {cid: decision_values(clf, codes, cid) for cid in clf.class_ids}
 
 
 def _record_features(manifest, cache, cb_s, cb_t):

@@ -2,7 +2,8 @@
 
 Each is the direct, one-item-at-a-time form of something the product
 computes in bulk: the pairwise kernel and label similarity behind the Gram
-and similarity matrices, the code width the labels allow, the objectives
+and similarity matrices, one SVM machine's decision values without a
+scaler, the code width the labels allow, the objectives
 the closed-form solves maximize, the per-frame plane sampler, the
 bag-of-words rows from a zero-filled output,
 the phantom's pattern coordinates from meshgrids, the L0 loop with every step solved (and one
@@ -22,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.fft import ifft, irfft, rfft2
 
-from planefinder.classifier import ClassifierError, decision_values, train_svm
+from planefinder.classifier import ClassifierError, _fit_svm, kernel_matrix
 from planefinder.codebook import (CodebookWarning, _assign, _descriptor_matrix,
                                   _kmeanspp_seed, _nearest)
 from planefinder.embedding import EmbeddingError
@@ -350,11 +351,16 @@ def benchmark_representations(n_train=200, n_test=2000, d_static=5000,
     models = {}
     for name, z_train in (("concat", z_cat_train), ("embedded", z_emb_train)):
         t0 = time.perf_counter()
-        models[name] = train_svm(z_train, y, c=svm_c, kernel="hik",
-                                 class_weights=(1.0, 1.0))
+        models[name] = _fit_svm(z_train, kernel_matrix(z_train, z_train, "hik"), y, svm_c,
+                                class_weights=(1.0, 1.0))
         timings[(name, "train")] = time.perf_counter() - t0
     for name, z_test in (("concat", z_cat_test), ("embedded", z_emb_test)):
         t0 = time.perf_counter()
-        decision_values(models[name], z_test)
+        svm_decision(models[name], z_test, "hik")
         timings[(name, "test")] = time.perf_counter() - t0
     return timings
+
+
+def svm_decision(machine, z, kernel):
+    """Decision values of one machine on rows z as given (no scaler), verbatim."""
+    return kernel_matrix(z, machine.support_vectors, kernel) @ machine.dual_coefs + machine.bias

@@ -13,9 +13,8 @@ from scipy.linalg import inv, sqrtm, subspace_angles
 from scipy.optimize import minimize
 
 from oracles import (benchmark_representations, dual_objective, embedding_objective,
-                     gradient_count, solve_screened_poisson, trace_objective)
-from planefinder.classifier import (decision_values, hik_matrix, identity_scaler,
-                                    kernel_matrix, train_svm)
+                     gradient_count, solve_screened_poisson, svm_decision, trace_objective)
+from planefinder.classifier import _fit_svm, hik_matrix, kernel_matrix
 from planefinder.config import PipelineConfig
 from planefinder.embedding import build_similarity_matrix, fit_embedding
 from planefinder.manifest import read_manifest
@@ -236,9 +235,8 @@ def test_criterion_5_svm_oracles():
             if np.all(y > 0) or np.all(y < 0):
                 y[0] = -y[0]
             c = float(rng.choice([0.5, 1.0, 2.0]))
-            m = train_svm(z, y, c=c, kernel=kernel, class_weights=(1.0, 1.0),
-                          scaler=identity_scaler(4), tol=1e-10)
             gram = kernel_matrix(z, z, kernel)
+            m = _fit_svm(z, gram, y, c, class_weights=(1.0, 1.0), tol=1e-10)
             alpha = np.zeros(n)
             for sv, coef in zip(m.support_vectors, m.dual_coefs):
                 idx = int(np.argmin(((z - sv) ** 2).sum(axis=1)))
@@ -248,7 +246,7 @@ def test_criterion_5_svm_oracles():
             worst = max(worst, abs(ours - oracle) / max(1.0, abs(oracle)))
             cases += 1
             # KKT suite on the trained model
-            f = decision_values(m, z)
+            f = svm_decision(m, z, kernel)
             margin = y * f
             for i in range(n):
                 if alpha[i] <= 1e-8:
@@ -261,9 +259,9 @@ def test_criterion_5_svm_oracles():
     assert worst <= 1e-6
 
     # analytic two-point case
-    m = train_svm(np.array([[1.0], [-1.0]]), np.array([1.0, -1.0]), c=10.0,
-                  kernel="linear", class_weights=(1.0, 1.0),
-                  scaler=identity_scaler(1), tol=1e-10)
+    z = np.array([[1.0], [-1.0]])
+    m = _fit_svm(z, kernel_matrix(z, z, "linear"), np.array([1.0, -1.0]), 10.0,
+                 class_weights=(1.0, 1.0), tol=1e-10)
     alphas = np.abs(m.dual_coefs)
     assert np.allclose(sorted(alphas), [0.5, 0.5], atol=1e-9)
     assert abs(m.bias) <= 1e-9

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from oracles import dual_objective, hik
+from oracles import dual_objective, hik, svm_decision
 from planefinder import classifier
-from planefinder.classifier import (ClassifierError, apply_scaler, decision_values,
+from planefinder.classifier import (ClassifierError, _fit_svm, apply_scaler, decision_values,
                                     fit_scaler, hik_matrix, identity_scaler, _smo,
-                                    kernel_matrix, train_multiclass, train_svm)
+                                    kernel_matrix, train_multiclass)
+
+
+def fit(z, y, c, kernel, **kwargs):
+    """One machine on the rows z as given, from their explicit Gram matrix."""
+    return _fit_svm(z, kernel_matrix(z, z, kernel), y, c, **kwargs)
 
 
 def test_hik_basics():
@@ -62,20 +67,23 @@ def test_scaler_maps_to_unit_box():
 
 
 def test_identity_scaler_passthrough():
-    sc = identity_scaler(3)
-    z = np.array([-2.0, 0.5, 7.0])
-    assert np.array_equal(apply_scaler(z, sc), z)
+    # rows in [0, 1], as BoW histograms are, come back bit for bit; it is the
+    # (0, 1) min-max scaler, so anything outside clamps
+    rng = np.random.default_rng(16)
+    z = np.vstack([rng.random((20, 3)), [0.0, 1.0, 5e-324], [1.0, 0.0, 1.0 - 2.0 ** -53]])
+    assert apply_scaler(z, identity_scaler(3)).tobytes() == z.tobytes()
+    assert np.array_equal(apply_scaler(np.array([-2.0, 0.5, 7.0]), identity_scaler(3)),
+                          [0.0, 0.5, 1.0])
 
 
 def test_two_point_analytic_solution():
     # f(x) = x separates z=+1/-1 with margin 1: alpha = 0.5, bias = 0
     z = np.array([[1.0], [-1.0]])
     y = np.array([1.0, -1.0])
-    m = train_svm(z, y, c=10.0, kernel="linear", class_weights=(1.0, 1.0),
-                  scaler=identity_scaler(1))
+    m = fit(z, y, 10.0, "linear", class_weights=(1.0, 1.0))
     assert np.allclose(sorted(m.dual_coefs), [-0.5, 0.5], atol=1e-6)
     assert m.bias == pytest.approx(0.0, abs=1e-6)
-    assert decision_values(m, np.array([[0.5]])) == pytest.approx([0.5], abs=1e-6)
+    assert svm_decision(m, np.array([[0.5]]), "linear") == pytest.approx([0.5], abs=1e-6)
 
 
 def _oracle_dual(gram, y, box):
@@ -107,8 +115,7 @@ def test_smo_matches_qp_oracle(kernel):
             y[0] = -y[0]
         z[y > 0, 0] += 0.3
         c = [0.5, 1.0, 5.0][trial % 3]
-        m = train_svm(z, y, c=c, kernel=kernel, class_weights=(1.0, 1.0),
-                      scaler=identity_scaler(4))
+        m = fit(z, y, c, kernel, class_weights=(1.0, 1.0))
         gram = kernel_matrix(z, z, kernel)
         # recover the full alpha vector from the kept support vectors
         alpha = np.zeros(n)
@@ -128,13 +135,12 @@ def test_kkt_conditions_hold():
     if not (np.any(y > 0) and np.any(y < 0)):
         y[0] = -y[0]
     c = 2.0
-    m = train_svm(z, y, c=c, kernel="linear", class_weights=(1.0, 1.0),
-                  scaler=identity_scaler(3))
+    m = fit(z, y, c, "linear", class_weights=(1.0, 1.0))
     alpha = np.zeros(n)
     for sv, coef in zip(m.support_vectors, m.dual_coefs):
         idx = int(np.argmin(((z - sv) ** 2).sum(axis=1)))
         alpha[idx] += abs(coef)
-    f = decision_values(m, z)
+    f = svm_decision(m, z, "linear")
     margin = y * f
     tol = 1e-3
     for i in range(n):
@@ -153,13 +159,11 @@ def test_duplicated_data_with_halved_c_equivalent():
     y = np.where(z[:, 1] > 0.5, 1.0, -1.0)
     if not (np.any(y > 0) and np.any(y < 0)):
         y[0] = -y[0]
-    m1 = train_svm(z, y, c=1.0, kernel="hik", class_weights=(1.0, 1.0),
-                   scaler=identity_scaler(3))
-    m2 = train_svm(np.vstack([z, z]), np.concatenate([y, y]), c=0.5,
-                   kernel="hik", class_weights=(1.0, 1.0),
-                   scaler=identity_scaler(3))
+    m1 = fit(z, y, 1.0, "hik", class_weights=(1.0, 1.0))
+    m2 = fit(np.vstack([z, z]), np.concatenate([y, y]), 0.5, "hik",
+             class_weights=(1.0, 1.0))
     grid = rng.random((15, 3))
-    assert np.allclose(decision_values(m1, grid), decision_values(m2, grid),
+    assert np.allclose(svm_decision(m1, grid, "hik"), svm_decision(m2, grid, "hik"),
                        atol=2e-3)
 
 
@@ -167,29 +171,54 @@ def test_default_class_weights_balance():
     rng = np.random.default_rng(10)
     z = rng.random((12, 2))
     y = np.array([1.0] * 3 + [-1.0] * 9)
-    m = train_svm(z, y, c=1.0, kernel="linear")
-    assert m.class_weights == (3.0, 1.0)
+    m = fit(z, y, 1.0, "linear")
+    # 9 negatives to 3 positives: a positive's alpha may reach 3 C, a negative's C
+    alpha = np.abs(m.dual_coefs)
+    positive = m.dual_coefs > 0
+    assert alpha[positive].max() > 1.0
+    assert alpha[positive].max() <= 3.0 and alpha[~positive].max() <= 1.0
+    weighted = fit(z, y, 1.0, "linear", class_weights=(3.0, 1.0))
+    assert np.array_equal(m.dual_coefs, weighted.dual_coefs) and m.bias == weighted.bias
 
 
 def test_train_errors():
     with pytest.raises(ClassifierError):
-        train_svm(np.ones((4, 2)), np.ones(4))  # one class only
+        train_multiclass(np.ones((4, 2)), np.zeros(4))  # one class only
     bad = np.ones((4, 2))
     bad[0, 0] = np.nan
     with pytest.raises(ClassifierError):
-        train_svm(bad, np.array([1.0, 1.0, -1.0, -1.0]))
+        train_multiclass(bad, np.array([0, 0, 1, 1]))
 
 
 def test_decision_dim_mismatch():
-    z = np.array([[1.0, 0.0], [0.0, 1.0]])
-    m = train_svm(z, np.array([1.0, -1.0]), kernel="linear",
-                  scaler=identity_scaler(2))
+    m = train_multiclass(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]),
+                         kernel="linear")
     with pytest.raises(ClassifierError):
-        decision_values(m, np.zeros(3))
+        decision_values(m, np.zeros(3), 0)
     # a stack of the wrong width, or a vector or 3-D array of the right width
     for bad in (np.zeros((1, 3)), np.zeros(2), np.zeros((1, 1, 2))):
         with pytest.raises(ClassifierError, match="2-D stack of width 2"):
-            decision_values(m, bad)
+            decision_values(m, bad, 0)
+
+
+def test_decision_unknown_class():
+    m = train_multiclass(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0, 1]))
+    with pytest.raises(ClassifierError, match="no machine for class 2"):
+        decision_values(m, np.zeros((1, 2)), 2)
+
+
+def test_decision_values_scale_then_take_the_kernel():
+    # the model's one scaler and one kernel, against every machine
+    rng = np.random.default_rng(18)
+    z = 3.0 * rng.random((24, 3)) - 1.0
+    labels = np.repeat([0, 1, 2, -1], 6)
+    grid = 4.0 * rng.random((10, 3)) - 2.0  # partly outside the training range
+    for kernel in ("hik", "linear"):
+        m = train_multiclass(z, labels, c=2.0, kernel=kernel)
+        assert m.kernel == kernel
+        for cid in m.class_ids:
+            want = svm_decision(m.machines[cid], apply_scaler(grid, m.scaler), kernel)
+            assert np.array_equal(decision_values(m, grid, cid), want)
 
 
 def test_multiclass_three_gaussians():
@@ -199,8 +228,7 @@ def test_multiclass_three_gaussians():
     labels = np.repeat([0, 1, 2], 40)
     z = np.clip(z, 0.0, 1.0)
     model = train_multiclass(z, labels, c=5.0, kernel="hik")
-    scores = np.column_stack([decision_values(model.machines[cid], z)
-                              for cid in model.class_ids])
+    scores = np.column_stack([decision_values(model, z, cid) for cid in model.class_ids])
     # the highest positive score wins; a row with none is no class
     predicted = np.where(scores.max(axis=1) > 0,
                          np.array(model.class_ids)[scores.argmax(axis=1)], -1)
@@ -224,7 +252,7 @@ def test_multiclass_needs_two_classes():
 
 
 @pytest.mark.parametrize("kernel", ["hik", "linear"])
-def test_multiclass_machines_equal_train_svm_from_one_gram(monkeypatch, kernel):
+def test_multiclass_machines_equal_fit_svm_from_one_gram(monkeypatch, kernel):
     rng = np.random.default_rng(15)
     z = rng.random((30, 4))
     labels = np.repeat([0, 1, 2, -1], [8, 8, 8, 6])
@@ -234,13 +262,16 @@ def test_multiclass_machines_equal_train_svm_from_one_gram(monkeypatch, kernel):
     model = train_multiclass(z, labels, c=2.0, kernel=kernel)
     assert grams == [kernel]
     monkeypatch.undo()
+    assert model.kernel == kernel
+    assert np.array_equal(model.scaler.mins, z.min(axis=0))
+    assert np.array_equal(model.scaler.maxs, z.max(axis=0))
+    zs = apply_scaler(z, fit_scaler(z))
     for cid in model.class_ids:
-        ref = train_svm(z, np.where(labels == cid, 1.0, -1.0), c=2.0, kernel=kernel,
-                        scaler=fit_scaler(z))
+        ref = fit(zs, np.where(labels == cid, 1.0, -1.0), 2.0, kernel)
         got = model.machines[cid]
         assert np.array_equal(got.support_vectors, ref.support_vectors)
         assert np.array_equal(got.dual_coefs, ref.dual_coefs)
-        assert got.bias == ref.bias and got.class_weights == ref.class_weights
+        assert got.bias == ref.bias
 
 
 def test_multiclass_rejects_non_finite_codes():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import inv, sqrtm, subspace_angles
 
-from oracles import embedding_objective, semantic_similarity, trace_objective
+from oracles import embedding_objective, label_rank, semantic_similarity, trace_objective
 import planefinder
 from planefinder import embedding
 from planefinder.embedding import (EmbeddingError, build_similarity_matrix, embed,
@@ -236,10 +236,19 @@ def test_epsilon_auto_value():
 
 
 def test_c_too_large_and_shape_mismatch():
+    # c above min(d_x, d_y, n) only bounds the width: here the labels (rank 7)
+    # and the 5 space-time features leave 5 columns, as c=5 does
     rng = np.random.default_rng(9)
     x, y, s = random_problem(rng, n=20, d_x=6, d_y=5)
-    with pytest.raises(EmbeddingError):
-        fit_embedding(x, y, s, c=6)
+    at_limit = fit_embedding(x, y, s, c=5)
+    for c in (6, 32):
+        m = fit_embedding(x, y, s, c=c)
+        assert m.c == 5
+        assert np.array_equal(m.w_x, at_limit.w_x) and np.array_equal(m.w_y, at_limit.w_y)
+    # two plane types by two diagnoses over 12 samples: the labels give 3
+    labs = [labels(i % 2, i // 2 % 2) for i in range(12)]
+    m = fit_embedding(rng.random((12, 8)), rng.random((12, 6)), similarity(labs), c=32)
+    assert m.c == label_rank(labs) == 3
     with pytest.raises(EmbeddingError):
         fit_embedding(x[:10], y, s, c=2)
 

@@ -14,7 +14,7 @@ from oracles import pgm_header_tokens
 from planefinder import matio, pgm
 from planefinder.bundle import (BundleError, ModelBundle, _matrices, _meta_lines, compute_hash,
                                load_bundle, save_bundle)
-from planefinder.classifier import FeatureScaler, MulticlassModel, SvmModel
+from planefinder.classifier import FeatureScaler, MulticlassModel, SvmModel, decision_values
 from planefinder.codebook import Codebook, CodebookError, quantize
 from planefinder.config import (ConfigError, PipelineConfig, config_text, load_config,
                                 save_config)
@@ -390,10 +390,8 @@ def test_manifest_not_utf8(tmp_path):
 def _tiny_bundle():
     """A tiny hand-built two-class bundle."""
     rng = np.random.default_rng(7)
-    scaler = FeatureScaler(mins=np.zeros(2), maxs=np.ones(2))
     machines = {cid: SvmModel(support_vectors=rng.random((3, 2)),
-                              dual_coefs=rng.normal(size=3), bias=0.1 * cid, c=1.0,
-                              class_weights=(1.0, 1.0), kernel="hik", scaler=scaler)
+                              dual_coefs=rng.normal(size=3), bias=0.1 * cid)
                 for cid in (0, 1)}
     bundle = ModelBundle(
         config=PipelineConfig(),
@@ -402,7 +400,8 @@ def _tiny_bundle():
         embedding=EmbeddingModel(w_x=rng.random((4, 2)), w_y=rng.random((3, 2)),
                                  mean_x=np.zeros(4), mean_y=np.zeros(3),
                                  epsilon=0.5, train_n=6),
-        classifier=MulticlassModel(class_ids=(0, 1), machines=machines))
+        classifier=MulticlassModel(class_ids=(0, 1), machines=machines, kernel="hik",
+                                   scaler=FeatureScaler(mins=np.zeros(2), maxs=np.ones(2))))
     return bundle
 
 
@@ -422,6 +421,22 @@ def test_reloaded_bundle_quantizes_the_same(tmp_path):
     for cb, cb_back in ((bundle.cb_static, back.cb_static),
                         (bundle.cb_spacetime, back.cb_spacetime)):
         assert np.array_equal(quantize(data, cb_back).values, quantize(data, cb).values)
+
+
+@pytest.mark.parametrize("kernel", ["hik", "linear"])
+def test_reloaded_bundle_scores_the_same(tmp_path, kernel):
+    # the loader gives every machine config.txt's kernel and the one scaler
+    bundle = _tiny_bundle()
+    bundle = replace(bundle, config=replace(bundle.config, kernel=kernel),
+                     classifier=replace(bundle.classifier, kernel=kernel))
+    out = str(tmp_path / "bundle")
+    save_bundle(bundle, out)
+    back = load_bundle(out)
+    assert back.classifier.kernel == kernel
+    z = np.random.default_rng(9).random((5, 2))
+    for cid in bundle.classifier.class_ids:
+        assert np.array_equal(decision_values(back.classifier, z, cid),
+                              decision_values(bundle.classifier, z, cid))
 
 
 def test_hash_reads_each_matrix_buffer_as_its_bytes():
@@ -462,31 +477,32 @@ def test_bundle_codebook_non_finite(tmp_path):
 
 
 def _forged(name):
-    """_tiny_bundle with the one matrix or kernel `name` names out of fit, and
-    its hash recomputed over the change."""
+    """_tiny_bundle with the one matrix `name` names out of fit, and its hash
+    recomputed over the change."""
     bundle = _tiny_bundle()
     emb, clf = bundle.embedding, bundle.classifier
-    m0 = clf.machines[0]  # the machine whose scaler the bundle saves
+    m0 = clf.machines[0]
     embedding = {"embed_wx rows": dict(w_x=emb.w_x[:-1]),
                  "embed_wy rows": dict(w_y=emb.w_y[:-1]),
                  "embed_wy cols": dict(w_y=emb.w_y[:, :-1]),
                  "embed_mean_x": dict(mean_x=emb.mean_x[:-1]),
                  "embed_mean_y": dict(mean_y=emb.mean_y[:-1])}
-    machine = {"scaler_mins": dict(scaler=replace(m0.scaler, mins=m0.scaler.mins[:-1])),
-               "scaler_maxs": dict(scaler=replace(m0.scaler, maxs=m0.scaler.maxs[:-1])),
-               "svm_0_coef": dict(dual_coefs=m0.dual_coefs[:-1]),
-               "svm_0_sv": dict(support_vectors=np.hstack([m0.support_vectors] * 2)),
-               "svm_0_kernel": dict(kernel="rbf")}
+    scaler = {"scaler_mins": dict(mins=clf.scaler.mins[:-1]),
+              "scaler_maxs": dict(maxs=clf.scaler.maxs[:-1])}
+    machine = {"svm_0_coef": dict(dual_coefs=m0.dual_coefs[:-1]),
+               "svm_0_sv": dict(support_vectors=np.hstack([m0.support_vectors] * 2))}
     if name in embedding:
         return replace(bundle, embedding=replace(emb, **embedding[name]))
+    if name in scaler:
+        return replace(bundle, classifier=replace(clf, scaler=replace(clf.scaler,
+                                                                      **scaler[name])))
     machines = {**clf.machines, 0: replace(m0, **machine[name])}
     return replace(bundle, classifier=replace(clf, machines=machines))
 
 
 @pytest.mark.parametrize("name", ["embed_wx rows", "embed_wx cols", "embed_wy rows",
                                   "embed_wy cols", "embed_mean_x", "embed_mean_y",
-                                  "scaler_mins", "scaler_maxs", "svm_0_coef", "svm_0_sv",
-                                  "svm_0_kernel"])
+                                  "scaler_mins", "scaler_maxs", "svm_0_coef", "svm_0_sv"])
 def test_bundle_matrices_that_do_not_fit_together(tmp_path, name):
     # each forgery loaded before, and failed only in locate
     out = str(tmp_path / "bundle")
@@ -547,8 +563,64 @@ def test_bundle_format_checked_before_config(tmp_path):
     with open(os.path.join(out, "config.txt"), "a") as fh:
         fh.write("smooth_lambda=0.02\n")
     with pytest.raises(BundleError, match="'planefinder-bundle-1', expected "
-                                          "'planefinder-bundle-2'"):
+                                          "'planefinder-bundle-3'"):
         load_bundle(out)
+
+
+def test_bundle_manifest_keys(tmp_path):
+    # each classifier setting is stored once: the kernel and C in config.txt,
+    # the scaler and the machines in matrices, one bias line per class
+    out = _saved_bundle(tmp_path)
+    with open(os.path.join(out, "bundle.manifest")) as fh:
+        keys = [line.partition("=")[0] for line in fh.read().splitlines()]
+    assert keys == (["format", "classes", "embed_c", "embed_epsilon", "embed_train_n",
+                     "svm_0_bias", "svm_1_bias"]
+                    + ["matrix"] * len(_matrices(_tiny_bundle())) + ["hash"])
+
+
+def test_bundle_format_2_refused(tmp_path):
+    # a planefinder-bundle-2 manifest: per-machine kernel, C and class weights
+    # and the scaler_passthrough flag
+    out = _saved_bundle(tmp_path)
+    old = ["format=planefinder-bundle-2", "scaler_passthrough=0", "svm_0_c=1",
+           "svm_0_weights=1,1", "svm_0_kernel=hik"]
+    _rewrite_manifest(out, lambda lines: old + lines[1:])
+    with pytest.raises(BundleError, match="format 'planefinder-bundle-2', expected "
+                                          "'planefinder-bundle-3'"):
+        load_bundle(out)
+
+
+def _rewrite_config(out, old, new):
+    path = os.path.join(out, "config.txt")
+    with open(path) as fh:
+        text = fh.read()
+    assert old in text
+    with open(path, "w") as fh:
+        fh.write(text.replace(old, new))
+
+
+def test_bundle_config_kernel_unknown(tmp_path):
+    out = _saved_bundle(tmp_path)
+    _rewrite_config(out, "kernel=hik\n", "kernel=rbf\n")
+    with pytest.raises(BundleError, match="kernel") as info:
+        load_bundle(out)
+    assert isinstance(info.value.__cause__, ConfigError)
+
+
+def test_bundle_config_kernel_is_hashed(tmp_path):
+    # the machines' kernel is config.txt's, so swapping it changes the model
+    out = _saved_bundle(tmp_path)
+    _rewrite_config(out, "kernel=hik\n", "kernel=linear\n")
+    with pytest.raises(BundleError, match="hash mismatch"):
+        load_bundle(out)
+
+
+def test_save_refuses_classifier_kernel_other_than_config(tmp_path):
+    bundle = _tiny_bundle()
+    bundle = replace(bundle, classifier=replace(bundle.classifier, kernel="linear"))
+    with pytest.raises(BundleError, match="kernel 'linear' is not the config's 'hik'"):
+        save_bundle(bundle, str(tmp_path / "bundle"))
+    assert not os.path.exists(tmp_path / "bundle")
 
 
 def test_bundle_config_unreadable(tmp_path):

@@ -104,9 +104,10 @@ def test_bundle_roundtrip(workspace, tmp_path):
     assert np.array_equal(back.cb_static.centroids, bundle.cb_static.centroids)
     rng = np.random.default_rng(0)
     z = rng.random((4, bundle.embedding.c))
+    assert back.classifier.kernel == bundle.classifier.kernel == bundle.config.kernel
     for cid in bundle.classifier.class_ids:
-        assert np.allclose(decision_values(back.classifier.machines[cid], z),
-                           decision_values(bundle.classifier.machines[cid], z),
+        assert np.allclose(decision_values(back.classifier, z, cid),
+                           decision_values(bundle.classifier, z, cid),
                            atol=1e-12)
 
 
@@ -419,8 +420,8 @@ def test_codes_are_as_wide_as_the_labels_determine(workspace, tmp_path):
     bundle = train_pipeline(one, cfg, cache=cache)
     emb = bundle.embedding
     assert emb.c == r and emb.w_x.shape[1] == emb.w_y.shape[1] == r
+    assert bundle.classifier.scaler.mins.shape == bundle.classifier.scaler.maxs.shape == (r,)
     for m in bundle.classifier.machines.values():
-        assert m.scaler.mins.shape == m.scaler.maxs.shape == (r,)
         assert m.support_vectors.shape[1] == r
     descs = cache.all_descriptors(workspace["test"].volumes[0])
     assert candidate_codes(descs, bundle).shape == (cfg.candidates_n, r)
