@@ -85,6 +85,17 @@ def build_similarity_matrix(plane, diagnosis):
     return np.where(plane @ plane.T > 0, 1.0 + diagnosis @ diagnosis.T, 0.0)
 
 
+def _centred(v):
+    """(column means, v less them). A view whose centred norm is within the
+    rounding of its mean, |v - mean| <= n 2^-52 |v|, is constant: its centred
+    rows become exact zeros, so that rounding cannot set a code column."""
+    mean = v.mean(axis=0)
+    vc = v - mean
+    if np.vdot(vc, vc) <= (len(v) * 2.0 ** -52) ** 2 * np.vdot(v, v):
+        vc[...] = 0.0
+    return mean, vc
+
+
 def _whitener(xc, c, epsilon):
     """Thin SVD xc = U diag(s) V^T of one centered view, and the weights a
     with (C + eps*I)^(-1/2) = V diag(a) V^T on span(V), C = xc^T xc / n.
@@ -126,10 +137,8 @@ def fit_embedding(x, y, s, c, epsilon=None):
     if y.shape[0] != n or s.shape != (n, n):
         raise EmbeddingError("row counts of X, Y and S must agree")
 
-    mean_x = x.mean(axis=0)
-    mean_y = y.mean(axis=0)
-    xc = x - mean_x
-    yc = y - mean_y
+    mean_x, xc = _centred(x)
+    mean_y, yc = _centred(y)
 
     if epsilon is None:
         # 1e-6 times the mean of trace(C)/d over the two views

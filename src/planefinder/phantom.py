@@ -135,27 +135,36 @@ def synth_phantom(spec):
         # math.sin, not np.sin, whose last ulp can differ
         pulse = np.array([0.7 + 0.3 * math.sin(2.0 * math.pi * t / t_count + phase)
                           for t in range(t_count)])[:, None, None, None]
+        marks = [_perturb(mark, k) if spec.abnormal and b == 0 else mark
+                 for b, mark in enumerate(PATTERN_TEMPLATES[k])]
         box, pu, pv, pn = _pattern_coords(vox.shape[1:], plane, _class_shift(k), jitter)
-        # one z-slab of the pattern box at a time, summed in an L2-sized copy
+        # one z-slab of the pattern box at a time, summed in an L2-sized copy;
+        # every mark shares the slab's out-of-plane term, and marks with one
+        # centre (a cross's two bars) share its in-plane offsets
         block = vox[(slice(None),) + box]
         step = max(1, SLAB_BYTES // max(1, block[:, :1].nbytes))
         for lo in range(0, block.shape[1], step):
             z = slice(lo, lo + step)
             total = block[:, z].copy()
             term = np.empty_like(total)
-            for b, mark in enumerate(PATTERN_TEMPLATES[k]):
-                mark = _perturb(mark, k) if spec.abnormal and b == 0 else mark
-                total += np.multiply(pulse, _primitive_field(mark, pu[z], pv[z], pn[z]),
-                                     out=term)
+            thick = pn[z] ** 2 / (2 * NORMAL_SIGMA ** 2)
+            centre = None
+            for mark in marks:
+                if _centre(mark) != centre:
+                    centre = _centre(mark)
+                    du, dv = pu[z] - centre[0], pv[z] - centre[1]
+                total += np.multiply(pulse, _primitive_field(mark, du, dv, thick), out=term)
             block[:, z] = total
 
-    # sigma * z: rng.normal's 0.0 + sigma * z differs only in the sign of a zero
-    if spec.noise_sigma > 0:
-        flat, chunk = vox.reshape(-1), np.empty(min(NOISE_CHUNK, vox.size))
-        for lo in range(0, flat.size, chunk.size):
-            part = rng.standard_normal(out=chunk[:flat.size - lo])
-            flat[lo:lo + part.size] += np.multiply(part, spec.noise_sigma, out=part)
-    np.clip(vox, 0.0, 1.0, out=vox)
+    # each chunk is clipped while it is in cache; sigma * z: rng.normal's
+    # 0.0 + sigma * z differs only in the sign of a zero
+    flat, chunk = vox.reshape(-1), np.empty(min(NOISE_CHUNK, vox.size))
+    for lo in range(0, flat.size, chunk.size):
+        span = flat[lo:lo + chunk.size]
+        if spec.noise_sigma > 0:
+            part = rng.standard_normal(out=chunk[:span.size])
+            span += np.multiply(part, spec.noise_sigma, out=part)
+        np.clip(span, 0.0, 1.0, out=span)
     return Volume4D(voxels=vox, spacing=(1.0, 1.0, 1.0)), gt
 
 
@@ -179,22 +188,48 @@ def _pattern_coords(shape, plane, shift, jitter):
             rel @ np.asarray(plane.axis_v) - jitter[1], rel @ plane.normal)
 
 
-def _primitive_field(primitive, pu, pv, pn):
-    """One mark's intensity at the given plane coordinates."""
+def _centre(primitive):
+    """The (du, dv) centre of a mark."""
+    return primitive[4:6] if primitive[0] == "ring" else primitive[1:3]
+
+
+def _primitive_field(primitive, du, dv, thick):
+    """One mark's intensity, given the in-plane offsets (pu - du, pv - dv)
+    from its centre and the out-of-plane term pn ** 2 / (2 NORMAL_SIGMA ** 2).
+
+    Evaluates amp * exp(-(q + thick)) step by step in q's own buffer: numpy
+    reuses an expression's temporaries only from 256 kB, and one slab's
+    field is SLAB_BYTES / frames, 64 kB at 8 frames. Rounding is symmetric
+    in sign, so dividing by the negated scale and subtracting give the
+    negated terms and sums bit for bit, without a pass that negates."""
     kind = primitive[0]
     if kind == "blob":
-        _, du, dv, sigma, amp = primitive
-        return amp * np.exp(-(((pu - du) ** 2 + (pv - dv) ** 2) / (2 * sigma ** 2)
-                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    if kind == "bar":
-        _, du, dv, ls, ts, ang, amp = primitive
-        a = (pu - du) * math.cos(ang) + (pv - dv) * math.sin(ang)
-        b = -(pu - du) * math.sin(ang) + (pv - dv) * math.cos(ang)
-        return amp * np.exp(-(a ** 2 / (2 * ls ** 2) + b ** 2 / (2 * ts ** 2)
-                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    if kind == "ring":
-        _, radius, rs, amp, du, dv = primitive
-        r = np.sqrt((pu - du) ** 2 + (pv - dv) ** 2)
-        return amp * np.exp(-((r - radius) ** 2 / (2 * rs ** 2)
-                              + pn ** 2 / (2 * NORMAL_SIGMA ** 2)))
-    raise VolumeError("unknown primitive %r" % kind)
+        _, _, _, sigma, amp = primitive
+        q = du ** 2
+        q += dv ** 2
+        q /= -(2 * sigma ** 2)
+    elif kind == "bar":
+        _, _, _, ls, ts, ang, amp = primitive
+        q = du * math.cos(ang)
+        q += dv * math.sin(ang)
+        b = dv * math.cos(ang)
+        b -= du * math.sin(ang)
+        np.square(q, out=q)
+        q /= -(2 * ls ** 2)
+        np.square(b, out=b)
+        b /= -(2 * ts ** 2)
+        q += b
+    elif kind == "ring":
+        _, radius, rs, amp, _, _ = primitive
+        q = du ** 2
+        q += dv ** 2
+        np.sqrt(q, out=q)
+        q -= radius
+        np.square(q, out=q)
+        q /= -(2 * rs ** 2)
+    else:
+        raise VolumeError("unknown primitive %r" % kind)
+    q -= thick
+    np.exp(q, out=q)
+    q *= amp
+    return q

@@ -211,11 +211,7 @@ def save_volume(vol, path, dtype="u8"):
     raw_name = base + ".raw"
     raw_path = os.path.join(os.path.dirname(os.path.abspath(path)), raw_name)
     nx, ny, nz = vol.dims
-    if dtype == "u8":
-        codes = vol.voxels * 255.0
-        payload = np.rint(codes, out=codes).astype("<u1")
-    else:
-        payload = vol.voxels.astype("<f4")
+    code = np.dtype(DTYPE_CODES[dtype]).newbyteorder("<")
     try:
         with open(path, "w") as fh:
             fh.write("dims=%d %d %d\n" % (nx, ny, nz))
@@ -223,7 +219,15 @@ def save_volume(vol, path, dtype="u8"):
             fh.write("frames=%d\n" % vol.n_frames)
             fh.write("dtype=%s\n" % dtype)
             fh.write("data=%s\n" % raw_name)
-        payload.tofile(raw_path)
+        # one frame's values at a time, decoded as `voxels` decodes them, so
+        # no volume-sized float64 copy is made
+        values = np.empty(vol.stored.shape[1:])
+        with open(raw_path, "wb") as fh:
+            for frame in vol.stored:
+                np.divide(frame, vol.divisor, out=values, dtype=np.float64)
+                if dtype == "u8":
+                    np.rint(np.multiply(values, 255.0, out=values), out=values)
+                values.astype(code).tofile(fh)
     except OSError as exc:
         raise VolumeError("cannot write volume %s: %s" % (path, exc)) from exc
 

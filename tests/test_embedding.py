@@ -159,6 +159,22 @@ def test_constant_view_determines_no_column():
         fit_embedding(np.ones_like(x), y, s, c=1)
 
 
+@pytest.mark.parametrize("n", [7, 12])
+@pytest.mark.parametrize("value", [0.1, 0.3, 0.7])
+@pytest.mark.parametrize("view", ["static", "spacetime"])
+def test_view_constant_up_to_rounding_determines_no_column(view, value, n):
+    # a non-dyadic constant's centred rows are rounding, about 1e-17, which
+    # whitening with the automatic epsilon would amplify into a live column
+    rng = np.random.default_rng(15)
+    x, y, s = random_problem(rng, n=n, d_x=1, d_y=5)
+    if view == "static":
+        x = np.full_like(x, value)
+    else:
+        y = np.full_like(y, value)
+    with pytest.raises(EmbeddingError, match="whitened cross matrix is zero"):
+        fit_embedding(x, y, s, c=1)
+
+
 def test_codes_do_not_follow_rounding():
     # the labels' S leaves 5 of the 12 directions undetermined; a relative
     # perturbation of 1e-12 must not move any code column

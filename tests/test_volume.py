@@ -120,6 +120,22 @@ def test_save_u8_codes_equal_np_round_of_255_times_the_values(tmp_path):
     assert (tmp_path / "codes.raw").read_bytes() == expected
 
 
+@pytest.mark.parametrize("stored", [np.float64, np.float32, np.uint8])
+def test_save_u8_frame_by_frame_equals_the_whole_volume_codes(tmp_path, stored):
+    # the payload is encoded one frame at a time; every stored dtype must
+    # give the codes of the whole decoded volume at once
+    rng = np.random.default_rng(17)
+    values = rng.random((3, 5, 8, 16))
+    values[0, 0, 0, :3] = (0.0, 1.0, 0.5 / 255.0)
+    voxels = {np.float64: values, np.float32: values.astype(np.float32),
+              np.uint8: np.rint(values * 255.0).astype(np.uint8)}[stored]
+    vol = Volume4D(voxels=voxels)
+    assert vol.stored.dtype == stored
+    save_volume(vol, str(tmp_path / "frames.vol4"), dtype="u8")
+    expected = np.rint(vol.voxels * 255).astype("<u1").tobytes()
+    assert (tmp_path / "frames.raw").read_bytes() == expected
+
+
 def test_load_u8_is_byte_over_255(tmp_path):
     payload = np.arange(256, dtype=np.uint8)
     vol = load_volume(str(write_raw_volume(tmp_path, dims=(8, 4, 4), frames=2,
@@ -515,16 +531,28 @@ def test_pattern_coords_match_the_meshgrid_oracle(dims, seed, gt_planes):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.fixture(scope="module")
+def chunked_phantoms():
+    """(spec, reference voxels) of normal and abnormal phantoms of 1-3
+    classes, each class count with and without noise; without noise each
+    chunk is only clipped."""
+    specs = [PhantomSpec(class_count=k, abnormal=abnormal, seed=6, noise_sigma=sigma,
+                         dims=(48, 40, 44), n_frames=3)
+             for k, abnormal, sigma in [(1, False, 0.05), (1, True, 0.0), (2, False, 0.0),
+                                        (2, True, 0.05), (3, False, 0.0), (3, True, 0.05)]]
+    return [(spec, _reference_synth_phantom(spec)) for spec in specs]
+
+
 @pytest.mark.parametrize("slab_bytes, noise_chunk", [(1000, 1000), (1, 4099), (1 << 30, 1 << 30)])
-def test_phantom_slab_and_noise_chunk_sizes_do_not_change_values(monkeypatch, slab_bytes,
-                                                                 noise_chunk):
+def test_phantom_slab_and_noise_chunk_sizes_do_not_change_values(monkeypatch, chunked_phantoms,
+                                                                 slab_bytes, noise_chunk):
     # one z-plane of a (3, z, 40, 48)-voxel box is 46 kB; 3 * 44 * 40 * 48
     # voxels divide by neither 1000 nor 4099
-    spec = PhantomSpec(abnormal=True, seed=6, noise_sigma=0.05, dims=(48, 40, 44), n_frames=3)
     monkeypatch.setattr(phantom, "SLAB_BYTES", slab_bytes)
     monkeypatch.setattr(phantom, "NOISE_CHUNK", noise_chunk)
-    vol, _ = synth_phantom(spec)
-    assert np.array_equal(vol.voxels, _reference_synth_phantom(spec))
+    for spec, expected in chunked_phantoms:
+        vol, _ = synth_phantom(spec)
+        assert np.array_equal(vol.voxels, expected), spec
 
 
 def test_phantom_sequence_pulsates():
