@@ -7,8 +7,9 @@ from . import pgm
 from .bundle import load_bundle, save_bundle
 from .config import PipelineConfig, load_config
 from .manifest import read_manifest
-from .pipeline import (dump_keypoint_overlays, evaluate_synthetic, evaluate_volumes,
-                       locate_standard_planes, train_pipeline)
+from .pipeline import (candidate_planes, describe_planes, dump_keypoint_overlays,
+                       evaluate_synthetic, evaluate_volumes, locate_standard_planes,
+                       train_pipeline)
 from .smoothing import LAM, l0_smooth
 from .synth import build_phantom_dataset
 from .volume import load_volume
@@ -53,12 +54,17 @@ def cmd_train(args):
 
 
 def cmd_locate(args):
+    """Rank the candidates for each class given, described once; with more
+    than one class, each row leads with its class."""
     bundle = load_bundle(args.bundle)
     vol = load_volume(args.volume)
-    ranked = locate_standard_planes(vol, bundle, args.plane_class, args.top_k)
-    rows = [("rank", "candidate", "decision")]
-    for rank, (idx, score) in enumerate(ranked, 1):
-        rows.append((rank, idx, "%.6f" % score))
+    descs = describe_planes(vol, candidate_planes(vol.dims, bundle.config))
+    lead = ("class",) if len(args.plane_class) > 1 else ()
+    rows = [lead + ("rank", "candidate", "decision")]
+    for cid in args.plane_class:
+        ranked = locate_standard_planes(vol, bundle, cid, args.top_k, cache_descs=descs)
+        for rank, (idx, score) in enumerate(ranked, 1):
+            rows.append((cid,) * len(lead) + (rank, idx, "%.6f" % score))
     _write_report(rows, args.report_out)
 
 
@@ -116,10 +122,10 @@ def build_parser():
     _add_config_arg(p)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("locate", help="rank candidate planes for one class")
+    p = sub.add_parser("locate", help="rank candidate planes for one or more classes")
     p.add_argument("--bundle", required=True)
     p.add_argument("--volume", required=True)
-    p.add_argument("--class", dest="plane_class", type=int, required=True)
+    p.add_argument("--class", dest="plane_class", type=int, nargs="+", required=True)
     p.add_argument("--top-k", type=int, default=3)
     p.add_argument("--report-out")
     p.set_defaults(func=cmd_locate)

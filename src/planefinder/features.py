@@ -47,25 +47,30 @@ class FeatureError(Exception):
 
 def detect_static_keypoints(frames):
     """DoG scale-space extrema with contrast and edge-response rejection in
-    every frame of a (T, H, W) stack, in the stack's precision.
+    every frame of a (T, H, W) stack, or of a (P, T, H, W) stack of P planes'
+    sequences, in the stack's precision.
 
     Returns an (n, 5) float64 array of rows (x, y, t, scale, orientation), t
-    the frame index, frame by frame; a frame's rows come octave by octave,
-    level by level, in row-major order."""
+    the frame index (p T + t for frame t of plane p), frame by frame; a
+    frame's rows come octave by octave, level by level, in row-major order.
+    Every frame is filtered on its own, so a plane's rows are the same in
+    any stack of planes."""
     stack = float_frames(frames)
-    if stack.ndim != 3 or min(stack.shape[1:]) < 32:
-        raise FeatureError("frames must be a (T, H, W) stack of frames at least 32x32")
+    if stack.ndim not in (3, 4) or min(stack.shape[-2:]) < 32:
+        raise FeatureError("frames must be a (T, H, W) or (P, T, H, W) stack of frames "
+                           "at least 32x32")
 
     keypoints = [np.empty((0, 5))]
     base = stack
     for octave in range(N_OCTAVES):
-        if min(base.shape[1:]) < 16:
+        if min(base.shape[-2:]) < 16:
             break
         gaussians = np.stack([_gaussian_nearest(base, (sigma, sigma))
-                              for sigma in _OCTAVE_SIGMAS], axis=1)
+                              for sigma in _OCTAVE_SIGMAS], axis=-3)
+        gaussians = gaussians.reshape(-1, *gaussians.shape[-3:])
         dogs = np.diff(gaussians, axis=1)
         keypoints.append(_octave_extrema(dogs, gaussians, octave, CONTRAST_THRESHOLD))
-        base = base[:, ::2, ::2]
+        base = base[..., ::2, ::2]
     rows = np.concatenate(keypoints)
     return rows[np.argsort(rows[:, 2], kind="stable")]
 
@@ -83,7 +88,12 @@ def _gaussian_operator(n, sigma, dtype):
 def _gaussian_nearest(arr, sigmas):
     """ndimage.gaussian_filter(arr, sigmas, mode="nearest") over the trailing
     len(sigmas) axes, applied as products with cached 1-D operator matrices in
-    the precision float_frames gives arr."""
+    the precision float_frames gives arr.
+
+    Axes before the last three index a batch of (T, H, W) stacks. BLAS may
+    round a product of more rows differently, so every product keeps the
+    shape it has for one stack: the x pass is one (T H, W) product per stack,
+    through numpy's stacked matmul."""
     out = float_frames(arr)
     shape = out.shape
     for axis, sigma in zip(range(out.ndim - len(sigmas), out.ndim), sigmas):
@@ -91,7 +101,7 @@ def _gaussian_nearest(arr, sigmas):
         op = _gaussian_operator(n, float(sigma), out.dtype)
         inner = math.prod(shape[axis + 1:])
         if inner == 1:
-            out = out.reshape(-1, n) @ op.T
+            out = out.reshape(shape[:-3] + (-1, n)) @ op.T
         else:
             out = op @ out.reshape(-1, n, inner)
         out = out.reshape(shape)
@@ -328,22 +338,27 @@ def _corners(c, n):
 
 def detect_spacetime_points(frames):
     """Harris3D maxima of det(mu) - k * trace(mu)^3 over (x, y, t) of a
-    (T, H, W) stack, as an (n, 5) float64 array of rows (x, y, t, sigma_s,
-    sigma_t).
+    (T, H, W) stack, or of each plane of a (P, T, H, W) stack of P planes'
+    sequences, as an (n, 5) float64 array of rows (x, y, t, sigma_s,
+    sigma_t), t the frame index (p T + t for frame t of plane p).
 
-    Scale by scale, the rows come in row-major (t, y, x) order. The response
-    is computed in the precision of the frames, and its maxima are those of
-    _harris_maxima at threshold mean + 3 std."""
+    Scale by scale, the rows come in row-major (p, t, y, x) order. The
+    response is computed in the precision of the frames, each plane's
+    filtered in its own (x, y, t), and its maxima are those of _harris_maxima
+    at the plane's own threshold mean + 3 std."""
     frames = float_frames(frames)
-    if frames.shape[0] < 5:
+    n_frames = frames.shape[-3]
+    if n_frames < 5:
         raise FeatureError("need at least 5 frames for spatio-temporal detection")
 
     points = [np.empty((0, 5))]
     for sigma_s, sigma_t in SPACETIME_SCALES:
         response = _harris_response(frames, (sigma_t, sigma_s, sigma_s), HARRIS_K)
-        threshold = max(float(response.mean() + 3.0 * response.std()), 1e-18)
-        ts, ys, xs = _harris_maxima(response, threshold)
-        points.append(np.column_stack((xs, ys, ts, np.full((ts.size, 2), (sigma_s, sigma_t)))))
+        for p, plane in enumerate(response.reshape(-1, *response.shape[-3:])):
+            threshold = max(float(plane.mean() + 3.0 * plane.std()), 1e-18)
+            ts, ys, xs = _harris_maxima(plane, threshold)
+            points.append(np.column_stack((xs, ys, ts + p * n_frames,
+                                           np.full((ts.size, 2), (sigma_s, sigma_t)))))
     return np.concatenate(points)
 
 
@@ -368,13 +383,14 @@ def _harris_maxima(response, threshold):
 
 
 def _harris_response(frames, sigmas, k):
-    """det(mu) - k * trace(mu)^3 of the structure tensor mu at one scale.
+    """det(mu) - k * trace(mu)^3 of the structure tensor mu at one scale, over
+    the trailing (t, y, x) axes of one stack or of each of a batch of them.
 
     The six gradient products are formed and filtered one at a time: stacking
     them keeps all six and their filter passes alive at once, which raised the
     process's peak RSS by 5-15% at desk scale for no speed gain.
     """
-    gt, gy, gx = np.gradient(_gaussian_nearest(frames, sigmas))
+    gt, gy, gx = np.gradient(_gaussian_nearest(frames, sigmas), axis=(-3, -2, -1))
     xx, yy, tt, xy, xt, yt = [
         _gaussian_nearest(a * b, sigmas)
         for a, b in ((gx, gx), (gy, gy), (gt, gt), (gx, gy), (gx, gt), (gy, gt))]

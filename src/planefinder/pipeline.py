@@ -24,6 +24,9 @@ KMEANS_SEED = 7
 POOL_SEED = 11  # the space-time pool draws with POOL_SEED + 1
 DESCRIPTOR_CAP = 200000  # descriptors per codebook pool
 CANDIDATE_SEED = 0
+# float32 frames one feature pass smooths and filters: 8 planes of 6 32^2
+# frames, 2 of 8 48^2 frames, one 64^2 or larger plane
+PLANE_BATCH_BYTES = 192 << 10
 
 
 class PipelineError(Exception):
@@ -53,12 +56,51 @@ def sequence_descriptors(vol, params):
     """Full feature path for one candidate plane: resample, smooth, detect and
     describe both feature kinds. Returns the (static, spacetime) record arrays
     of describe_*, each read-only and without its degenerate rows."""
-    seq = smooth_sequence(_plane_sequence(vol, params))
-    keypoints = detect_static_keypoints(seq.frames)
-    pts = detect_spacetime_points(seq.frames) if seq.n_frames >= 5 else np.empty((0, 5))
+    return _describe_pass(vol, [params])[0]
+
+
+def describe_planes(vol, planes):
+    """sequence_descriptors of each of `planes`, candidate planes of vol that
+    share one size, in order, several planes to a pass (see plane_passes)."""
+    return [pair for part in plane_passes(vol, planes)
+            for pair in _describe_pass(vol, planes[part])]
+
+
+def plane_passes(vol, planes):
+    """Slices of `planes` that one feature pass describes together: as many
+    as fit PLANE_BATCH_BYTES of float32 frames, and at least one. Every frame
+    is smoothed and filtered on its own, so a pass changes no value; it saves
+    the per-call overhead that dominates small planes. The bound is in bytes
+    because at 64^2 x 8 two planes to a pass made L0 slower."""
+    size = 4 * vol.n_frames * planes[0].height * planes[0].width if planes else 1
+    step = max(1, PLANE_BATCH_BYTES // size)
+    return [slice(lo, lo + step) for lo in range(0, len(planes), step)]
+
+
+def _describe_pass(vol, planes):
+    """sequence_descriptors of each of `planes` (one size) from one L0, DoG,
+    Harris3D and static describe call over the stack of their sequences.
+    Static rows are split by their frame, space-time points are described
+    per plane, on views of the one frame_gradients triple."""
+    n, t = len(planes), vol.n_frames
+    raw = np.concatenate([extract_plane_sequence(vol, q).frames for q in planes],
+                         dtype=np.float32)
+    frames = smooth_sequence(PlaneSequence(raw)).frames
+    del raw  # alive through detection, it raised desk's peak RSS
+    stack = frames.reshape(n, t, *frames.shape[1:])
+    keypoints = detect_static_keypoints(stack)
+    pts = detect_spacetime_points(stack) if t >= 5 else np.empty((0, 5))
     # built after detection, so the float64 arrays are not alive during it
-    grads = frame_gradients(seq.frames)
-    return _kept(describe_static(grads, keypoints)), _kept(describe_spacetime(grads, pts))
+    grads = frame_gradients(frames)
+    static = describe_static(grads, keypoints)
+    edges = [0, *np.searchsorted(keypoints[:, 2], np.arange(1, n) * t), len(static)]
+    out = []
+    for p in range(n):
+        own = pts[pts[:, 2] // t == p]
+        own[:, 2] -= p * t
+        spacetime = describe_spacetime(tuple(g[p * t:(p + 1) * t] for g in grads), own)
+        out.append((_kept(static[edges[p]:edges[p + 1]]), _kept(spacetime)))
+    return out
 
 
 def _kept(descs):
@@ -99,6 +141,7 @@ class VolumeFeatureCache:
         return self._cands[path]
 
     def descriptors(self, path, cand_index):
+        """One candidate's descriptor pair, described alone if not cached."""
         key = (path, cand_index)
         if key not in self._descs:
             vol = self.volume(path)
@@ -106,8 +149,27 @@ class VolumeFeatureCache:
             self._descs[key] = sequence_descriptors(vol, params)
         return self._descs[key]
 
+    def describe(self, path, indices):
+        """Descriptor pairs of the volume's candidates `indices`, in order.
+        Those not cached are described in passes of describe_planes, in index
+        order; a pass that fails raises PipelineError naming the volume and
+        the candidates of that pass."""
+        todo = sorted({i for i in indices if (path, i) not in self._descs})
+        part = todo
+        try:
+            vol = self.volume(path)
+            planes = [self.candidates(path)[i] for i in todo]
+            for span in plane_passes(vol, planes):
+                part = todo[span]
+                self._descs.update(zip([(path, i) for i in part],
+                                       _describe_pass(vol, planes[span])))
+        except Exception as exc:
+            raise PipelineError("feature extraction failed for volume %s candidates %s: %s"
+                                % (path, ", ".join(map(str, part)), exc)) from exc
+        return [self._descs[(path, i)] for i in indices]
+
     def all_descriptors(self, path):
-        return [self.descriptors(path, i) for i in range(self.cfg.candidates_n)]
+        return self.describe(path, range(self.cfg.candidates_n))
 
 
 @dataclass
@@ -125,14 +187,7 @@ def prepare_training_data(manifest, cfg, cache=None):
     labeled training candidate."""
     manifest.validate(candidate_count=cfg.candidates_n)
     cache = cache or VolumeFeatureCache(cfg)
-    descs = []
-    for rec in manifest.records:
-        try:
-            descs.append(cache.descriptors(rec.volume, rec.cand_index))
-        except Exception as exc:
-            raise PipelineError(
-                "feature extraction failed for volume %s candidate %d: %s"
-                % (rec.volume, rec.cand_index, exc)) from exc
+    descs = _record_descriptors(manifest, cache)
     static = [np.asarray(s)["values"] for s, _ in descs]
     spacetime = [np.asarray(t)["values"] for _, t in descs]
     cb_s = train_codebook(_pool(np.concatenate(static), POOL_SEED), cfg.k_static,
@@ -212,8 +267,7 @@ def locate_standard_planes(vol, bundle, plane_class, top_k, cache_descs=None):
     if plane_class not in bundle.classifier.class_ids:
         raise PipelineError("no machine for plane class %r" % plane_class)
     if cache_descs is None:
-        cache_descs = [sequence_descriptors(vol, p)
-                       for p in candidate_planes(vol.dims, bundle.config)]
+        cache_descs = describe_planes(vol, candidate_planes(vol.dims, bundle.config))
     codes = candidate_codes(cache_descs, bundle)
     scores = decision_values(bundle.classifier, codes, plane_class)
     order = np.lexsort((np.arange(len(scores)), -scores))
@@ -224,10 +278,20 @@ def _machine_scores(clf, codes):
     return {cid: decision_values(clf, codes, cid) for cid in clf.class_ids}
 
 
+def _record_descriptors(manifest, cache):
+    """Descriptor pairs of the manifest's records, in order: each volume's
+    named candidates are described together, and no others."""
+    named = {}
+    for r in manifest.records:
+        named.setdefault(r.volume, []).append(r.cand_index)
+    for path, indices in named.items():
+        cache.describe(path, indices)
+    return [cache.descriptors(r.volume, r.cand_index) for r in manifest.records]
+
+
 def _record_features(manifest, cache, cb_s, cb_t):
     """BoW (X, Y) of the manifest's labeled candidates, one row per record."""
-    descs = [cache.descriptors(r.volume, r.cand_index) for r in manifest.records]
-    return bow_features(descs, cb_s, cb_t)
+    return bow_features(_record_descriptors(manifest, cache), cb_s, cb_t)
 
 
 def _score(clf, manifest, record_codes=None, volume_codes=None):

@@ -64,6 +64,25 @@ def test_locate_deterministic(cli_workspace, tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_locate_several_classes_lead_each_row_with_its_class(cli_workspace, tmp_path):
+    args = ["locate", "--bundle", cli_workspace["bundle"],
+            "--volume", os.path.join(cli_workspace["data"], "phantom_002.vol4"),
+            "--top-k", "4"]
+    reports = {}
+    for classes in (["0"], ["1"], ["0", "1"]):
+        report = str(tmp_path / ("r%s.tsv" % "".join(classes)))
+        assert main(args + ["--class", *classes, "--report-out", report]) == 0
+        reports[tuple(classes)] = open(report).read().splitlines()
+    both = reports["0", "1"]
+    assert both[0] == "class\trank\tcandidate\tdecision"
+    for cid in ("0", "1"):
+        single = reports[cid, ]
+        assert single[0] == "rank\tcandidate\tdecision" and len(single) == 5
+        assert ["%s\t%s" % (cid, row) for row in single[1:]] == [
+            row for row in both[1:] if row.split("\t")[0] == cid]
+    assert len(both) == 9
+
+
 def test_eval_synthetic_report(cli_workspace, tmp_path):
     report = str(tmp_path / "eval.tsv")
     rc = main(["eval", "--bundle", cli_workspace["bundle"],

@@ -1001,3 +1001,31 @@ def test_sequence_descriptors_match_reference_composition(monkeypatch, n_frames,
     static, spacetime = got
     assert (len(static) > 20) == (which == "ground truth")
     assert (len(spacetime) > 10) == (which == "ground truth" and n_frames == 8)
+
+
+@pytest.mark.parametrize("n_frames", [5, 6, 8])
+def test_detectors_over_a_stack_of_planes_equal_the_per_plane_calls(n_frames):
+    # three planes of smoothed noise whose contrasts differ by 80x: a
+    # Harris3D threshold over all three would keep only the brightest
+    # plane's points
+    rng = np.random.default_rng(n_frames)
+    planes = [(amp * ndimage.gaussian_filter(rng.random((n_frames, 32, 32)), (0, 1.5, 1.5))
+               ).astype(np.float32) for amp in (4.0, 40.0, 0.5)]
+    stack = np.stack(planes)
+    for detect in (detect_static_keypoints, detect_spacetime_points):
+        rows = detect(stack)
+        found = 0
+        for p, plane in enumerate(planes):
+            own = rows[rows[:, 2] // n_frames == p]
+            own[:, 2] -= p * n_frames
+            want = detect(plane)
+            assert own.tobytes() == want.tobytes()
+            found += len(want) > 0
+        assert found >= 2
+    # each plane's response is filtered in its own (x, y, t)
+    for sigma_s, sigma_t in features.SPACETIME_SCALES:
+        sigmas = (sigma_t, sigma_s, sigma_s)
+        batch = features._harris_response(stack, sigmas, features.HARRIS_K)
+        for p, plane in enumerate(planes):
+            want = features._harris_response(plane, sigmas, features.HARRIS_K)
+            assert batch[p].tobytes() == want.tobytes()

@@ -1,10 +1,12 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import benchmark_representations, label_rank, semantic_similarity
+from oracles import (benchmark_representations, label_rank, semantic_similarity,
+                     sequence_descriptors_per_describer)
 from planefinder import codebook, features, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
@@ -23,7 +25,8 @@ from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_feature
                                   train_pipeline, _f1)
 from planefinder.smoothing import smooth_sequence
 from planefinder.synth import build_phantom_dataset
-from planefinder.volume import PlaneParams, Volume4D, load_volume, plane_from_center
+from planefinder.volume import (PlaneParams, Volume4D, VolumeError, load_volume,
+                                plane_from_center)
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
 
@@ -478,3 +481,168 @@ def test_train_rejects_bad_config(workspace):
     cfg = PipelineConfig(kernel="rbf")
     with pytest.raises(Exception):
         train_pipeline(workspace["train"], cfg)
+
+
+# Several candidate planes described in one pass: each must come out as
+# the same bytes as when it is described alone.
+
+@pytest.fixture(scope="module")
+def batch_cases():
+    """Per frame count: a 48^3 phantom whose x < 24 half is still in t, 17
+    of its 32^2 planes and each one's descriptors described alone. Planes 1
+    and 3 are a plane in the still half (static keypoints, no space-time
+    point) and one outside the volume (no feature of either kind)."""
+    cases = {}
+    for n_frames in (5, 6, 8):
+        vol, _ = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=2,
+                                           dims=(48, 48, 48), n_frames=n_frames))
+        voxels = vol.voxels.copy()
+        voxels[..., :24] = voxels[:1, ..., :24]
+        vol = Volume4D(voxels)
+        planes = pipeline.candidate_planes(vol.dims, PipelineConfig(candidates_n=15,
+                                                                    plane_size=32))
+        planes[1:1] = [plane_from_center((11.0, 23.5, 23.5), (1.0, 0.0, 0.0), 32, 32)]
+        planes[3:3] = [plane_from_center((500.0, 23.5, 23.5), (1.0, 0.0, 0.0), 32, 32)]
+        cases[n_frames] = vol, planes, [sequence_descriptors(vol, q) for q in planes]
+    return cases
+
+
+def _assert_same_records(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.tobytes() == b.tobytes()
+        assert isinstance(a, np.recarray) and not a.flags.writeable
+        assert not a.degenerate.any()
+
+
+@pytest.mark.parametrize("n_frames", [5, 6, 8])
+def test_alone_planes_cover_every_case(batch_cases, n_frames):
+    vol, planes, alone = batch_cases[n_frames]
+    static, spacetime = alone[1]
+    assert len(static) and not len(spacetime)
+    assert not len(alone[3][0]) and not len(alone[3][1])
+    assert sum(len(s) > 0 and len(t) > 0 for s, t in alone) > 5
+    # a plane described alone is the composition of its describers
+    for got, plane in zip(alone[:5], planes):
+        for a, b in zip(got, sequence_descriptors_per_describer(vol, plane), strict=True):
+            assert a.values.tobytes() == b.values.tobytes()
+            assert a.degenerate.tobytes() == b.degenerate.tobytes()
+
+
+@pytest.mark.parametrize("n_planes", [1, 2, 7, 8, 9, 17])
+@pytest.mark.parametrize("n_frames", [5, 6, 8])
+def test_one_pass_equals_one_plane_at_a_time(batch_cases, n_frames, n_planes):
+    vol, planes, alone = batch_cases[n_frames]
+    got = pipeline._describe_pass(vol, planes[:n_planes])
+    assert len(got) == n_planes
+    for pair, want in zip(got, alone):
+        _assert_same_records(pair, want)
+
+
+def test_describe_planes_equals_one_plane_at_a_time(batch_cases):
+    # 17 planes of six 32^2 frames take passes of 8, 8 and 1
+    vol, planes, alone = batch_cases[6]
+    assert pipeline.plane_passes(vol, planes) == [slice(0, 8), slice(8, 16), slice(16, 24)]
+    for pair, want in zip(pipeline.describe_planes(vol, planes), alone, strict=True):
+        _assert_same_records(pair, want)
+
+
+@pytest.mark.parametrize("size, n_frames, step", [(32, 6, 8), (32, 5, 9), (32, 8, 6),
+                                                  (48, 8, 2), (64, 8, 1), (128, 8, 1)])
+def test_plane_passes_hold_their_byte_budget(size, n_frames, step):
+    vol = Volume4D(np.zeros((n_frames, 2, 2, 2)))
+    planes = [plane_from_center((0.0, 0.0, 0.0), (0.0, 0.0, 1.0), size, size)] * 20
+    passes = pipeline.plane_passes(vol, planes)
+    assert len(planes[passes[0]]) == step
+    assert sum(len(planes[part]) for part in passes) == 20
+    assert pipeline.plane_passes(vol, []) == []
+
+
+def test_degenerate_rows_dropped_mid_pass(batch_cases, monkeypatch):
+    # no benchmark workload describes a degenerate row, so every row whose
+    # point lies on an x divisible by 3 is flagged, in any plane of the pass
+    vol, planes, whole = batch_cases[6]
+
+    def flagging(describe):
+        def with_degenerate_rows(grads, points):
+            descs = describe(grads, points)
+            ok = ~descs.degenerate & (np.asarray(points)[:, 0] % 3 != 0)
+            return features._records(np.where(ok[:, None], descs.values, 0.0), ok)
+        return with_degenerate_rows
+
+    for name in ("describe_static", "describe_spacetime"):
+        monkeypatch.setattr(pipeline, name, flagging(getattr(pipeline, name)))
+    alone = [sequence_descriptors(vol, q) for q in planes[:9]]
+    got = pipeline._describe_pass(vol, planes[:9])
+    dropped = [len(a) - len(b) for pair, kept in zip(whole, alone) for a, b in zip(pair, kept)]
+    # static and space-time rows both dropped past the pass's first plane
+    assert any(dropped[2::2]) and any(dropped[3::2])
+    for pair, want in zip(got, alone, strict=True):
+        _assert_same_records(pair, want)
+        for descs in pair:
+            assert not _padding(descs).any()
+
+
+def test_one_full_32px_pass_memory_is_bounded(batch_cases):
+    # 8 planes of six 32^2 frames, 192 KiB of float32 frames, peaked at
+    # 4.1 MiB; one such plane alone at 0.53 MiB
+    vol, planes, alone = batch_cases[6]
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        got = pipeline._describe_pass(vol, planes[:8])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(got) == 8
+    assert peak < 5 << 20
+
+
+def test_a_failing_pass_names_its_volume_and_candidates(tmp_path, monkeypatch):
+    # one training volume names all 15 candidates, which take passes of 8
+    # and 7; a bad record in the middle of the second fails that pass alone
+    cfg = tiny_config()
+    train_path, _ = build_phantom_dataset(str(tmp_path), 2, 1, cfg,
+                                          **dict(TINY, n_negatives=-1))
+    manifest = read_manifest(train_path)
+    path = manifest.volumes[0]
+    assert sorted(r.cand_index for r in manifest.records) == list(range(15))
+    cache = VolumeFeatureCache(cfg)
+    bad = cache.candidates(path)[11]
+    extract = pipeline.extract_plane_sequence
+
+    def failing(vol, params):
+        if params == bad:
+            raise VolumeError("unreadable plane")
+        return extract(vol, params)
+
+    monkeypatch.setattr(pipeline, "extract_plane_sequence", failing)
+    with pytest.raises(PipelineError) as err:
+        prepare_training_data(manifest, cfg, cache=cache)
+    assert str(err.value) == ("feature extraction failed for volume %s candidates "
+                              "8, 9, 10, 11, 12, 13, 14: unreadable plane" % path)
+    assert isinstance(err.value.__cause__, VolumeError)
+    # the first pass was described and cached
+    monkeypatch.setattr(pipeline, "extract_plane_sequence", extract)
+    want = [sequence_descriptors(cache.volume(path), q) for q in cache.candidates(path)[:8]]
+    monkeypatch.setattr(pipeline, "extract_plane_sequence", failing)
+    for i in range(8):
+        _assert_same_records(cache.descriptors(path, i), want[i])
+
+
+def test_training_describes_only_the_named_candidates(workspace, monkeypatch):
+    # the default manifest names 6 of each volume's 15 candidates
+    cfg, manifest = workspace["cfg"], workspace["train"]
+    cache = VolumeFeatureCache(cfg)
+    described = []
+    extract = pipeline.extract_plane_sequence
+
+    def counting(vol, params):
+        described.append(params)
+        return extract(vol, params)
+
+    monkeypatch.setattr(pipeline, "extract_plane_sequence", counting)
+    td = prepare_training_data(manifest, cfg, cache=cache)
+    assert len(described) == len(manifest.records) == 12
+    want = prepare_training_data(manifest, cfg, cache=workspace["cache"])
+    assert td.x.tobytes() == want.x.tobytes() and td.y.tobytes() == want.y.tobytes()
