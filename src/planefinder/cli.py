@@ -7,9 +7,8 @@ from . import pgm
 from .bundle import load_bundle, save_bundle
 from .config import PipelineConfig, load_config
 from .manifest import read_manifest
-from .pipeline import (candidate_planes, describe_planes, dump_keypoint_overlays,
-                       evaluate_synthetic, evaluate_volumes, locate_standard_planes,
-                       train_pipeline)
+from .pipeline import (VolumeFeatureCache, dump_keypoint_overlays, evaluate_synthetic,
+                       evaluate_volumes, locate_standard_planes, train_pipeline)
 from .smoothing import LAM, l0_smooth
 from .synth import build_phantom_dataset
 from .volume import load_volume
@@ -57,8 +56,9 @@ def cmd_locate(args):
     """Rank the candidates for each class given, described once; with more
     than one class, each row leads with its class."""
     bundle = load_bundle(args.bundle)
-    vol = load_volume(args.volume)
-    descs = describe_planes(vol, candidate_planes(vol.dims, bundle.config))
+    cache = VolumeFeatureCache(bundle.config)
+    vol = cache.volume(args.volume)
+    descs = cache.all_descriptors(args.volume)
     lead = ("class",) if len(args.plane_class) > 1 else ()
     rows = [lead + ("rank", "candidate", "decision")]
     for cid in args.plane_class:

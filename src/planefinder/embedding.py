@@ -96,26 +96,20 @@ def _centred(v):
     return mean, vc
 
 
-def _whitener(xc, c, epsilon):
+def _whitener(xc, epsilon):
     """Thin SVD xc = U diag(s) V^T of one centered view, and the weights a
     with (C + eps*I)^(-1/2) = V diag(a) V^T on span(V), C = xc^T xc / n.
 
     V has min(n, d) columns, so no d x d matrix is formed when d > n.
-    Returns (U diag(s), a, V).
+    Returns (U diag(s), a, V, rank of C + eps*I).
     """
     n = xc.shape[0]
     u, sv, vt = np.linalg.svd(xc, full_matrices=False)
     evals = sv ** 2 / n + epsilon
     top = max(evals.max(), 1e-300)
-    if epsilon == 0.0:
-        rank = int(np.sum(evals > 1e-10 * top))
-        if rank < c:
-            raise EmbeddingError(
-                "covariance rank %d below c=%d with epsilon=0; supply epsilon > 0"
-                % (rank, c)
-            )
+    rank = int(np.sum(evals > 1e-10 * top))
     a = 1.0 / np.sqrt(np.maximum(evals, 1e-15 * top))
-    return u * sv, a, vt.T
+    return u * sv, a, vt.T, rank
 
 
 @_one_blas_thread
@@ -144,8 +138,18 @@ def fit_embedding(x, y, s, c, epsilon=None):
         # 1e-6 times the mean of trace(C)/d over the two views
         epsilon = 1e-6 * 0.5 * ((xc ** 2).sum() / (n * d_x) + (yc ** 2).sum() / (n * d_y))
 
-    usx, a_x, v_x = _whitener(xc, c, epsilon)
-    usy, a_y, v_y = _whitener(yc, c, epsilon)
+    usx, a_x, v_x, rank_x = _whitener(xc, epsilon)
+    usy, a_y, v_y, rank_y = _whitener(yc, epsilon)
+    if epsilon == 0.0:
+        # without epsilon the whitening is exact only on each view's span,
+        # so both views must span the widest code the labels leave: c
+        # columns, bounded by the rank of the centred S
+        sc = s - s.mean(axis=0) - s.mean(axis=1)[:, None] + s.mean()
+        width = min(c, int(np.linalg.matrix_rank(sc)))
+        if min(rank_x, rank_y) < width:
+            raise EmbeddingError("covariance rank %d below the code width %d the labels "
+                                 "leave with epsilon=0; supply epsilon > 0"
+                                 % (min(rank_x, rank_y), width))
     u, sv, vt = np.linalg.svd((usx * a_x).T @ s @ (usy * a_y) / n, full_matrices=False)
     c = int(np.count_nonzero(sv[:c] > SINGULAR_VALUE_FLOOR * sv[0]))
     if c == 0:

@@ -46,24 +46,11 @@ def candidate_planes(dims, cfg):
     return generate_candidates(dims, cfg.candidates_n, CANDIDATE_SEED, cfg.plane_size)
 
 
-def _plane_sequence(vol, params):
-    """The plane resampled in float64 and held in float32: smoothing, DoG and
-    Harris3D run in float32, the describers in float64."""
-    return PlaneSequence(extract_plane_sequence(vol, params).frames.astype(np.float32))
-
-
-def sequence_descriptors(vol, params):
-    """Full feature path for one candidate plane: resample, smooth, detect and
-    describe both feature kinds. Returns the (static, spacetime) record arrays
-    of describe_*, each read-only and without its degenerate rows."""
-    return _describe_pass(vol, [params])[0]
-
-
 def describe_planes(vol, planes):
     """sequence_descriptors of each of `planes`, candidate planes of vol that
     share one size, in order, several planes to a pass (see plane_passes)."""
     return [pair for part in plane_passes(vol, planes)
-            for pair in _describe_pass(vol, planes[part])]
+            for pair in sequence_descriptors(vol, planes[part])]
 
 
 def plane_passes(vol, planes):
@@ -77,11 +64,14 @@ def plane_passes(vol, planes):
     return [slice(lo, lo + step) for lo in range(0, len(planes), step)]
 
 
-def _describe_pass(vol, planes):
-    """sequence_descriptors of each of `planes` (one size) from one L0, DoG,
-    Harris3D and static describe call over the stack of their sequences.
-    Static rows are split by their frame, space-time points are described
-    per plane, on views of the one frame_gradients triple."""
+def sequence_descriptors(vol, planes):
+    """Full feature path for candidate planes of vol that share one size, in
+    one pass: resample each plane in float64 and hold it in float32, then one
+    L0, DoG, Harris3D and static describe call over the stack of their
+    sequences. Returns one (static, spacetime) pair of describe_* record
+    arrays per plane, in order, each read-only and without its degenerate
+    rows. Static rows are split by their frame, space-time points are
+    described per plane, on views of the one frame_gradients triple."""
     n, t = len(planes), vol.n_frames
     raw = np.concatenate([extract_plane_sequence(vol, q).frames for q in planes],
                          dtype=np.float32)
@@ -141,17 +131,12 @@ class VolumeFeatureCache:
         return self._cands[path]
 
     def descriptors(self, path, cand_index):
-        """One candidate's descriptor pair, described alone if not cached."""
-        key = (path, cand_index)
-        if key not in self._descs:
-            vol = self.volume(path)
-            params = self.candidates(path)[cand_index]
-            self._descs[key] = sequence_descriptors(vol, params)
-        return self._descs[key]
+        """One candidate's descriptor pair, a pass of one if not cached."""
+        return self.describe(path, [cand_index])[0]
 
     def describe(self, path, indices):
         """Descriptor pairs of the volume's candidates `indices`, in order.
-        Those not cached are described in passes of describe_planes, in index
+        Those not cached are described in the passes of plane_passes, in index
         order; a pass that fails raises PipelineError naming the volume and
         the candidates of that pass."""
         todo = sorted({i for i in indices if (path, i) not in self._descs})
@@ -162,7 +147,7 @@ class VolumeFeatureCache:
             for span in plane_passes(vol, planes):
                 part = todo[span]
                 self._descs.update(zip([(path, i) for i in part],
-                                       _describe_pass(vol, planes[span])))
+                                       sequence_descriptors(vol, planes[span])))
         except Exception as exc:
             raise PipelineError("feature extraction failed for volume %s candidates %s: %s"
                                 % (path, ", ".join(map(str, part)), exc)) from exc
@@ -284,9 +269,9 @@ def _record_descriptors(manifest, cache):
     named = {}
     for r in manifest.records:
         named.setdefault(r.volume, []).append(r.cand_index)
-    for path, indices in named.items():
-        cache.describe(path, indices)
-    return [cache.descriptors(r.volume, r.cand_index) for r in manifest.records]
+    # each volume's pairs come in the order of its records
+    pairs = {path: iter(cache.describe(path, indices)) for path, indices in named.items()}
+    return [next(pairs[r.volume]) for r in manifest.records]
 
 
 def _record_features(manifest, cache, cb_s, cb_t):
@@ -431,7 +416,8 @@ def dump_keypoint_overlays(vol, bundle, out_dir):
     nx, ny, nz = vol.dims
     plane = plane_from_center(((nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2), (0.0, 0.0, 1.0),
                               width=cfg.plane_size, height=cfg.plane_size)
-    seq = _plane_sequence(vol, plane)
+    # resampled in float64 and held in float32, as sequence_descriptors does
+    seq = PlaneSequence(extract_plane_sequence(vol, plane).frames.astype(np.float32))
     smoothed = smooth_sequence(seq)
     written = []
     counts = {}

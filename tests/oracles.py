@@ -32,11 +32,10 @@ from planefinder.features import (SPACETIME_BLOCK_BYTES, SPACETIME_DESCRIPTOR_DI
                                   _spacetime_histograms, describe_static,
                                   detect_spacetime_points, detect_static_keypoints)
 from planefinder.phantom import NORMAL_SIGMA, PATTERN_EXTENT
-from planefinder.pipeline import _plane_sequence
 from planefinder.smoothing import (BETA_MAX, KAPPA, _laplacian_symbol, _poisson_solve,
                                    divergence, forward_diff, threshold_gradients)
 from planefinder.smoothing import smooth_sequence
-from planefinder.volume import VolumeError, _plane_coords
+from planefinder.volume import PlaneSequence, VolumeError, _plane_coords, extract_plane_sequence
 
 
 def hik(a, b):
@@ -295,7 +294,8 @@ def sequence_descriptors_per_describer(vol, params):
     """pipeline.sequence_descriptors as first composed: each describer runs
     right after its detector on a float64 copy of its own, the space-time
     one over the whole stack."""
-    frames = smooth_sequence(_plane_sequence(vol, params)).frames
+    raw = extract_plane_sequence(vol, params).frames.astype(np.float32)
+    frames = smooth_sequence(PlaneSequence(raw)).frames
     stack = np.asarray(frames, dtype=np.float64)
     static = describe_static((stack, *np.gradient(stack, axis=(1, 2))),
                              detect_static_keypoints(frames))

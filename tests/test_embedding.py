@@ -227,16 +227,22 @@ def test_rank_deficient_epsilon_zero_raises():
     y = rng.random((30, 6))
     labs = [labels(i % 3, i % 2) for i in range(30)]
     s = similarity(labs)
-    with pytest.raises(EmbeddingError, match="rank"):
+    # the labels leave 5 columns (3 planes x 2 diagnoses, centered), x spans 2
+    with pytest.raises(EmbeddingError, match="rank 2 below the code width 5"):
         fit_embedding(x, y, s, c=5, epsilon=0.0)
 
 
-def test_more_features_than_samples_epsilon_zero_raises():
-    # centered, 30 samples span at most 29 directions of the 120 features
+def test_more_features_than_samples_epsilon_zero_whitens_exactly():
+    # centered, 30 samples span at most 29 directions of the 120 features,
+    # below c=30; but the labels leave at most 7 columns, so c only bounds
+    # the width, as it does under the automatic epsilon
     rng = np.random.default_rng(13)
     x, y, s = random_problem(rng, n=30, d_x=120, d_y=40)
-    with pytest.raises(EmbeddingError, match="rank 29 below c=30"):
-        fit_embedding(x, y, s, c=30, epsilon=0.0)
+    m = fit_embedding(x, y, s, c=30, epsilon=0.0)
+    assert 1 <= m.c <= 7
+    for v, mean, w in ((x, m.mean_x, m.w_x), (y, m.mean_y, m.w_y)):
+        z = (v - mean) @ w
+        assert np.abs(z.T @ z / len(v) - np.eye(m.c)).max() <= 1e-6
 
 
 def test_epsilon_auto_value():

@@ -21,7 +21,7 @@ from planefinder.features import (SPACETIME_DESCRIPTOR_DIM, STATIC_DESCRIPTOR_DI
                                   frame_gradients)
 from planefinder.phantom import PhantomSpec, synth_phantom
 from planefinder.smoothing import smooth_sequence
-from planefinder.volume import Volume4D, extract_plane_sequence
+from planefinder.volume import PlaneSequence, Volume4D, extract_plane_sequence
 
 
 def blob_image(centers, sigma=2.5, amp=1.0, size=64):
@@ -795,7 +795,7 @@ def test_desk_plane_feature_path_memory_is_bounded():
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        static, spacetime = pipeline.sequence_descriptors(vol, gt[0])
+        static, spacetime = pipeline.sequence_descriptors(vol, [gt[0]])[0]
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -805,7 +805,7 @@ def test_desk_plane_feature_path_memory_is_bounded():
 
 def test_desk_candidate_descriptors_are_read_only_record_arrays():
     vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
-    static, spacetime = pipeline.sequence_descriptors(vol, gt[0])
+    static, spacetime = pipeline.sequence_descriptors(vol, [gt[0]])[0]
     for descs, dim in ((static, STATIC_DESCRIPTOR_DIM), (spacetime, SPACETIME_DESCRIPTOR_DIM)):
         assert isinstance(descs, np.recarray) and not descs.flags.writeable
         assert len(descs) and descs.values.shape == (len(descs), dim)
@@ -844,7 +844,8 @@ def test_float32_frames_keep_desk_phantom_points():
     vol, gt = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
     vol = Volume4D(voxels=np.round(vol.voxels * 255.0) / 255.0)
     for plane in gt.values():
-        single = smooth_sequence(pipeline._plane_sequence(vol, plane))
+        single = smooth_sequence(PlaneSequence(
+            extract_plane_sequence(vol, plane).frames.astype(np.float32)))
         double = smooth_sequence(extract_plane_sequence(vol, plane))
         assert single.frames.dtype == np.float32 and double.frames.dtype == np.float64
         kps = detect_static_keypoints(single.frames)
@@ -988,7 +989,7 @@ def test_sequence_descriptors_match_reference_composition(monkeypatch, n_frames,
                                         n_frames=n_frames))
     cfg = PipelineConfig(candidates_n=16, plane_size=64)
     plane = gt[0] if which == "ground truth" else pipeline.candidate_planes(vol.dims, cfg)[3]
-    got = pipeline.sequence_descriptors(vol, plane)
+    got = pipeline.sequence_descriptors(vol, [plane])[0]
     with monkeypatch.context() as m:
         m.setattr(features, "_contrast_pixels", contrast_pixels_nonzero)
         m.setattr(features, "_harris_maxima", harris_maxima_clipped)

@@ -7,7 +7,7 @@ import pytest
 
 from oracles import (benchmark_representations, label_rank, semantic_similarity,
                      sequence_descriptors_per_describer)
-from planefinder import codebook, features, pipeline
+from planefinder import cli, codebook, features, pipeline
 from planefinder.bundle import BundleError, load_bundle, save_bundle
 from planefinder.classifier import decision_values
 from planefinder.codebook import quantize
@@ -25,8 +25,8 @@ from planefinder.pipeline import (PipelineError, VolumeFeatureCache, bow_feature
                                   train_pipeline, _f1)
 from planefinder.smoothing import smooth_sequence
 from planefinder.synth import build_phantom_dataset
-from planefinder.volume import (PlaneParams, Volume4D, VolumeError, load_volume,
-                                plane_from_center)
+from planefinder.volume import (PlaneParams, PlaneSequence, Volume4D, VolumeError,
+                                extract_plane_sequence, load_volume, plane_from_center)
 
 TINY = dict(class_count=2, n_negatives=4, dims=(48, 48, 48), n_frames=6)
 
@@ -322,7 +322,7 @@ def test_four_frame_volume_gives_an_empty_spacetime_row(workspace):
     bundle = workspace["bundle"]
     vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
                                         n_frames=4))
-    static, spacetime = sequence_descriptors(vol, gt[0])
+    static, spacetime = sequence_descriptors(vol, [gt[0]])[0]
     assert len(static) and spacetime.values.shape == (0, 192)
     assert quantize(spacetime.values, bundle.cb_spacetime).empty
     x, y = bow_features([(static, spacetime)], bundle.cb_static, bundle.cb_spacetime)
@@ -364,8 +364,8 @@ def test_sequence_descriptors_bytes_are_reproducible(monkeypatch, degenerate):
                                      np.append(False, ~descs.degenerate))
 
         monkeypatch.setattr(pipeline, "describe_static", with_a_degenerate_row)
-    first = sequence_descriptors(vol, gt[0])
-    second = sequence_descriptors(vol, gt[0])
+    first = sequence_descriptors(vol, [gt[0]])[0]
+    second = sequence_descriptors(vol, [gt[0]])[0]
     for a, b in zip(first, second, strict=True):
         assert len(a) and a.tobytes() == b.tobytes()
         assert _padding(a).size and not _padding(a).any()
@@ -377,7 +377,7 @@ def test_sequence_descriptors_drop_a_degenerate_row(monkeypatch, name):
     # no benchmark workload describes a degenerate row, so one is put first
     vol, gt = synth_phantom(PhantomSpec(class_count=1, seed=4, dims=(48, 48, 48),
                                         n_frames=6))
-    want = sequence_descriptors(vol, gt[0])
+    want = sequence_descriptors(vol, [gt[0]])[0]
     describe = getattr(pipeline, name)
 
     def with_a_degenerate_row(frames, points):
@@ -386,7 +386,7 @@ def test_sequence_descriptors_drop_a_degenerate_row(monkeypatch, name):
                                  np.append(False, ~descs.degenerate))
 
     monkeypatch.setattr(pipeline, name, with_a_degenerate_row)
-    got = sequence_descriptors(vol, gt[0])
+    got = sequence_descriptors(vol, [gt[0]])[0]
     for a, b in zip(got, want, strict=True):
         assert len(a) == len(b) and not a.flags.writeable and not a.degenerate.any()
         assert a.values.tobytes() == b.values.tobytes()
@@ -464,7 +464,7 @@ def test_keypoint_overlays_without_bundle_mark_the_central_axial_plane(tmp_path)
     assert len(written) == 2 * vol.n_frames
     assert all(read_pgm(p).shape == (size, size) for p in written)
     plane = plane_from_center((31.5, 31.5, 31.5), (0.0, 0.0, 1.0), width=size, height=size)
-    seq = pipeline._plane_sequence(vol, plane)
+    seq = PlaneSequence(extract_plane_sequence(vol, plane).frames.astype(np.float32))
     assert seq.frames.dtype == np.float32
     for label, frames in (("original", seq.frames), ("smoothed", smooth_sequence(seq).frames)):
         kps = detect_static_keypoints(frames)
@@ -503,7 +503,7 @@ def batch_cases():
                                                                     plane_size=32))
         planes[1:1] = [plane_from_center((11.0, 23.5, 23.5), (1.0, 0.0, 0.0), 32, 32)]
         planes[3:3] = [plane_from_center((500.0, 23.5, 23.5), (1.0, 0.0, 0.0), 32, 32)]
-        cases[n_frames] = vol, planes, [sequence_descriptors(vol, q) for q in planes]
+        cases[n_frames] = vol, planes, [sequence_descriptors(vol, [q])[0] for q in planes]
     return cases
 
 
@@ -532,7 +532,7 @@ def test_alone_planes_cover_every_case(batch_cases, n_frames):
 @pytest.mark.parametrize("n_frames", [5, 6, 8])
 def test_one_pass_equals_one_plane_at_a_time(batch_cases, n_frames, n_planes):
     vol, planes, alone = batch_cases[n_frames]
-    got = pipeline._describe_pass(vol, planes[:n_planes])
+    got = pipeline.sequence_descriptors(vol, planes[:n_planes])
     assert len(got) == n_planes
     for pair, want in zip(got, alone):
         _assert_same_records(pair, want)
@@ -571,8 +571,8 @@ def test_degenerate_rows_dropped_mid_pass(batch_cases, monkeypatch):
 
     for name in ("describe_static", "describe_spacetime"):
         monkeypatch.setattr(pipeline, name, flagging(getattr(pipeline, name)))
-    alone = [sequence_descriptors(vol, q) for q in planes[:9]]
-    got = pipeline._describe_pass(vol, planes[:9])
+    alone = [sequence_descriptors(vol, [q])[0] for q in planes[:9]]
+    got = pipeline.sequence_descriptors(vol, planes[:9])
     dropped = [len(a) - len(b) for pair, kept in zip(whole, alone) for a, b in zip(pair, kept)]
     # static and space-time rows both dropped past the pass's first plane
     assert any(dropped[2::2]) and any(dropped[3::2])
@@ -590,7 +590,7 @@ def test_one_full_32px_pass_memory_is_bounded(batch_cases):
     tracemalloc.reset_peak()
     base = tracemalloc.get_traced_memory()[0]
     try:
-        got = pipeline._describe_pass(vol, planes[:8])
+        got = pipeline.sequence_descriptors(vol, planes[:8])
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -598,7 +598,8 @@ def test_one_full_32px_pass_memory_is_bounded(batch_cases):
     assert peak < 5 << 20
 
 
-def test_a_failing_pass_names_its_volume_and_candidates(tmp_path, monkeypatch):
+def test_a_failing_pass_names_its_volume_and_candidates(workspace, tmp_path, monkeypatch,
+                                                        capsys):
     # one training volume names all 15 candidates, which take passes of 8
     # and 7; a bad record in the middle of the second fails that pass alone
     cfg = tiny_config()
@@ -619,15 +620,59 @@ def test_a_failing_pass_names_its_volume_and_candidates(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "extract_plane_sequence", failing)
     with pytest.raises(PipelineError) as err:
         prepare_training_data(manifest, cfg, cache=cache)
-    assert str(err.value) == ("feature extraction failed for volume %s candidates "
-                              "8, 9, 10, 11, 12, 13, 14: unreadable plane" % path)
+    message = ("feature extraction failed for volume %s candidates "
+               "8, 9, 10, 11, 12, 13, 14: unreadable plane" % path)
+    assert str(err.value) == message
     assert isinstance(err.value.__cause__, VolumeError)
     # the first pass was described and cached
     monkeypatch.setattr(pipeline, "extract_plane_sequence", extract)
-    want = [sequence_descriptors(cache.volume(path), q) for q in cache.candidates(path)[:8]]
+    want = [sequence_descriptors(cache.volume(path), [q])[0] for q in cache.candidates(path)[:8]]
     monkeypatch.setattr(pipeline, "extract_plane_sequence", failing)
     for i in range(8):
         _assert_same_records(cache.descriptors(path, i), want[i])
+    # the bad candidate alone fails as a pass of one
+    with pytest.raises(PipelineError) as err:
+        cache.descriptors(path, 11)
+    assert str(err.value) == ("feature extraction failed for volume %s candidates 11: "
+                              "unreadable plane" % path)
+    assert isinstance(err.value.__cause__, VolumeError)
+    # planefinder locate describes all 15 through a cache of its own
+    bundle_dir = str(tmp_path / "bundle")
+    save_bundle(workspace["bundle"], bundle_dir)
+    capsys.readouterr()
+    assert cli.main(["locate", "--bundle", bundle_dir, "--volume", path, "--class", "0"]) == 1
+    assert capsys.readouterr().err == "error: %s\n" % message
+
+
+def test_every_path_describes_through_sequence_descriptors(workspace, tmp_path, monkeypatch):
+    # the benchmark's traced runs time the feature pass by wrapping this
+    # name, so each path must describe every candidate it needs through it
+    cfg, bundle, test = workspace["cfg"], workspace["bundle"], workspace["test"]
+    vol_path = test.volumes[0]
+    bundle_dir = str(tmp_path / "bundle")
+    save_bundle(bundle, bundle_dir)
+    described = []
+    describe = pipeline.sequence_descriptors
+
+    def counted(vol, planes):
+        described.extend(planes)
+        return describe(vol, planes)
+
+    monkeypatch.setattr(pipeline, "sequence_descriptors", counted)
+    paths = [
+        (lambda: prepare_training_data(workspace["train"], cfg), len(workspace["train"].records)),
+        (lambda: evaluate_synthetic(bundle, test), len(test.records)),
+        (lambda: evaluate_volumes(bundle, test), len(test.volumes) * cfg.candidates_n),
+        (lambda: locate_standard_planes(load_volume(vol_path), bundle, 0, top_k=3),
+         cfg.candidates_n),
+        (lambda: VolumeFeatureCache(cfg).descriptors(vol_path, 4), 1),
+        (lambda: cli.main(["locate", "--bundle", bundle_dir, "--volume", vol_path,
+                           "--class", "0"]), cfg.candidates_n),
+    ]
+    for run, n in paths:
+        described.clear()
+        run()
+        assert len(described) == n
 
 
 def test_training_describes_only_the_named_candidates(workspace, monkeypatch):
