@@ -2,6 +2,8 @@
 baselines."""
 
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -13,7 +15,8 @@ from .classifier import decision_values, fit_scaler, identity_scaler, train_mult
 from .codebook import (plane_histograms, quantize, quantize_planes,  # noqa: F401
                        train_codebook)
 from .config import PipelineConfig
-from .embedding import (build_similarity_matrix, embed, embed_fused, fit_embedding)
+from .embedding import (_one_blas_thread, build_similarity_matrix, embed, embed_fused,
+                        fit_embedding)
 from .features import (_records, describe_spacetime, describe_static,
                        detect_spacetime_points, detect_static_keypoints, frame_gradients)
 from .smoothing import smooth_sequence
@@ -46,11 +49,89 @@ def candidate_planes(dims, cfg):
     return generate_candidates(dims, cfg.candidates_n, CANDIDATE_SEED, cfg.plane_size)
 
 
-def describe_planes(vol, planes):
+def describe_planes(vol, planes, name="(in memory)", indices=None, found=None):
     """sequence_descriptors of each of `planes`, candidate planes of vol that
-    share one size, in order, several planes to a pass (see plane_passes)."""
-    return [pair for part in plane_passes(vol, planes)
-            for pair in sequence_descriptors(vol, planes[part])]
+    share one size, in order, in the passes of plane_passes, spread over
+    _cpus() processes by _forked. The first pass that fails raises
+    PipelineError naming the volume `name` and that pass's `indices` (the
+    planes' positions by default); the passes before it are in `found`
+    ({index: pair}), when given."""
+    indices = list(range(len(planes))) if indices is None else indices
+    found = {} if found is None else found
+    passes = plane_passes(vol, planes)
+    n = min(_cpus(), len(passes))
+    shares = (_forked(vol, planes, passes, n) if n > 1
+              else _share(vol, planes, passes, range(len(passes))))
+    for k, got in sorted(shares, key=lambda share: share[0]):
+        if isinstance(got, Exception):
+            raise _failure(name, indices[passes[k]], got) from got
+        for descs in (d for pair in got for d in pair):
+            descs.flags.writeable = False  # as sequence_descriptors, not pickle, gives them
+        found.update(zip(indices[passes[k]], got))
+    return [found[i] for i in indices]
+
+
+def _failure(name, part, exc):
+    return PipelineError("feature extraction failed for volume %s candidates %s: %s"
+                         % (name, ", ".join(map(str, part)), exc))
+
+
+def _cpus():
+    """The CPUs this process may run on (`taskset -c 0` gives one); 1 without fork."""
+    ok = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    return len(os.sched_getaffinity(0)) if ok else 1
+
+
+def _share(vol, planes, passes, ks):
+    """(k, pairs) of each pass k of `ks`, up to the first that raises: (k, exception)."""
+    out = []
+    for k in ks:
+        try:
+            out.append((k, sequence_descriptors(vol, planes[passes[k]])))
+        except Exception as exc:
+            return out + [(k, exc)]
+    return out
+
+
+@_one_blas_thread
+def _forked(vol, planes, passes, n):
+    """_share of every pass over n processes on one BLAS thread each: the
+    caller takes passes 0, n, 2n, ... and each of n - 1 forked children its
+    own such share, which it pickles to a pipe (an exception that does not
+    pickle back as its text) and ends in os._exit, which runs no atexit
+    handler and flushes no buffer it inherited, such as the caller's stdout.
+    Every child is killed, if it still runs, and reaped before the return."""
+    children = []
+    try:
+        for j in range(1, n):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                try:
+                    share = _share(vol, planes, passes, range(j, len(passes), n))
+                    k, last = share[-1]
+                    try:  # an exception whose class cannot rebuild it from its pickle?
+                        pickle.loads(pickle.dumps(last if isinstance(last, Exception) else 0))
+                    except Exception:
+                        share[-1] = k, PipelineError(str(last))
+                    with open(w, "wb") as pipe:
+                        pickle.dump(share, pipe, pickle.HIGHEST_PROTOCOL)
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, open(r, "rb"), j))
+        got = _share(vol, planes, passes, range(0, len(passes), n))
+        for pid, pipe, j in children:
+            try:
+                got += pickle.loads(pipe.read())
+            except (EOFError, pickle.UnpicklingError):  # it ended before it sent its share
+                got.append((j, PipelineError("describing process %d ended early" % pid)))
+        return got
+    finally:
+        for pid, pipe, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            pipe.close()
+            os.waitpid(pid, 0)
 
 
 def plane_passes(vol, planes):
@@ -118,7 +199,7 @@ class VolumeFeatureCache:
         self.cfg = cfg
         self._volumes = {}
         self._cands = {}
-        self._descs = {}
+        self._descs = {}  # path -> {candidate index: descriptor pair}
 
     def volume(self, path):
         if path not in self._volumes:
@@ -136,22 +217,18 @@ class VolumeFeatureCache:
 
     def describe(self, path, indices):
         """Descriptor pairs of the volume's candidates `indices`, in order.
-        Those not cached are described in the passes of plane_passes, in index
-        order; a pass that fails raises PipelineError naming the volume and
-        the candidates of that pass."""
-        todo = sorted({i for i in indices if (path, i) not in self._descs})
-        part = todo
+        Those not cached are described by describe_planes: the first pass
+        that fails raises PipelineError naming the volume and the pass's
+        candidates, and the passes before it stay cached."""
+        found = self._descs.setdefault(path, {})
+        todo = sorted({i for i in indices if i not in found})
         try:
             vol = self.volume(path)
             planes = [self.candidates(path)[i] for i in todo]
-            for span in plane_passes(vol, planes):
-                part = todo[span]
-                self._descs.update(zip([(path, i) for i in part],
-                                       sequence_descriptors(vol, planes[span])))
         except Exception as exc:
-            raise PipelineError("feature extraction failed for volume %s candidates %s: %s"
-                                % (path, ", ".join(map(str, part)), exc)) from exc
-        return [self._descs[(path, i)] for i in indices]
+            raise _failure(path, todo, exc) from exc
+        describe_planes(vol, planes, path, todo, found)
+        return [found[i] for i in indices]
 
     def all_descriptors(self, path):
         return self.describe(path, range(self.cfg.candidates_n))

@@ -1,4 +1,5 @@
 import os
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -557,11 +558,9 @@ def test_plane_passes_hold_their_byte_budget(size, n_frames, step):
     assert pipeline.plane_passes(vol, []) == []
 
 
-def test_degenerate_rows_dropped_mid_pass(batch_cases, monkeypatch):
+def _flag_degenerate_rows(monkeypatch):
     # no benchmark workload describes a degenerate row, so every row whose
-    # point lies on an x divisible by 3 is flagged, in any plane of the pass
-    vol, planes, whole = batch_cases[6]
-
+    # point lies on an x divisible by 3 is flagged, in any plane of a pass
     def flagging(describe):
         def with_degenerate_rows(grads, points):
             descs = describe(grads, points)
@@ -571,6 +570,11 @@ def test_degenerate_rows_dropped_mid_pass(batch_cases, monkeypatch):
 
     for name in ("describe_static", "describe_spacetime"):
         monkeypatch.setattr(pipeline, name, flagging(getattr(pipeline, name)))
+
+
+def test_degenerate_rows_dropped_mid_pass(batch_cases, monkeypatch):
+    vol, planes, whole = batch_cases[6]
+    _flag_degenerate_rows(monkeypatch)
     alone = [sequence_descriptors(vol, [q])[0] for q in planes[:9]]
     got = pipeline.sequence_descriptors(vol, planes[:9])
     dropped = [len(a) - len(b) for pair, kept in zip(whole, alone) for a, b in zip(pair, kept)]
@@ -659,6 +663,8 @@ def test_every_path_describes_through_sequence_descriptors(workspace, tmp_path, 
         return describe(vol, planes)
 
     monkeypatch.setattr(pipeline, "sequence_descriptors", counted)
+    # a forked child's calls never reach this process's count
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     paths = [
         (lambda: prepare_training_data(workspace["train"], cfg), len(workspace["train"].records)),
         (lambda: evaluate_synthetic(bundle, test), len(test.records)),
@@ -687,7 +693,174 @@ def test_training_describes_only_the_named_candidates(workspace, monkeypatch):
         return extract(vol, params)
 
     monkeypatch.setattr(pipeline, "extract_plane_sequence", counting)
+    # a forked child's calls never reach this process's count
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     td = prepare_training_data(manifest, cfg, cache=cache)
     assert len(described) == len(manifest.records) == 12
     want = prepare_training_data(manifest, cfg, cache=workspace["cache"])
     assert td.x.tobytes() == want.x.tobytes() and td.y.tobytes() == want.y.tobytes()
+
+
+# describe_planes spreads its passes over the CPUs the process may use:
+# pipeline._cpus() processes, the caller and forked children. Every case
+# below sets that count itself, so it runs the same on one CPU or many.
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _described_by(monkeypatch, processes, vol, planes):
+    monkeypatch.setattr(pipeline, "_cpus", lambda: processes)
+    got = pipeline.describe_planes(vol, planes)
+    _no_child_left()
+    return got
+
+
+@pytest.mark.parametrize("case", ["desk", "small", "four_frames", "degenerate"])
+def test_two_processes_describe_the_bytes_of_one(batch_cases, monkeypatch, case):
+    if case == "desk":  # 5 passes of one 64^2 x 8 plane
+        vol, _ = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=0))
+        planes = pipeline.candidate_planes(vol.dims, PipelineConfig(candidates_n=5,
+                                                                    plane_size=64))
+    elif case == "four_frames":  # 25 planes of four 32^2 frames: passes of 12, 12, 1
+        vol, _ = synth_phantom(PhantomSpec(class_count=3, noise_sigma=0.005, seed=2,
+                                           dims=(48, 48, 48), n_frames=4))
+        planes = pipeline.candidate_planes(vol.dims, PipelineConfig(candidates_n=25,
+                                                                    plane_size=32))
+    else:  # 17 planes of six 32^2 frames: passes of 8, 8 and 1
+        vol, planes, _ = batch_cases[6]
+    if case == "degenerate":
+        _flag_degenerate_rows(monkeypatch)
+    passes = pipeline.plane_passes(vol, planes)
+    assert len(passes) % 2 == 1
+    one = _described_by(monkeypatch, 1, vol, planes)
+    two = _described_by(monkeypatch, 2, vol, planes)
+    assert len(one) == len(planes)
+    for pair, want in zip(two, one, strict=True):
+        _assert_same_records(pair, want)
+        for descs in pair:
+            assert not _padding(descs).any()
+    if case == "four_frames":
+        assert not any(len(t) for _, t in two) and any(len(s) for s, _ in two)
+    if case == "degenerate":
+        unflagged = batch_cases[6][2]
+        assert any(len(a) < len(b) for pair, whole in zip(two, unflagged)
+                   for a, b in zip(pair, whole))
+
+
+def _failing_candidates(monkeypatch, planes, bad, error=lambda: VolumeError("unreadable plane")):
+    extract = pipeline.extract_plane_sequence
+
+    def failing(vol, params):
+        if params in [planes[i] for i in bad]:
+            raise error()
+        return extract(vol, params)
+
+    monkeypatch.setattr(pipeline, "extract_plane_sequence", failing)
+
+
+@pytest.mark.parametrize("bad, named", [([11], range(8, 15)), ([3], range(8)),
+                                        ([3, 11], range(8))])
+def test_cold_locate_names_the_first_failing_pass(workspace, monkeypatch, bad, named):
+    # the tiny config's 15 candidates take passes of 8 and 7: the caller
+    # describes the first, a child the second
+    bundle = workspace["bundle"]
+    vol = load_volume(workspace["test"].volumes[0])
+    planes = pipeline.candidate_planes(vol.dims, bundle.config)
+    _failing_candidates(monkeypatch, planes, bad)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    with pytest.raises(PipelineError) as err:
+        locate_standard_planes(vol, bundle, 0, top_k=3)
+    assert str(err.value) == ("feature extraction failed for volume (in memory) candidates "
+                              "%s: unreadable plane" % ", ".join(map(str, named)))
+    assert isinstance(err.value.__cause__, VolumeError)
+    _no_child_left()
+
+
+def test_a_childs_earlier_pass_is_named_before_the_callers_later_one(batch_cases,
+                                                                     monkeypatch):
+    # 17 planes take passes of 8, 8 and 1: the caller's last pass fails, and
+    # so does the child's pass before it
+    vol, planes, _ = batch_cases[6]
+    _failing_candidates(monkeypatch, planes, [9, 16])
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    with pytest.raises(PipelineError, match="candidates 8, 9, 10, 11, 12, 13, 14, 15: "):
+        pipeline.describe_planes(vol, planes)
+    _no_child_left()
+
+
+class _Unpicklable(Exception):
+    def __init__(self, plane, reason):
+        super().__init__("plane %s: %s" % (plane, reason))
+
+
+def test_a_child_error_that_does_not_pickle_comes_back_as_its_text(workspace, monkeypatch):
+    cfg, path = workspace["cfg"], workspace["test"].volumes[0]
+    cache = VolumeFeatureCache(cfg)
+    _failing_candidates(monkeypatch, cache.candidates(path), [9],
+                        lambda: _Unpicklable(9, "unreadable"))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    with pytest.raises(PipelineError) as err:
+        cache.all_descriptors(path)
+    assert str(err.value) == ("feature extraction failed for volume %s candidates "
+                              "8, 9, 10, 11, 12, 13, 14: plane 9: unreadable" % path)
+    assert type(err.value.__cause__) is PipelineError
+    _no_child_left()
+    # the caller's pass stayed cached
+    monkeypatch.setattr(pipeline, "sequence_descriptors", None)
+    assert len(cache.describe(path, range(8))) == 8
+
+
+def test_a_child_that_ends_early_fails_its_first_pass(batch_cases, monkeypatch):
+    vol, planes, _ = batch_cases[6]
+    caller, describe = os.getpid(), pipeline.sequence_descriptors
+
+    def ending_in_a_child(vol, planes):
+        if os.getpid() != caller:
+            os._exit(3)
+        return describe(vol, planes)
+
+    monkeypatch.setattr(pipeline, "sequence_descriptors", ending_in_a_child)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    with pytest.raises(PipelineError, match=r"candidates 8, 9, 10, 11, 12, 13, 14, 15: "
+                                            r"describing process \d+ ended early"):
+        pipeline.describe_planes(vol, planes)
+    _no_child_left()
+
+
+def test_children_are_killed_when_the_callers_share_raises(batch_cases, monkeypatch):
+    vol, planes, _ = batch_cases[6]
+    caller = os.getpid()
+
+    class Stop(BaseException):
+        pass
+
+    def stopping(vol, planes):
+        if os.getpid() == caller:
+            raise Stop()
+        time.sleep(60)
+
+    monkeypatch.setattr(pipeline, "sequence_descriptors", stopping)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
+    t0 = time.perf_counter()
+    with pytest.raises(Stop):
+        pipeline.describe_planes(vol, planes)
+    assert time.perf_counter() - t0 < 30
+    _no_child_left()
+
+
+def test_cached_candidates_fork_nothing(workspace, monkeypatch):
+    cfg, path = workspace["cfg"], workspace["test"].volumes[1]
+    cache = VolumeFeatureCache(cfg)
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    first = cache.all_descriptors(path)
+    assert forks == [1]
+    _no_child_left()
+    again = cache.all_descriptors(path)
+    assert forks == [1] and all(a is b for a, b in zip(again, first, strict=True))
+    # one pass forks nothing either
+    assert cache.describe(path, [2, 3]) == first[2:4] and forks == [1]
