@@ -4,13 +4,13 @@ baselines."""
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import pgm
 from .bundle import ModelBundle
-from .classifier import decision_values, fit_scaler, identity_scaler, train_multiclass
+from .classifier import decision_values, identity_scaler, train_multiclass
 # quantize stays bound here: the benchmark's traced runs wrap pipeline.quantize
 from .codebook import (plane_histograms, quantize, quantize_planes,  # noqa: F401
                        train_codebook)
@@ -432,39 +432,22 @@ def _f1(predicted, truth):
 # baselines
 
 
-def _representations(td, cfg):
-    """Feature matrices per method, shared across train and test."""
-    emb_sup = fit_embedding(td.x, td.y, td.similarity, cfg.embed_c)
-    emb_cca = fit_embedding(td.x, td.y, np.eye(len(td.x)), cfg.embed_c)
-
-    def make(x, y, method):
-        if method == "static":
-            return x
-        if method == "spacetime":
-            return y
-        if method == "concat":
-            return np.hstack([x, y])
-        if method == "cca":
-            return compute_codes(x, y, emb_cca, cfg.view)
-        if method == "proposed":
-            return compute_codes(x, y, emb_sup, cfg.view)
-        raise PipelineError("unknown method %r" % method)
-
-    return make
-
-
+# the BoW baselines: views of the (X, Y) histograms, classified as they are
+BOW_VIEWS = {"static": lambda x, y: x, "spacetime": lambda x, y: y,
+             "concat": lambda x, y: np.hstack([x, y])}
 BASELINE_METHODS = ("static", "spacetime", "concat", "cca", "proposed")
 
 
 def run_baselines(train_manifest, test_manifest, cfg, methods=BASELINE_METHODS,
                   cache=None):
-    """Train and evaluate every method on identical features and SVM settings.
-
-    Returns {method: EvaluationReport}.
-    """
+    """Train and evaluate every method on identical features and SVM settings:
+    BOW_VIEWS with the (0, 1) scaler, cca and proposed as the product's own
+    train_from_data models (cca with S = I). Returns {method: EvaluationReport}."""
+    for method in methods:
+        if method not in BASELINE_METHODS:
+            raise PipelineError("unknown method %r" % method)
     cache = cache or VolumeFeatureCache(cfg)
     td = prepare_training_data(train_manifest, cfg, cache=cache)
-    make = _representations(td, cfg)
 
     test_manifest.validate(candidate_count=cfg.candidates_n)
     tx, ty = _record_features(test_manifest, cache, td.cb_static, td.cb_spacetime)
@@ -473,15 +456,19 @@ def run_baselines(train_manifest, test_manifest, cfg, methods=BASELINE_METHODS,
 
     results = {}
     for method in methods:
-        z_train = make(td.x, td.y, method)
-        scaler = (identity_scaler(z_train.shape[1])
-                  if method in ("static", "spacetime", "concat")
-                  else fit_scaler(z_train))
-        clf = train_multiclass(z_train, td.plane_classes, c=cfg.svm_c,
-                               kernel=cfg.kernel, scaler=scaler)
+        if method in BOW_VIEWS:
+            view = BOW_VIEWS[method]
+            z = view(td.x, td.y)
+            clf = train_multiclass(z, td.plane_classes, c=cfg.svm_c, kernel=cfg.kernel,
+                                   scaler=identity_scaler(z.shape[1]))
+        else:
+            model = train_from_data(td if method == "proposed" else
+                                    replace(td, similarity=np.eye(len(td.x))), cfg)
+            clf = model.classifier
+            view = lambda x, y: compute_codes(x, y, model.embedding, cfg.view)  # noqa: E731
         results[method] = _score(
-            clf, test_manifest, record_codes=make(tx, ty, method),
-            volume_codes={v: make(vx, vy, method) for v, (vx, vy) in vol_feats.items()})
+            clf, test_manifest, record_codes=view(tx, ty),
+            volume_codes={v: view(vx, vy) for v, (vx, vy) in vol_feats.items()})
     return results
 
 

@@ -8,7 +8,7 @@ import numpy as np
 from .manifest import DatasetManifest, ManifestRecord, write_manifest
 from .phantom import PhantomSpec, synth_phantom
 from .pipeline import candidate_planes
-from .volume import plane_angle, plane_offset, save_volume
+from .volume import VolumeError, plane_angle, plane_offset, save_volume
 
 GT_ANGLE_GUARD = math.radians(10.0)
 GT_OFFSET_GUARD = 5.0
@@ -29,7 +29,7 @@ def _pick_class_planes(cands, class_count, rng, dims, min_angle=math.radians(25.
             chosen.append(idx)
         if len(chosen) == class_count:
             return chosen
-    raise RuntimeError("could not find %d well-separated candidate planes" % class_count)
+    raise VolumeError("could not find %d well-separated candidate planes" % class_count)
 
 
 def _near_ground_truth(cand, gt_planes):

@@ -147,3 +147,13 @@ def test_error_exit_code(tmp_path, capsys):
                "--out", str(tmp_path / "b")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_synth_error_exit_code(tmp_path, capsys):
+    config = str(tmp_path / "c.txt")
+    save_config(PipelineConfig(candidates_n=3, plane_size=32), config)
+    rc = main(["synth", "--out", str(tmp_path / "data"), "--volumes", "2", "--seed", "1",
+               "--dims", "48", "48", "48", "--frames", "6", "--config", config])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: could not find 3 well-separated candidate planes\n")

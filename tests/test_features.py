@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -1030,3 +1031,42 @@ def test_detectors_over_a_stack_of_planes_equal_the_per_plane_calls(n_frames):
         for p, plane in enumerate(planes):
             want = features._harris_response(plane, sigmas, features.HARRIS_K)
             assert batch[p].tobytes() == want.tobytes()
+
+
+def test_stacked_gaussian_products_keep_one_planes_matrix_shapes(monkeypatch):
+    # BLAS may round a product of more rows differently, so a stack of
+    # planes is filtered through products of one plane's matrix shapes: only
+    # the batch of a stacked matmul may grow. The operator records the shape
+    # of the other operand of each product, and on which side it stands.
+    products = []
+
+    class Recorded(np.ndarray):
+        def __matmul__(self, other):
+            products.append(("op @", np.shape(other)))
+            return np.asarray(self) @ other
+
+        def __rmatmul__(self, other):
+            products.append(("@ op", np.shape(other)))
+            return other @ np.asarray(self)
+
+    real = features._gaussian_operator
+    monkeypatch.setattr(features, "_gaussian_operator",
+                        lambda n, sigma, dtype: real(n, sigma, dtype).view(Recorded))
+
+    def recorded(run, frames):
+        products.clear()
+        run(frames)
+        return list(products)
+
+    stack = np.random.default_rng(0).random((3, 6, 32, 32)).astype(np.float32)
+    filtered = functools.partial(_gaussian_nearest, sigmas=(2.0, 1.6, 1.6))
+    # the t pass, the y pass (32 x 32 per frame), the x pass
+    assert recorded(filtered, stack) == [("op @", (3, 6, 1024)), ("op @", (18, 32, 32)),
+                                         ("@ op", (3, 192, 32))]
+    assert recorded(filtered, stack[0]) == [("op @", (1, 6, 1024)), ("op @", (6, 32, 32)),
+                                            ("@ op", (192, 32))]
+    many, one = recorded(detect_static_keypoints, stack), recorded(detect_static_keypoints,
+                                                                  stack[0])
+    assert len(many) == len(one) > 0
+    for (side, shape), (one_side, one_shape) in zip(many, one):
+        assert side == one_side and shape[-2:] == one_shape[-2:]

@@ -71,6 +71,14 @@ def test_dataset_ground_truth_unique_per_class(workspace):
                 assert len(m.ground_truth(vol, cls)) == 1
 
 
+def test_synthesis_without_separated_planes_raises_volume_error(tmp_path):
+    # 3 candidates cannot hold 3 central planes 25 degrees apart
+    cfg = PipelineConfig(candidates_n=3, plane_size=32)
+    with pytest.raises(VolumeError,
+                       match="^could not find 3 well-separated candidate planes$"):
+        build_phantom_dataset(str(tmp_path), 2, 1, cfg, dims=(48, 48, 48), n_frames=6)
+
+
 def test_sidecar_planes_are_the_ground_truth_candidates(tmp_path):
     # non-cubic dims: candidates built from (nz, ny, nx) or any other axis
     # order would differ from the ones the sidecar was written from
@@ -203,6 +211,58 @@ def test_baseline_proposed_scores_like_product_evaluation(workspace):
     assert proposed.accuracy == evaluate_synthetic(bundle, workspace["test"],
                                                    cache=cache).accuracy
     assert proposed.f1 == evaluate_volumes(bundle, workspace["test"], cache=cache).f1
+
+
+def test_baseline_fits_an_embedding_only_for_a_method_asked_for(workspace, monkeypatch):
+    fits = []
+    real = pipeline.fit_embedding
+
+    def counted(*args, **kwargs):
+        fits.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit_embedding", counted)
+    run_baselines(workspace["train"], workspace["test"], workspace["cfg"],
+                  methods=("proposed",), cache=workspace["cache"])
+    assert len(fits) == 1
+    fits.clear()
+    run_baselines(workspace["train"], workspace["test"], workspace["cfg"],
+                  methods=("static", "spacetime", "concat"), cache=workspace["cache"])
+    assert fits == []
+
+
+def test_baseline_cca_is_the_product_model_without_label_similarity(workspace, monkeypatch):
+    # cca is train_from_data on S = I, scored through _score by its own
+    # embedding and classifier, as product evaluation scores a bundle
+    cfg, cache, test_m = workspace["cfg"], workspace["cache"], workspace["test"]
+    trained = []
+    real = pipeline.train_from_data
+
+    def spied(td, cfg):
+        trained.append((td, real(td, cfg)))
+        return trained[-1][1]
+
+    monkeypatch.setattr(pipeline, "train_from_data", spied)
+    cca = run_baselines(workspace["train"], test_m, cfg, methods=("cca",),
+                        cache=cache)["cca"]
+    [(td, model)] = trained
+    assert np.array_equal(td.similarity, np.eye(len(td.x)))
+    own = prepare_training_data(workspace["train"], cfg, cache=cache)
+    expected = real(replace(own, similarity=np.eye(len(own.x))), cfg)
+    assert model.content_hash == expected.content_hash
+    assert cca.accuracy == evaluate_synthetic(expected, test_m, cache=cache).accuracy
+    volumes = evaluate_volumes(expected, test_m, cache=cache)
+    assert (cca.f1, cca.top1) == (volumes.f1, volumes.top1)
+
+
+def test_baseline_unknown_method_raises_before_training(workspace, monkeypatch):
+    def untouched(*args, **kwargs):
+        raise AssertionError("training data prepared")
+
+    monkeypatch.setattr(pipeline, "prepare_training_data", untouched)
+    with pytest.raises(PipelineError, match="unknown method 'bow'"):
+        run_baselines(workspace["train"], workspace["test"], workspace["cfg"],
+                      methods=("static", "bow"), cache=workspace["cache"])
 
 
 def test_f1_definition():
